@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 
 # ---------------------------------------------------------------------------
 # su(2) ladder operators
@@ -90,14 +91,14 @@ def leg_rotation_squared(l):
 
 
 def angular_eigenvalue_k2(l, s, t, radius):
-    """Closed-form eigenvalue on W_{2l} at angular weight s."""
+    """Closed-form eigenvalue on W_{2l} at angular weight s; t a float or an ndarray."""
     if abs(s) > l:
         raise ValueError(f"weight |s| = {abs(s)} exceeds l = {l}")
-    if not (0.0 < t < 1.0):
+    if not numerics._inside(t, 0.0, 1.0):
         raise ValueError(f"t must lie in (0, 1), got {t}")
     return 4.0 * l * (2 * l + 1) / (3.0 * radius**2 * (1.0 + t)) + s**2 * (
         3.0 * t - 1.0
-    ) / (radius**2 * (1.0 - t**2))
+    ) / (radius**2 * (1.0 - numerics._power(t, 2)))
 
 
 def h_omega_matrix_k2(l, t, radius):

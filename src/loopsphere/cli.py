@@ -15,14 +15,17 @@ Subcommands map one-to-one onto the library modules:
     check        constraint residual, degree, and stratum of a loop
     random-loop  seeded random sphere-valued loop of prescribed degree
 
-Exit codes: 0 success, 2 validation error (bad flags or malformed input),
-3 numeric diagnostic failure.  Output is JSON (default) or CSV with floats at
-17 significant digits; identical flags and seed give byte-identical output.
-The environment variable LOOPSPEC_THREADS parallelizes truncation levels.
+Exit codes: 0 success, 2 validation error (bad flags, malformed input, or a
+result that a double cannot represent), 3 numeric diagnostic failure.
+Output is JSON (default) or CSV with floats at 17 significant digits;
+identical flags and seed give byte-identical output.  JSON output is strict
+RFC 8259: a non-finite value is a validation error, never a NaN or Infinity
+token.
 """
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,6 +68,11 @@ def _jsonable(obj):
     return obj
 
 
+def _dumps(obj, **kwargs):
+    """Strict JSON text; a NaN or infinite value raises ValueError."""
+    return json.dumps(_jsonable(obj), allow_nan=False, **kwargs)
+
+
 def _write(text, output):
     if output:
         with open(output, "w") as fh:
@@ -81,7 +89,7 @@ def _emit_rows(header, rows, fmt, output):
         _write("\n".join(lines) + "\n", output)
     else:
         data = [dict(zip(header, row)) for row in rows]
-        _write(json.dumps(_jsonable(data), indent=2) + "\n", output)
+        _write(_dumps(data, indent=2) + "\n", output)
 
 
 def _emit_record(record, fmt, output):
@@ -89,10 +97,10 @@ def _emit_record(record, fmt, output):
     if fmt == "csv":
         lines = ["key,value"]
         for key, value in record.items():
-            lines.append(f"{key},{_fmt(value) if not isinstance(value, (list, dict)) else json.dumps(_jsonable(value))}")
+            lines.append(f"{key},{_fmt(value) if not isinstance(value, (list, dict)) else _dumps(value)}")
         _write("\n".join(lines) + "\n", output)
     else:
-        _write(json.dumps(_jsonable(record), indent=2) + "\n", output)
+        _write(_dumps(record, indent=2) + "\n", output)
 
 
 def _read_input(path):
@@ -119,8 +127,8 @@ def random_loop(k, degree, radius, seed):
         raise ValueError(f"sphere dimension k must be >= 2, got {k}")
     if degree < 0:
         raise ValueError(f"loop degree must be >= 0, got {degree}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (0 < radius < math.inf):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     rng = SplitMix64(seed)
     d = k + 1
     base = np.array(rng.gauss_vector(d))
@@ -241,15 +249,19 @@ def _cmd_veff(args):
 
 def _cmd_volume(args):
     params = _params(args)
-    quad = manifold.radial_volume_quadrature(params)
+    # The closed forms name a value that a double cannot represent; the
+    # quadrature's integrand would overflow on the way to it.
     closed = manifold.radial_volume_closed_form(params)
+    stiefel = manifold.stiefel_volume(params.k)
+    total = manifold.volume_total(params)
+    quad = manifold.radial_volume_quadrature(params)
     record = {
         "k": params.k,
         "R": params.R,
         "radial_quadrature": quad,
         "radial_closed_form": closed,
-        "stiefel_volume": manifold.stiefel_volume(params.k),
-        "total_volume": manifold.volume_total(params),
+        "stiefel_volume": stiefel,
+        "total_volume": total,
         "relative_deviation": abs(quad - closed) / closed,
     }
     _emit_record(record, args.format, args.output)
@@ -330,11 +342,11 @@ def _cmd_factorize(args):
     if "rotations" in data:
         fact = resolution.rotations_from_dict(data)
         n = resolution.compose(fact)
-        _write(json.dumps(_jsonable(trigpoly.loop_to_dict(n, fact.radius)), indent=2) + "\n", args.output)
+        _write(_dumps(trigpoly.loop_to_dict(n, fact.radius), indent=2) + "\n", args.output)
     else:
         n, radius = trigpoly.loop_from_dict(data)
         fact = resolution.factorize(n, radius)
-        _write(json.dumps(_jsonable(resolution.rotations_to_dict(fact)), indent=2) + "\n", args.output)
+        _write(_dumps(resolution.rotations_to_dict(fact), indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -362,7 +374,7 @@ def _cmd_check(args):
 
 def _cmd_random_loop(args):
     n = random_loop(args.k, args.N, args.R, args.seed)
-    _write(json.dumps(_jsonable(trigpoly.loop_to_dict(n, args.R)), indent=2) + "\n", args.output)
+    _write(_dumps(trigpoly.loop_to_dict(n, args.R), indent=2) + "\n", args.output)
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ the scalar volume weights, and the total Riemannian volume.
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ class StratumError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Sphere dimension k >= 2, radius R > 0, coupling scale L > 0."""
+    """Sphere dimension k >= 2, finite radius R > 0, finite coupling scale L > 0."""
 
     k: int
     R: float = 1.0
@@ -41,10 +42,10 @@ class ModelParams:
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 2:
             raise ValueError(f"sphere dimension k must be an integer >= 2, got {self.k}")
-        if not (self.R > 0):
-            raise ValueError(f"radius R must be positive, got {self.R}")
-        if not (self.L > 0):
-            raise ValueError(f"coupling scale L must be positive, got {self.L}")
+        if not (0 < self.R < math.inf):
+            raise ValueError(f"radius R must be positive and finite, got {self.R}")
+        if not (0 < self.L < math.inf):
+            raise ValueError(f"coupling scale L must be positive and finite, got {self.L}")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "R", float(self.R))
         object.__setattr__(self, "L", float(self.L))
@@ -165,11 +166,12 @@ def weight_prefactor(params):
 
 
 def weight_alg(t, params):
-    """Scalar radial volume weight in the coordinate t in (0, 1)."""
-    if not (0.0 < t < 1.0):
+    """Scalar radial volume weight in the coordinate t in (0, 1); t a float or an ndarray."""
+    if not numerics._inside(t, 0.0, 1.0):
         raise ValueError(f"weight_alg requires t in the open interval (0, 1), got {t}")
     k = params.k
-    return weight_prefactor(params) * t ** ((k - 3) / 2.0) * (1.0 - t) ** (k - 2) * (1.0 + t)
+    return (weight_prefactor(params) * numerics._power(t, (k - 3) / 2.0)
+            * numerics._power(1.0 - t, k - 2) * (1.0 + t))
 
 
 def weight_trig(tau, params):
@@ -267,44 +269,87 @@ def sphere_volume(k):
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
+def _exp_normal(log_value, what):
+    """exp(log_value), refusing a result that is not a normal double."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not (sys.float_info.min <= value < math.inf):
+        raise ValueError(
+            f"{what} = exp({log_value:.10g}) cannot be represented as a normal double"
+        )
+    return value
+
+
+def _log_stiefel_volume(k):
+    if k < 2:
+        raise ValueError("frame manifold requires k >= 2")
+    return (
+        math.log(8.0)
+        + (3 * k / 2.0) * math.log(math.pi)
+        - math.lgamma((k + 1) / 2.0)
+        - math.lgamma(k / 2.0)
+        - math.lgamma((k - 1) / 2.0)
+    )
+
+
+def _log_radial_volume(params):
+    k, R = params.k, params.R
+    return (
+        (3 - (5 * k - 1) / 2.0) * math.log(2.0)
+        + (3 * k - 2) * math.log(R)
+        + math.lgamma(k - 1)
+        + math.lgamma((k + 1) / 2.0)
+        - math.lgamma((3 * k - 1) / 2.0)
+    )
+
+
 def stiefel_volume(k):
     """Volume of the orthonormal 3-frames in R^{k+1}.
 
     Equals vol(S^k) vol(S^{k-1}) vol(S^{k-2}); at k = 2 the last factor is
-    vol(S^0) = 2 and the value is 16 pi^2.
+    vol(S^0) = 2 and the value is 16 pi^2.  Computed in log space; raises
+    ValueError when the value is not a normal double.
     """
-    if k < 2:
-        raise ValueError("frame manifold requires k >= 2")
-    return (
-        8.0
-        * math.pi ** (3 * k / 2.0)
-        / (math.gamma((k + 1) / 2.0) * math.gamma(k / 2.0) * math.gamma((k - 1) / 2.0))
-    )
+    return _exp_normal(_log_stiefel_volume(k), f"Stiefel volume at k = {k}")
 
 
 def radial_volume_closed_form(params):
-    """Exact value of the integral of the radial weight over (0, pi R / 2)."""
-    k, R = params.k, params.R
-    return (
-        2 ** (3 - (5 * k - 1) / 2.0)
-        * R ** (3 * k - 2)
-        * math.gamma(k - 1)
-        * math.gamma((k + 1) / 2.0)
-        / math.gamma((3 * k - 1) / 2.0)
-    )
+    """Exact value of the integral of the radial weight over (0, pi R / 2).
+
+    Computed in log space; raises ValueError when the value is not a normal
+    double.
+    """
+    return _exp_normal(_log_radial_volume(params),
+                       f"radial volume at k = {params.k}, R = {params.R}")
 
 
 def radial_volume_quadrature(params, order=120):
-    """The same radial integral by Gauss-Legendre in the arclength coordinate."""
+    """The same radial integral by Gauss-Legendre in the arclength coordinate.
+
+    Raises ValueError when the weight's prefactor overflows a double.
+    """
     rule = numerics.gauss_legendre(order)
     eps = 1e-13 * params.R
-    return numerics.integrate(
-        lambda tau: weight_trig(tau, params),
-        (eps, math.pi * params.R / 2.0 - eps),
-        rule,
-    )
+    try:
+        return numerics.integrate(
+            lambda tau: weight_trig(tau, params),
+            (eps, math.pi * params.R / 2.0 - eps),
+            rule,
+        )
+    except OverflowError as exc:
+        raise ValueError(
+            f"radial quadrature at k = {params.k}, R = {params.R}: computing the weight prefactor "
+            f"R^{3 * params.k - 3} / 2^{(5 * params.k - 5) / 2} overflows a double ({exc})"
+        ) from exc
 
 
 def volume_total(params):
-    """Total Riemannian volume: radial weight integral times the frame volume."""
-    return radial_volume_closed_form(params) * stiefel_volume(params.k)
+    """Total Riemannian volume: radial weight integral times the frame volume.
+
+    Computed in log space; raises ValueError when the value is not a normal
+    double.
+    """
+    return _exp_normal(_log_radial_volume(params) + _log_stiefel_volume(params.k),
+                       f"total volume at k = {params.k}, R = {params.R}")

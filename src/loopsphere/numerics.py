@@ -25,6 +25,25 @@ class QuadratureRule:
         return len(self.nodes)
 
 
+def _power(x, e):
+    """x ** e for a float or an ndarray x, through the C library's pow.
+
+    numpy's own power kernels may differ from pow in the last bit, so an
+    array evaluation of a formula would not match its float evaluation;
+    float_power calls pow, keeping the two identical bit for bit.
+    """
+    if isinstance(x, np.ndarray):
+        return np.float_power(x, e)
+    return x ** e
+
+
+def _inside(x, lo, hi):
+    """lo < x < hi for a float x, or for every entry of an ndarray x."""
+    if isinstance(x, np.ndarray):
+        return bool(np.all((lo < x) & (x < hi)))
+    return lo < x < hi
+
+
 def gauss_legendre(order):
     """Gauss-Legendre rule with `order` nodes (exact for degree 2*order-1)."""
     if order < 1:

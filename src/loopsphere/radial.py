@@ -26,6 +26,16 @@ also provides Frobenius endpoint exponents, the k = 2 angular-harmonic
 radial equations, Hardy-inequality constants for the weight envelope, the
 Rayleigh upper bound for the ground state, and the spectral-gap report.
 
+Engine.  Every coefficient evaluation goes through `SLProblem.coeffs`, which
+returns (p, q, w, p', q', w') at a float or an ndarray t.  The shooting
+integrator calls it with one float per right-hand-side evaluation; the
+finite-difference oracle, the convexity probe and the Hardy check call it
+once on a whole mesh.  For the algebraic-coordinate problems the array and
+float evaluations agree bit for bit.  Each Prufer integration leg is one
+LSODA call (ODEPACK through scipy's odeint).  LSODA keeps its state in
+Fortran common blocks, so the shooting functions must not run in two
+threads at once.
+
 Eigenvalue normalization: `SpectrumResult.eigenvalues` stores Lambda / R^2
 (the coupling-normalized values); `raw` stores the Sturm-Liouville
 eigenvalues Lambda themselves.  Upper/lower bound comparisons in this module
@@ -36,17 +46,16 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import odeint
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from . import manifold
+from . import manifold, numerics
 from .manifold import ModelParams
 
 
@@ -57,7 +66,24 @@ from .manifold import ModelParams
 
 @dataclass(frozen=True)
 class SLProblem:
-    """A Sturm-Liouville triple -(p f')' + q f = Lambda w f on an interval."""
+    """A Sturm-Liouville triple -(p f')' + q f = Lambda w f on an interval.
+
+    `coeffs(t)` is the one evaluation entry point: it returns
+    (p, q, w, p', q', w') at a float or an ndarray t, and the shooting
+    integrator, the finite-difference oracle and the convexity probe read
+    nothing else.  The analytic derivatives let the integrator compute the
+    logarithmic derivative of its scaling function exactly; near singular
+    endpoints a finite-difference step amplifies coefficient roundoff by
+    orders of magnitude.
+
+    A problem built from bare p, q, w callables (optionally dp, dq, dw)
+    gets `coeffs` composed from them.  Each callable takes a float or an
+    ndarray t; a scalar result for an ndarray t is broadcast (a constant
+    coefficient).  A missing derivative is a central difference with step
+    1e-6 times the distance to the nearer endpoint, and 0 at an endpoint.
+    `SLProblem.from_coeffs` builds a problem whose p, q, w, dp, dq, dw each
+    read one component of `coeffs`.
+    """
 
     p: object
     q: object
@@ -65,53 +91,73 @@ class SLProblem:
     interval: tuple
     name: str = "sl-problem"
     params: ModelParams | None = None
-    # Optional analytic derivatives p', q', w'.  When provided, the shooting
-    # integrator computes the logarithmic derivative of its scaling function
-    # exactly instead of by finite differences; near singular endpoints the
-    # finite-difference step amplifies coefficient roundoff by orders of
-    # magnitude, so analytic derivatives are a large accuracy and speed win.
     dp: object = None
     dq: object = None
     dw: object = None
-
-    @property
-    def has_derivatives(self):
-        return self.dp is not None and self.dq is not None and self.dw is not None
+    coeffs: object = None
 
     def __post_init__(self):
         lo, hi = self.interval
         if not (lo < hi):
             raise ValueError(f"empty interval ({lo}, {hi})")
+        if self.coeffs is None:
+            object.__setattr__(self, "coeffs", _composed_coeffs(self))
+
+    @classmethod
+    def from_coeffs(cls, coeffs, interval, name, params):
+        p, q, w, dp, dq, dw = (_component(coeffs, i) for i in range(6))
+        return cls(p=p, q=q, w=w, interval=interval, name=name, params=params,
+                   dp=dp, dq=dq, dw=dw, coeffs=coeffs)
+
+
+def _component(coeffs, index):
+    return lambda t: coeffs(t)[index]
+
+
+def _composed_coeffs(prob):
+    """The (p, q, w, p', q', w') entry point of a problem given by callables."""
+    lo, hi = prob.interval
+
+    def at(f, t):
+        value = f(t)
+        if isinstance(t, np.ndarray) and np.ndim(value) == 0:
+            return np.full(t.shape, value, dtype=float)
+        return value
+
+    def central(f, t):
+        if isinstance(t, np.ndarray):
+            h = 1e-6 * np.minimum(t - lo, hi - t)
+            step = np.where(h > 0.0, h, 1.0)
+            slope = (at(f, t + step) - at(f, t - step)) / (2.0 * step)
+            return np.where(h > 0.0, slope, 0.0)
+        h = 1e-6 * min(t - lo, hi - t)
+        return (f(t + h) - f(t - h)) / (2.0 * h) if h > 0.0 else 0.0
+
+    pairs = ((prob.p, prob.dp), (prob.q, prob.dq), (prob.w, prob.dw))
+
+    def coeffs(t):
+        values = tuple(at(f, t) for f, _ in pairs)
+        slopes = tuple(central(f, t) if df is None else at(df, t) for f, df in pairs)
+        return values + slopes
+
+    return coeffs
 
 
 def coefficients(params):
     """The radial problem on (0, 1) in the algebraic coordinate."""
-    k = params.k
+    k, R = params.k, params.R
 
-    def p(t):
-        return 4.0 / params.R**2 * t * (1.0 - t) * manifold.weight_alg(t, params)
+    def coeffs(t):
+        w = manifold.weight_alg(t, params)
+        p = 4.0 / R**2 * t * (1.0 - t) * w
+        q = R**2 * (1.0 - t) * w
+        # Logarithmic derivative of the weight c t^((k-3)/2) (1-t)^(k-2) (1+t).
+        dlogw = (k - 3) / (2.0 * t) - (k - 2) / (1.0 - t) + 1.0 / (1.0 + t)
+        dp = p * (dlogw + 1.0 / t - 1.0 / (1.0 - t))
+        dq = q * (dlogw - 1.0 / (1.0 - t))
+        return p, q, w, dp, dq, w * dlogw
 
-    def q(t):
-        return params.R**2 * (1.0 - t) * manifold.weight_alg(t, params)
-
-    def w(t):
-        return manifold.weight_alg(t, params)
-
-    # Logarithmic derivative of the weight c t^((k-3)/2) (1-t)^(k-2) (1+t).
-    def dlogw(t):
-        return (k - 3) / (2.0 * t) - (k - 2) / (1.0 - t) + 1.0 / (1.0 + t)
-
-    def dp(t):
-        return p(t) * (dlogw(t) + 1.0 / t - 1.0 / (1.0 - t))
-
-    def dq(t):
-        return q(t) * (dlogw(t) - 1.0 / (1.0 - t))
-
-    def dw(t):
-        return w(t) * dlogw(t)
-
-    return SLProblem(p=p, q=q, w=w, interval=(0.0, 1.0), name=f"radial-k{params.k}",
-                     params=params, dp=dp, dq=dq, dw=dw)
+    return SLProblem.from_coeffs(coeffs, (0.0, 1.0), f"radial-k{k}", params)
 
 
 def coefficients_with_harmonics(params, l, s):
@@ -126,32 +172,20 @@ def coefficients_with_harmonics(params, l, s):
         raise ValueError(f"weight |s| = {abs(s)} exceeds l = {l}")
     from . import angular
 
-    base = coefficients(params)
+    base = coefficients(params).coeffs
     R = params.R
 
-    def q(t):
-        ang = angular.angular_eigenvalue_k2(l, s, t, params.R)
-        return base.q(t) + ang * base.w(t)
-
-    def dq(t):
+    def coeffs(t):
+        p, q, w, dp, dq, dw = base(t)
         ang = angular.angular_eigenvalue_k2(l, s, t, R)
         dang = (
-            -4.0 * l * (2 * l + 1) / (3.0 * R**2 * (1.0 + t) ** 2)
-            + s**2 * (3.0 * t**2 - 2.0 * t + 3.0) / (R**2 * (1.0 - t**2) ** 2)
+            -4.0 * l * (2 * l + 1) / (3.0 * R**2 * numerics._power(1.0 + t, 2))
+            + s**2 * (3.0 * numerics._power(t, 2) - 2.0 * t + 3.0)
+            / (R**2 * numerics._power(1.0 - numerics._power(t, 2), 2))
         )
-        return base.dq(t) + dang * base.w(t) + ang * base.dw(t)
+        return p, q + ang * w, w, dp, dq + dang * w + ang * dw, dw
 
-    return SLProblem(
-        p=base.p,
-        q=q,
-        w=base.w,
-        interval=(0.0, 1.0),
-        name=f"radial-k2-l{l}-s{s}",
-        params=params,
-        dp=base.dp,
-        dq=dq,
-        dw=base.dw,
-    )
+    return SLProblem.from_coeffs(coeffs, (0.0, 1.0), f"radial-k2-l{l}-s{s}", params)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +313,6 @@ def expected_endpoint_kinds(k):
 # ---------------------------------------------------------------------------
 
 
-# The stiff ODE backend keeps its state in Fortran common blocks and refuses
-# concurrent use, so every integration holds this lock.  Threaded spectrum
-# runs still overlap on coefficient evaluation and root bracketing.
-_ode_lock = threading.Lock()
-
 _quiet_lock = threading.Lock()
 _quiet_depth = 0
 _quiet_saved = None
@@ -293,7 +322,7 @@ _quiet_saved = None
 def _quiet_solver():
     """Silence the step-size warnings the ODE backend prints straight to fd 1/2.
 
-    Reference-counted so that concurrent shooting threads share one redirect.
+    Reference-counted so that overlapping callers share one redirect.
     """
     global _quiet_depth, _quiet_saved
     with _quiet_lock:
@@ -328,8 +357,13 @@ def _quiet_solver():
                 _quiet_saved = None
 
 
-def prufer_angle(prob, a, b, lam, bc_left, rtol=1e-11, atol=1e-13):
-    """Terminal scaled Prufer angle phi(b) for -(pf')' + qf = lam w f.
+# LSODA's step budget per integration leg; the legs of the truncated problems
+# take far fewer steps, so the budget only stops a runaway integration.
+_MXSTEP = 10**6
+
+
+def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
+    """Integrate the scaled Prufer angle phi from t_from to t_to.
 
     Scaled transformation f = rho sin(phi), p f' = sigma rho cos(phi) with the
     lambda-independent balance sigma = sqrt(p (w + |q|)):
@@ -341,59 +375,27 @@ def prufer_angle(prob, a, b, lam, bc_left, rtol=1e-11, atol=1e-13):
     singular endpoint (the classical sigma = 1 angle saturates at its pi/2
     plateaus there and loses the eigenvalue).  Dirichlet still reads
     phi = 0 mod pi and zero flux phi = pi/2 mod pi; phi can only increase
-    through multiples of pi, and phi(b; lam) is increasing in lam, so indexed
-    root finding is unchanged.  bc_left 'dirichlet' starts at phi = 0,
-    'flux' at phi = pi/2.
-    """
-    phi0 = 0.0 if bc_left == "dirichlet" else 0.5 * math.pi
-    return _prufer_integrate(prob, a, b, lam, phi0, rtol=rtol, atol=atol)
-
-
-def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
-    """Integrate the scaled Prufer angle ODE from t_from to t_to.
+    through multiples of pi, and phi(b; lam) is increasing in lam.
 
     Works in either direction (t_to < t_from integrates backward).  When
     t_from sits deep inside a singular endpoint layer the integration runs
     in the log-distance variable u = log|t - endpoint|, which turns the
-    power-law coefficient blowup into slowly varying terms.
+    power-law coefficient blowup into slowly varying terms.  Each leg is one
+    LSODA call (ODEPACK through scipy's odeint) that stops exactly at the
+    leg's end (tcrit) instead of interpolating past it.
     """
     lo_int, hi_int = prob.interval
+    coeffs = prob.coeffs
 
-    def sigma(t):
-        return math.sqrt(prob.p(t) * (prob.w(t) + abs(prob.q(t))))
-
-    if prob.has_derivatives:
-
-        def slope(t, phi):
-            c = math.cos(phi)
-            s = math.sin(phi)
-            pv, qv, wv = prob.p(t), prob.q(t), prob.w(t)
-            bal = wv + abs(qv)
-            sig = math.sqrt(pv * bal)
-            sgn = 1.0 if qv > 0.0 else (-1.0 if qv < 0.0 else 0.0)
-            dlog = 0.5 * (
-                prob.dp(t) / pv + (prob.dw(t) + sgn * prob.dq(t)) / bal
-            )
-            return (
-                sig / pv * c * c + (lam * wv - qv) / sig * s * s + dlog * s * c
-            )
-
-    else:
-
-        def slope(t, phi):
-            c = math.cos(phi)
-            s = math.sin(phi)
-            sig = sigma(t)
-            h = 1e-6 * min(t - lo_int, hi_int - t)
-            if h > 0.0:
-                dlog = (math.log(sigma(t + h)) - math.log(sigma(t - h))) / (2.0 * h)
-            else:
-                dlog = 0.0
-            return (
-                sig / prob.p(t) * c * c
-                + (lam * prob.w(t) - prob.q(t)) / sig * s * s
-                + dlog * s * c
-            )
+    def slope(t, y):
+        c = math.cos(y[0])
+        s = math.sin(y[0])
+        pv, qv, wv, dpv, dqv, dwv = coeffs(t)
+        bal = wv + abs(qv)
+        sig = math.sqrt(pv * bal)
+        sgn = 1.0 if qv > 0.0 else (-1.0 if qv < 0.0 else 0.0)
+        dlog = 0.5 * (dpv / pv + (dwv + sgn * dqv) / bal)
+        return sig / pv * c * c + (lam * wv - qv) / sig * s * s + dlog * s * c
 
     width = hi_int - lo_int
     anchor = lo_int if abs(t_from - lo_int) <= abs(t_from - hi_int) else hi_int
@@ -405,7 +407,7 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
         def rhs(u, y):
             d = math.exp(u)
             t = anchor + sign * d
-            return [sign * d * slope(t, y[0])]
+            return sign * d * slope(t, y)
 
         # Catastrophic cancellation in t - endpoint makes the coefficient
         # values noisy at relative level ~ eps/d deep in the layer; the angle
@@ -420,24 +422,21 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
         else:
             legs.append((math.log(d_from), math.log(d_to), rtol, atol))
     else:
-
-        def rhs(t, y):
-            return [slope(t, y[0])]
-
+        rhs = slope
         legs = [(t_from, t_to, rtol, atol)]
 
     phi = phi0
-    with _ode_lock, _quiet_solver():
+    with _quiet_solver():
         for leg_from, leg_to, leg_rtol, leg_atol in legs:
-            sol = solve_ivp(
-                rhs, (leg_from, leg_to), [phi], method="LSODA",
-                rtol=leg_rtol, atol=leg_atol,
+            y, info = odeint(
+                rhs, [phi], [leg_from, leg_to], tfirst=True, tcrit=[leg_to],
+                rtol=leg_rtol, atol=leg_atol, mxstep=_MXSTEP, full_output=True,
             )
-            if not sol.success:
+            if info["message"] != "Integration successful.":
                 raise RuntimeError(
-                    f"Prufer integration failed on ({t_from}, {t_to}): {sol.message}"
+                    f"Prufer integration failed on ({t_from}, {t_to}): {info['message']}"
                 )
-            phi = float(sol.y[0, -1])
+            phi = float(y[-1, 0])
     return phi
 
 
@@ -460,13 +459,6 @@ def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), match=None,
     left = _prufer_integrate(prob, a, match, lam, phi_a, rtol=rtol, atol=atol)
     right = _prufer_integrate(prob, b, match, lam, phi_b, rtol=rtol, atol=atol)
     return left - right
-
-
-def _right_target(bc_right, index):
-    """One-sided terminal angle at which the index-th eigenvalue is located."""
-    if bc_right == "dirichlet":
-        return (index + 1) * math.pi
-    return 0.5 * math.pi + index * math.pi
 
 
 def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), tol=1e-10,
@@ -569,32 +561,7 @@ def solve_truncated_fd(prob, a, b, count=2, bc=("dirichlet", "dirichlet"),
 
     def solve_once(m):
         x = mesh(m)
-        hseg = np.diff(x)
-        xm = 0.5 * (x[:-1] + x[1:])
-        pm = np.array([prob.p(xi) for xi in xm])
-        qv = np.array([prob.q(xi) for xi in x])
-        wv = np.array([prob.w(xi) for xi in x])
-        flux = pm / hseg
-        keep_left = bc[0] == "flux"
-        keep_right = bc[1] == "flux"
-        idx = np.arange(m)[(1 - keep_left) : m - (1 - keep_right)]
-        nn = len(idx)
-        diag = np.zeros(nn)
-        off = np.zeros(nn - 1)
-        mass = np.zeros(nn)
-        for row, i in enumerate(idx):
-            left = flux[i - 1] if i > 0 else 0.0
-            right = flux[i] if i < m - 1 else 0.0
-            if i == 0:
-                cell = 0.5 * hseg[0]
-            elif i == m - 1:
-                cell = 0.5 * hseg[-1]
-            else:
-                cell = 0.5 * (hseg[i - 1] + hseg[i])
-            diag[row] = left + right + qv[i] * cell
-            mass[row] = wv[i] * cell
-            if row + 1 < nn and i + 1 <= idx[-1]:
-                off[row] = -flux[i]
+        diag, off, mass = _fd_assemble(prob, x, bc)
         dinv = 1.0 / np.sqrt(mass)
         sym_diag = diag * dinv**2
         sym_off = off * dinv[:-1] * dinv[1:]
@@ -608,6 +575,29 @@ def solve_truncated_fd(prob, a, b, count=2, bc=("dirichlet", "dirichlet"),
         return v1
     v2 = solve_once(2 * npoints - 1)
     return (4.0 * v2 - v1) / 3.0
+
+
+def _fd_assemble(prob, x, bc):
+    """Tridiagonal stiffness (diag, off) and diagonal mass on the nodes x.
+
+    Node i carries the cell of half its two neighbouring segments (half one
+    segment at x[0] and x[-1]); a Dirichlet end drops its node, a flux end
+    keeps it.
+    """
+    hseg = np.diff(x)
+    pm = prob.coeffs(0.5 * (x[:-1] + x[1:]))[0]
+    _, qv, wv, _, _, _ = prob.coeffs(x)
+    flux = pm / hseg
+    left = np.concatenate(([0.0], flux))
+    right = np.concatenate((flux, [0.0]))
+    cell = 0.5 * np.concatenate(([hseg[0]], hseg[:-1] + hseg[1:], [hseg[-1]]))
+    keep = slice(0 if bc[0] == "flux" else 1, None if bc[1] == "flux" else -1)
+    diag = (left + right + qv * cell)[keep]
+    mass = (wv * cell)[keep]
+    # flux[i] couples nodes i and i + 1, so the same slice of flux (one entry
+    # shorter than x) selects the couplings between consecutive kept nodes.
+    off = -flux[keep]
+    return diag, off, mass
 
 
 def oracle_comparison(params, a=1e-3, count=5, npoints=2000):
@@ -720,25 +710,13 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None, schedule=None):
         bc = default_bc(prob)
     if schedule is None:
         schedule = default_schedule(prob, levels)
-    threads = int(os.environ.get("LOOPSPEC_THREADS", "1") or "1")
-
-    def level(ab, seed_values=None):
-        a, b = ab
-        return solve_truncated(prob, a, b, count=count, bc=bc, seed_values=seed_values)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            history = list(pool.map(level, schedule))
-    else:
-        # Serial levels reuse the previous level's eigenvalues as search
-        # seeds; the truncation error shrinks with the level, so they are
-        # excellent brackets.
-        history = []
-        prev = None
-        for ab in schedule:
-            vals = level(ab, prev)
-            history.append(vals)
-            prev = vals
+    # Each level reuses the previous level's eigenvalues as search seeds; the
+    # truncation error shrinks with the level, so they are excellent brackets.
+    history = []
+    prev = None
+    for a, b in schedule:
+        prev = solve_truncated(prob, a, b, count=count, bc=bc, seed_values=prev)
+        history.append(prev)
     final, rel = accelerate(history)
     converged = rel <= tol
     lp_only = all(
@@ -790,25 +768,15 @@ def hardy_constant_check(params, npoints=2000):
     prob = coefficients(params)
     left = np.linspace(1e-9, 0.5, npoints)
     right = np.linspace(0.5, 1.0 - 1e-9, npoints)
+    p_left, q_left, w_left, _, _, _ = prob.coeffs(left)
+    p_right, q_right, w_right, _, _, _ = prob.coeffs(right)
     margins = {
-        "p_lower_left": np.min(
-            [prob.p(t) - k1 * t ** ((k - 1) / 2.0) for t in left]
-        ),
-        "q_upper_left": np.min(
-            [k2 * t ** ((k - 3) / 2.0) - prob.q(t) for t in left]
-        ),
-        "w_upper_left": np.min(
-            [k3 * t ** ((k - 3) / 2.0) - prob.w(t) for t in left]
-        ),
-        "p_lower_right": np.min(
-            [prob.p(t) - l1 * (1.0 - t) ** (k - 1.0) for t in right]
-        ),
-        "q_upper_right": np.min(
-            [l2 * (1.0 - t) ** (k - 1.0) - prob.q(t) for t in right]
-        ),
-        "w_upper_right": np.min(
-            [l3 * (1.0 - t) ** (k - 2.0) - prob.w(t) for t in right]
-        ),
+        "p_lower_left": np.min(p_left - k1 * numerics._power(left, (k - 1) / 2.0)),
+        "q_upper_left": np.min(k2 * numerics._power(left, (k - 3) / 2.0) - q_left),
+        "w_upper_left": np.min(k3 * numerics._power(left, (k - 3) / 2.0) - w_left),
+        "p_lower_right": np.min(p_right - l1 * numerics._power(1.0 - right, k - 1.0)),
+        "q_upper_right": np.min(l2 * numerics._power(1.0 - right, k - 1.0) - q_right),
+        "w_upper_right": np.min(l3 * numerics._power(1.0 - right, k - 2.0) - w_right),
     }
     constants = {"k1": k1, "k2": k2, "k3": k3, "l1": l1, "l2": l2, "l3": l3}
     ok = all(v >= -1e-12 * max(1.0, ck) for v in margins.values())
@@ -832,47 +800,65 @@ def _veff_poly_coeffs(k, R, lam=0.0):
     ]
 
 
+# (sin, tan, pow) for a float and for an ndarray argument; float_power calls
+# the C library's pow, as the float ** operator does (see numerics._power).
+_FLOAT_OPS = (math.sin, math.tan, pow)
+_ARRAY_OPS = (np.sin, np.tan, np.float_power)
+
+
 @dataclass(frozen=True)
 class EffectivePotential:
-    """V_eff(tau) of the Liouville normal form on (0, pi R / 2)."""
+    """V_eff(tau) of the Liouville normal form on (0, pi R / 2).
+
+    `value` and `derivative` take a float or an ndarray tau.  The
+    coefficients of the numerator polynomial A are computed once, at
+    construction.
+    """
 
     params: ModelParams
+    poly: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "poly", tuple(_veff_poly_coeffs(self.params.k, self.params.R)))
+
+    def value_and_derivative(self, tau):
+        """V_eff and dV_eff/dtau, sharing one validation and one sine.
+
+        The value is the rational form in x^2 = (1 / sin(tau / R))^2, the
+        exact derivative the rational form in y = 1 / sin(tau / R)^2; the two
+        squares differ in rounding, and each form keeps its own.
+        """
+        R = self.params.R
+        hi = math.pi * R / 2.0
+        if not numerics._inside(tau, 0.0, hi):
+            raise ValueError(f"tau must lie in (0, {hi}), got {tau}")
+        sin, tan, pw = _ARRAY_OPS if isinstance(tau, np.ndarray) else _FLOAT_OPS
+        s = sin(tau / R)
+        x = 1.0 / s
+        x2 = x * x
+        y = 1.0 / pw(s, 2)
+        # Horner's rule for A(x2), and for A(y) with its derivative A'(y).
+        num = ynum = ydnum = 0.0
+        for c in self.poly:
+            num = num * x2 + c
+            ydnum = ydnum * y + ynum
+            ynum = ynum * y + c
+        den = 4.0 * R**2 * x2 * (x2 - 1.0) * pw(x2 + 1.0, 2)
+        # x2 >= 1, so den >= 0 and vanishes only where sin(tau / R) rounds to 1.
+        if not numerics._inside(den, 0.0, math.inf):
+            raise ValueError(f"potential pole at tau={tau}")
+        yden = 4.0 * R**2 * (((y + 1.0) * y - 1.0) * y - 1.0) * y
+        ydden = 4.0 * R**2 * ((4.0 * y + 3.0) * y - 2.0) * y - 4.0 * R**2
+        dv_dy = (ydnum * yden - ynum * ydden) / pw(yden, 2)
+        dy_dtau = -2.0 * y / (R * tan(tau / R))
+        return num / den, dv_dy * dy_dtau
 
     def value(self, tau):
-        k, R = self.params.k, self.params.R
-        if not (0.0 < tau < math.pi * R / 2.0):
-            raise ValueError(
-                f"tau must lie in (0, {math.pi * R / 2.0}), got {tau}"
-            )
-        x = 1.0 / math.sin(tau / R)
-        x2 = x * x
-        num = 0.0
-        for c in _veff_poly_coeffs(k, R):
-            num = num * x2 + c
-        den = 4.0 * R**2 * x2 * (x2 - 1.0) * (x2 + 1.0) ** 2
-        if den == 0.0:
-            raise ValueError(f"potential pole at tau={tau}")
-        return num / den
+        return self.value_and_derivative(tau)[0]
 
     def derivative(self, tau):
         """Exact dV_eff/dtau via the rational form in y = csc^2(tau / R)."""
-        k, R = self.params.k, self.params.R
-        if not (0.0 < tau < math.pi * R / 2.0):
-            raise ValueError(
-                f"tau must lie in (0, {math.pi * R / 2.0}), got {tau}"
-            )
-        y = 1.0 / math.sin(tau / R) ** 2
-        coeffs = _veff_poly_coeffs(k, R)
-        num = 0.0
-        dnum = 0.0
-        for c in coeffs:
-            dnum = dnum * y + num
-            num = num * y + c
-        den = 4.0 * R**2 * (((y + 1.0) * y - 1.0) * y - 1.0) * y
-        dden = 4.0 * R**2 * ((4.0 * y + 3.0) * y - 2.0) * y - 4.0 * R**2
-        dv_dy = (dnum * den - num * dden) / den**2
-        dy_dtau = -2.0 * y / (R * math.tan(tau / R))
-        return dv_dy * dy_dtau
+        return self.value_and_derivative(tau)[1]
 
     def generic_transform_value(self, tau, h=None):
         """Independent evaluation: (sqrt w)'' / sqrt w + R^2 cos^2(tau / R).
@@ -920,17 +906,17 @@ def liouville_potential(params):
 def liouville_problem(params):
     """The Liouville normal form as an SLProblem with p = w = 1."""
     veff = liouville_potential(params)
-    return SLProblem(
-        p=lambda tau: 1.0,
-        q=veff.value,
-        w=lambda tau: 1.0,
-        interval=(0.0, math.pi * params.R / 2.0),
-        name=f"liouville-k{params.k}",
-        params=params,
-        dp=lambda tau: 0.0,
-        dq=veff.derivative,
-        dw=lambda tau: 0.0,
-    )
+
+    def coeffs(tau):
+        if isinstance(tau, np.ndarray):
+            one, zero = np.ones_like(tau), np.zeros_like(tau)
+        else:
+            one, zero = 1.0, 0.0
+        value, slope = veff.value_and_derivative(tau)
+        return one, value, one, zero, slope, zero
+
+    return SLProblem.from_coeffs(coeffs, (0.0, math.pi * params.R / 2.0),
+                                 f"liouville-k{params.k}", params)
 
 
 def veff_exponents(params, endpoint):
@@ -957,10 +943,9 @@ def convexity_check(params, grid_size=2000):
     Returns the minimum second difference (scaled by h^2) and a boolean; the
     potential blows up convexly at both ends, so the interior grid decides.
     """
-    veff = liouville_potential(params)
     hi = math.pi * params.R / 2.0
     taus = np.linspace(hi / (grid_size + 1), hi - hi / (grid_size + 1), grid_size)
-    vals = np.array([veff.value(tau) for tau in taus])
+    vals = liouville_problem(params).coeffs(taus)[1]
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
     h = taus[1] - taus[0]
     scale = max(1.0, float(np.median(np.abs(vals))))

@@ -297,7 +297,8 @@ def loop_from_dict(data):
 
 
 def loop_to_json(n, radius, **kwargs):
-    return json.dumps(loop_to_dict(n, radius), **kwargs)
+    """Strict JSON text of the loop; a NaN or infinite value raises ValueError."""
+    return json.dumps(loop_to_dict(n, radius), allow_nan=False, **kwargs)
 
 
 def loop_from_json(text):

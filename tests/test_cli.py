@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import ODEintWarning
 
-from loopsphere import cli, trigpoly
+from loopsphere import cli, manifold, radial, trigpoly
 
 
 def run(capsys, argv):
@@ -173,6 +174,40 @@ def test_validation_errors(tmp_path, capsys):
         cli.main(["classify", "--bogus", "3"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_unrepresentable_volume_exits_2_naming_the_value(capsys):
+    code, out, err = run(capsys, ["volume", "--k", "200"])
+    assert code == 2 and out == ""
+    assert "Stiefel volume at k = 200" in err
+
+
+def test_non_finite_radius_exits_2_without_output(capsys):
+    for radius in ("inf", "nan"):
+        code, out, err = run(capsys, ["random-loop", "--k", "3", "--N", "2", "--seed", "1",
+                                      "--R", radius])
+        assert code == 2 and out == ""
+        assert "radius" in err
+    code, out, err = run(capsys, ["classify", "--k", "3", "--R", "inf"])
+    assert code == 2 and out == ""
+
+
+def test_non_finite_output_value_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(manifold, "stiefel_volume", lambda k: float("nan"))
+    code, out, err = run(capsys, ["volume", "--k", "3"])
+    assert code == 2 and out == ""
+    assert "not JSON compliant" in err
+
+
+def test_failed_integration_leg_exits_3(monkeypatch, capfd):
+    # A step budget of one makes every LSODA leg fail.
+    monkeypatch.setattr(radial, "_MXSTEP", 1)
+    with pytest.warns(ODEintWarning, match="Excess work"):
+        code = cli.main(["spectrum", "--k", "3", "--levels", "2"])
+    out, err = capfd.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "Prufer integration failed" in err
 
 
 def test_output_file_and_json_roundtrip(tmp_path, capsys):

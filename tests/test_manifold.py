@@ -20,6 +20,11 @@ def test_model_params_validation():
         manifold.ModelParams(k=2, R=0.0)
     with pytest.raises(ValueError, match="coupling"):
         manifold.ModelParams(k=2, L=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            manifold.ModelParams(k=2, R=bad)
+        with pytest.raises(ValueError, match="coupling"):
+            manifold.ModelParams(k=2, L=bad)
 
 
 def test_chart_loops_satisfy_constraint():

@@ -50,6 +50,87 @@ def test_cross_validation_against_fd():
 
 
 # ---------------------------------------------------------------------------
+# Array-valued coefficients and finite-difference assembly
+# ---------------------------------------------------------------------------
+
+
+def graded_points(lo, hi, m=401):
+    """Points of (lo, hi) clustered toward both ends, endpoints excluded."""
+    s = np.linspace(0.0, 1.0, m + 2)[1:-1]
+    g = 0.5 * (1.0 + np.tanh(8.0 * (s - 0.5)) / np.tanh(4.0))
+    return lo + (hi - lo) * g
+
+
+def scalar_coeffs(prob, xs):
+    """(6, len(xs)) array of coefficients evaluated one float at a time."""
+    return np.array([prob.coeffs(float(x)) for x in xs], dtype=float).T
+
+
+def test_array_coefficients_equal_scalar_evaluation_bitwise():
+    problems = [radial.coefficients(manifold.ModelParams(k=k, R=0.75)) for k in range(2, 8)]
+    problems += [radial.coefficients_with_harmonics(manifold.ModelParams(k=2), l, s)
+                 for l, s in ((1, 0), (2, 1))]
+    problems.append(const_problem())
+    for prob in problems:
+        xs = graded_points(*prob.interval)
+        arrays = np.array(prob.coeffs(xs), dtype=float)
+        assert arrays.shape == (6, len(xs))
+        assert np.array_equal(arrays, scalar_coeffs(prob, xs)), prob.name
+
+
+def test_liouville_array_coefficients_match_scalar_evaluation():
+    # numpy's tan may differ from the C library's in the last bit.
+    for k in (2, 5):
+        prob = radial.liouville_problem(manifold.ModelParams(k=k, R=0.5))
+        xs = graded_points(*prob.interval)[1:-1]
+        arrays = np.array(prob.coeffs(xs), dtype=float)
+        scalars = scalar_coeffs(prob, xs)
+        assert np.allclose(arrays, scalars, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def assemble_per_row(prob, x, bc):
+    """Reference assembly of the finite-difference oracle, one row at a time."""
+    m = len(x)
+    hseg = np.diff(x)
+    xm = 0.5 * (x[:-1] + x[1:])
+    pm = np.array([prob.p(xi) for xi in xm])
+    qv = np.array([prob.q(xi) for xi in x])
+    wv = np.array([prob.w(xi) for xi in x])
+    flux = pm / hseg
+    keep_left = bc[0] == "flux"
+    keep_right = bc[1] == "flux"
+    idx = np.arange(m)[(1 - keep_left) : m - (1 - keep_right)]
+    nn = len(idx)
+    diag = np.zeros(nn)
+    off = np.zeros(nn - 1)
+    mass = np.zeros(nn)
+    for row, i in enumerate(idx):
+        left = flux[i - 1] if i > 0 else 0.0
+        right = flux[i] if i < m - 1 else 0.0
+        if i == 0:
+            cell = 0.5 * hseg[0]
+        elif i == m - 1:
+            cell = 0.5 * hseg[-1]
+        else:
+            cell = 0.5 * (hseg[i - 1] + hseg[i])
+        diag[row] = left + right + qv[i] * cell
+        mass[row] = wv[i] * cell
+        if row + 1 < nn:
+            off[row] = -flux[i]
+    return diag, off, mass
+
+
+def test_vectorized_fd_assembly_matches_per_row_reference():
+    prob = radial.coefficients(manifold.ModelParams(k=5, R=0.75))
+    x = graded_points(0.0, 1.0, m=31)
+    for bc in [(left, right) for left in ("dirichlet", "flux") for right in ("dirichlet", "flux")]:
+        got = radial._fd_assemble(prob, x, bc)
+        want = assemble_per_row(prob, x, bc)
+        for g_part, w_part in zip(got, want):
+            assert np.array_equal(g_part, w_part), bc
+
+
+# ---------------------------------------------------------------------------
 # Endpoint classification and Frobenius exponents
 # ---------------------------------------------------------------------------
 
@@ -227,14 +308,6 @@ def test_spectrum_regular_problem_neumann():
     assert res.converged and res.convergence_proven
     assert abs(res.raw[0]) < 1e-6
     assert res.raw[1] == pytest.approx(math.pi**2, rel=1e-6)
-
-
-def test_spectrum_threads_match_serial(monkeypatch):
-    prob = radial.coefficients(manifold.ModelParams(k=5))
-    serial = radial.spectrum(prob, count=2, levels=4)
-    monkeypatch.setenv("LOOPSPEC_THREADS", "3")
-    threaded = radial.spectrum(prob, count=2, levels=4)
-    assert np.allclose(serial.raw, threaded.raw, rtol=1e-9)
 
 
 def test_oracle_comparison_quick():
