@@ -290,12 +290,13 @@ def _cmd_curvature(args):
 
 
 def _cmd_ricci(args):
+    params = manifold.ModelParams(k=args.k, R=args.R)
     if not (0.0 < args.t < 1.0):
         raise ValueError(f"--t must lie in (0, 1), got {args.t}")
     header = ["quantity", "value"]
     rows = []
     if args.k == 2:
-        closed = curvature.ricci_closed_form_k2(args.t, args.R)
+        closed = curvature.ricci_closed_form_k2(args.t, params.R)
         for value, mult in closed["eigenvalues"]:
             rows.append([f"variety_ricci_eigenvalue_mult{mult}", value])
         rows.append(["variety_scalar", closed["scalar"]])
@@ -307,6 +308,7 @@ def _cmd_ricci(args):
 
 
 def _cmd_angular(args):
+    params = manifold.ModelParams(k=args.k, R=args.R)
     if not (0.0 < args.t < 1.0):
         raise ValueError(f"--t must lie in (0, 1), got {args.t}")
     header = ["eigenvalue", "multiplicity"]
@@ -314,10 +316,10 @@ def _cmd_angular(args):
         if args.l is None:
             raise ValueError("k = 2 angular spectra require --l")
         if args.s is not None:
-            value = angular.angular_eigenvalue_k2(args.l, args.s, args.t, args.R)
+            value = angular.angular_eigenvalue_k2(args.l, args.s, args.t, params.R)
             rows = [[value, 1 if args.s == 0 else 2]]
         else:
-            rows = [list(item) for item in angular.angular_spectrum_k2(args.l, args.t, args.R)]
+            rows = [list(item) for item in angular.angular_spectrum_k2(args.l, args.t, params.R)]
     elif args.k == 3:
         # For k = 3 the representation is labeled by the two highest weights
         # of the commuting su(2) factors, passed as --l and --s.
@@ -484,6 +486,9 @@ def main(argv=None):
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OverflowError as exc:
+        print(f"error: a value overflows a double: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -9,7 +9,10 @@ All curvature quantities reduce to finite linear algebra in the orthonormal
 flat coordinates of that space:
 
   * grad f_phi = 2 Pr_N(n phi), with Pr_N the harmonic truncation;
-  * the Hessian of f_phi is the symmetric matrix H_phi : X -> 2 Pr_N(X phi);
+  * the Hessian of f_phi is the symmetric matrix H_phi : X -> 2 Pr_N(X phi),
+    which depends on (N, d) only.  It is assembled with one exact product
+    per scalar basis element phi_i: the unit flat directions ride side by
+    side on the ambient axis of one vector polynomial (see _hessians);
   * the constraint Gram matrix s_ij = <grad f_i, grad f_j> is invertible on
     the smooth stratum, and the Gauss equation contracts Hessian products
     against its inverse:
@@ -114,6 +117,39 @@ def infer_radius(n):
     return math.sqrt(sq.c0)
 
 
+def _hessians(degree, ambient_dim):
+    """Hessians H_i, shape (m, nn, nn), of the constraints f_i at any loop.
+
+    Column col of H_i is 2 flatten(Pr_N(x_col phi_i)) for the unit flat
+    direction x_col.  All nn directions ride side by side on the ambient axis
+    of one vector polynomial, direction col in slots col*d .. col*d+d-1, so
+    each phi_i takes one scalar_mul.  The convolution is elementwise along
+    that axis and each output coefficient sums at most two nonzero products,
+    so every entry equals the one-direction-at-a-time product exactly (only
+    the sign of some zeros differs).  Elementwise arithmetic only: a matrix
+    product or einsum could fuse multiply-adds and change the rounding.
+    """
+    d = ambient_dim
+    m = scalar_dim(2 * degree)
+    nn = flat_dim(degree, d)
+    # Flat coordinate j of direction col lives in unit[col, block(j), j % d]:
+    # block 0 is the constant term, blocks 2s-1 and 2s harmonic s.
+    unit = np.eye(nn).reshape(nn, 2 * degree + 1, d)
+    unit[:, 1:] *= math.sqrt(2.0)
+    blocks = unit.transpose(1, 0, 2).reshape(2 * degree + 1, nn * d)
+    batch = TrigPolyVec(v=blocks[0], a=blocks[1::2], b=blocks[2::2])
+    hess = np.zeros((m, nn, nn))
+    for i in range(m):
+        phi = scalar_basis_element(i, 2 * degree)
+        image = trigpoly.project(trigpoly.scalar_mul(batch, phi), degree)
+        flat = np.zeros((2 * degree + 1, nn, d))
+        flat[0] = image.v.reshape(nn, d)
+        flat[1::2] = image.a.reshape(degree, nn, d) / math.sqrt(2.0)
+        flat[2::2] = image.b.reshape(degree, nn, d) / math.sqrt(2.0)
+        hess[i] = 2.0 * flat.transpose(0, 2, 1).reshape(nn, nn)
+    return hess
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -166,27 +202,15 @@ class CurvatureContext:
         self.degree = n.degree
         self.ambient_dim = n.ambient_dim
         deg = n.degree
-        d = n.ambient_dim
-        m = scalar_dim(2 * deg)
-        nn = flat_dim(deg, d)
         res = trigpoly.constraint_residual(n, self.radius)
         if res.max_abs_coeff() > 1e-9 * self.radius**2:
             raise ValueError(
                 "loop is not sphere-valued: largest constraint-residual "
                 f"coefficient is {res.max_abs_coeff():.3e}"
             )
-        hess = np.zeros((m, nn, nn))
-        for i in range(m):
-            phi = scalar_basis_element(i, 2 * deg)
-            for col in range(nn):
-                e = np.zeros(nn)
-                e[col] = 1.0
-                x = unflatten_vec(e, deg, d)
-                image = trigpoly.project(trigpoly.scalar_mul(x, phi), deg)
-                hess[i, :, col] = 2.0 * flatten_vec(image, deg)
-        self.hessians = hess
+        self.hessians = _hessians(deg, n.ambient_dim)
         self.nflat = flatten_vec(n, deg)
-        self.grads = np.einsum("iab,b->ia", hess, self.nflat)
+        self.grads = np.einsum("iab,b->ia", self.hessians, self.nflat)
         self.s_full = self.grads @ self.grads.T
         self.condition = float(np.linalg.cond(self.s_full))
         if not np.isfinite(self.condition) or self.condition > cond_limit:
@@ -241,9 +265,6 @@ class CurvatureContext:
         u_zx = self.pair_coords(z, x)
         u_wy = self.pair_coords(w, y)
         return float(u_zy @ self.s_inv @ u_wx - u_zx @ self.s_inv @ u_wy)
-
-    def sectional(self, x, y):
-        return self.riemann_flat(x, y, y, x)
 
     def ricci_matrix(self):
         """Ricci tensor in the orthonormal tangent basis."""
@@ -324,33 +345,10 @@ def tangent_basis(n, radius=None):
     return TangentBasis(base=n, vectors=vecs, gram=gram)
 
 
-def riemann(n, x, y, z, w, radius=None, context=None):
-    """<R(X,Y)Z, W> at the loop n for tangent vectors given as TrigPolyVec."""
-    ctx = context if context is not None else CurvatureContext(n, radius)
-    deg = n.degree
-    return ctx.riemann_flat(
-        flatten_vec(x, deg), flatten_vec(y, deg), flatten_vec(z, deg), flatten_vec(w, deg)
-    )
-
-
-def ricci_kernel(n, x, w, radius=None, context=None):
-    """Ricci tensor evaluated on two tangent vectors."""
-    ctx = context if context is not None else CurvatureContext(n, radius)
-    basis = ctx.tangent_matrix()
-    xf = flatten_vec(x, n.degree)
-    wf = flatten_vec(w, n.degree)
-    total = 0.0
-    for j in range(basis.shape[1]):
-        e = basis[:, j]
-        total += ctx.riemann_flat(xf, e, e, wf)
-    return total
-
-
 def scalar_and_mean(n, radius=None, context=None):
     """Full curvature report at one loop."""
     ctx = context if context is not None else CurvatureContext(n, radius)
     ric = ctx.ricci_matrix()
-    eigs, _ = numerics.eig_symmetric(ric)
     closed = ctx.closed_contractions()
     terms = closed["terms"]
     scalar_closed = sum(terms.values())
@@ -363,7 +361,7 @@ def scalar_and_mean(n, radius=None, context=None):
         scalar=scalar_closed,
         mean_sq=mean_sq,
         ricci_matrix=ric,
-        ricci_min=float(eigs[0]),
+        ricci_min=float(np.linalg.eigvalsh(ric)[0]),
         leung_rhs=leung,
         condition_gram=ctx.condition,
         dim=dim,

@@ -27,13 +27,22 @@ from . import numerics, trigpoly
 from .trigpoly import TrigPolyVec
 
 
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 class StratumError(ValueError):
     """Raised when an operation requires a smooth-stratum point but got a singular one."""
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Sphere dimension k >= 2, finite radius R > 0, finite coupling scale L > 0."""
+    """Sphere dimension k >= 2, finite radius R > 0, finite coupling scale L > 0.
+
+    The largest powers the model takes, R^(3k-2) (the weight prefactor; R^4
+    is the next) and L itself, must be normal doubles; the check runs in log
+    space.
+    """
 
     k: int
     R: float = 1.0
@@ -46,6 +55,14 @@ class ModelParams:
             raise ValueError(f"radius R must be positive and finite, got {self.R}")
         if not (0 < self.L < math.inf):
             raise ValueError(f"coupling scale L must be positive and finite, got {self.L}")
+        for name, symbol, power in (("radius", "R", 3 * self.k - 2), ("coupling scale", "L", 1)):
+            value = getattr(self, symbol)
+            log_power = power * math.log(value)
+            if not (_LOG_MIN_NORMAL <= log_power <= _LOG_MAX):
+                raise ValueError(
+                    f"{name} {symbol} = {value!r} is out of range: {symbol}^{power} = "
+                    f"exp({log_power:.10g}) cannot be represented as a normal double"
+                )
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "R", float(self.R))
         object.__setattr__(self, "L", float(self.L))

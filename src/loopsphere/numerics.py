@@ -1,4 +1,4 @@
-"""Shared numerical kernels: quadrature, symmetric eigensolves, root finding.
+"""Shared numerical kernels: quadrature and symmetric eigensolves.
 
 Everything downstream funnels its heavy lifting through this module so that
 tolerances and failure modes live in one place.
@@ -153,35 +153,3 @@ def eig_symmetric(matrix, tol=1e-14, max_sweeps=100):
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
 
-
-def bisect_root(f, bracket, tol=1e-12, max_iter=200):
-    """Root of a scalar function on a sign-changing bracket by bisection.
-
-    `tol` bounds the final bracket width (absolute plus relative to the
-    midpoint magnitude).
-    """
-    lo, hi = bracket
-    flo = f(lo)
-    fhi = f(hi)
-    if not (np.isfinite(flo) and np.isfinite(fhi)):
-        raise ValueError(f"function is non-finite at a bracket endpoint ({lo}, {hi})")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(
-            f"bracket ({lo}, {hi}) does not change sign: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
-        )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * (1.0 + abs(mid)):
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)

@@ -834,8 +834,16 @@ class EffectivePotential:
             raise ValueError(f"tau must lie in (0, {hi}), got {tau}")
         sin, tan, pw = _ARRAY_OPS if isinstance(tau, np.ndarray) else _FLOAT_OPS
         s = sin(tau / R)
-        x = 1.0 / s
+        try:
+            x = 1.0 / s
+        except ZeroDivisionError:  # tau / R underflows to 0 (an array gives inf)
+            x = math.inf
         x2 = x * x
+        den = 4.0 * R**2 * x2 * (x2 - 1.0) * pw(x2 + 1.0, 2)
+        # x2 >= 1, so den >= 0 and vanishes only where sin(tau / R) rounds to 1;
+        # it is infinite where x2 overflows, before sin(tau / R)^2 underflows.
+        if not numerics._inside(den, 0.0, math.inf):
+            raise ValueError(f"potential pole at tau={tau}")
         y = 1.0 / pw(s, 2)
         # Horner's rule for A(x2), and for A(y) with its derivative A'(y).
         num = ynum = ydnum = 0.0
@@ -843,10 +851,6 @@ class EffectivePotential:
             num = num * x2 + c
             ydnum = ydnum * y + ynum
             ynum = ynum * y + c
-        den = 4.0 * R**2 * x2 * (x2 - 1.0) * pw(x2 + 1.0, 2)
-        # x2 >= 1, so den >= 0 and vanishes only where sin(tau / R) rounds to 1.
-        if not numerics._inside(den, 0.0, math.inf):
-            raise ValueError(f"potential pole at tau={tau}")
         yden = 4.0 * R**2 * (((y + 1.0) * y - 1.0) * y - 1.0) * y
         ydden = 4.0 * R**2 * ((4.0 * y + 3.0) * y - 2.0) * y - 4.0 * R**2
         dv_dy = (ydnum * yden - ynum * ydden) / pw(yden, 2)

