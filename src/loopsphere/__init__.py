@@ -6,13 +6,4 @@ curvature, angular (Stiefel-fiber) spectra, and the singular radial
 Sturm-Liouville problem with its spectral-gap analysis.
 """
 
-import os as _os
-
-# The ODE backend's step-size warnings are buffered inside the Fortran
-# runtime and would escape the file-descriptor silencing in `radial` when
-# the buffer is flushed at interpreter exit; unbuffered output makes the
-# writes happen while the descriptors are redirected.  Must be set before
-# the runtime is loaded, hence here.
-_os.environ.setdefault("GFORTRAN_UNBUFFERED_ALL", "1")
-
 __version__ = "0.1.0"

@@ -72,10 +72,14 @@ def su2_generators(dim):
 # ---------------------------------------------------------------------------
 
 
-def casimir_scalar_k2(l):
-    """Scalar by which the fiber Laplacian acts on the representation W_{2l}."""
+def _check_label(l):
     if l < 0 or int(l) != l:
         raise ValueError(f"label l must be a nonnegative integer, got {l}")
+
+
+def casimir_scalar_k2(l):
+    """Scalar by which the fiber Laplacian acts on the representation W_{2l}."""
+    _check_label(l)
     return -l * (2 * l + 1) / 3.0
 
 
@@ -116,6 +120,7 @@ def h_omega_matrix_k2(l, t, radius):
 
 def angular_spectrum_k2(l, t, radius):
     """Eigenvalues with multiplicities on W_{2l}: [(value, mult), ...] ascending."""
+    _check_label(l)
     vals = {}
     for s in range(0, l + 1):
         lam = angular_eigenvalue_k2(l, s, t, radius)
@@ -126,26 +131,6 @@ def angular_spectrum_k2(l, t, radius):
 # ---------------------------------------------------------------------------
 # k = 3: frames in R^4, so(4) = su(2) + su(2)
 # ---------------------------------------------------------------------------
-
-
-def _so4_split():
-    """Numeric split of so(4) into commuting su(2) pairs, in the defining rep.
-
-    Returns (a_list, b_list) of 4x4 matrices with su(2) structure constants
-    [A_i, A_j] = eps_ijk A_k, plus the change of basis from the rotation
-    generators: L_jk = A_i + B_i (cyclic ijk), L_i4 = A_i - B_i.
-    """
-    def lmat(p, q):
-        m = np.zeros((4, 4))
-        m[p, q] = 1.0
-        m[q, p] = -1.0
-        return m
-
-    jgen = [lmat(1, 2), lmat(2, 0), lmat(0, 1)]  # J_1, J_2, J_3
-    kgen = [lmat(0, 3), lmat(1, 3), lmat(2, 3)]  # K_1, K_2, K_3
-    a = [0.5 * (j + kk) for j, kk in zip(jgen, kgen)]
-    b = [0.5 * (j - kk) for j, kk in zip(jgen, kgen)]
-    return a, b
 
 
 def so4_rep_generators(lw, mw):

@@ -25,7 +25,6 @@ token.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -123,16 +122,13 @@ def random_loop(k, degree, radius, seed):
     which generically raises the harmonic degree by exactly one while
     preserving the constraint identically.
     """
-    if k < 2:
-        raise ValueError(f"sphere dimension k must be >= 2, got {k}")
+    params = manifold.ModelParams(k=k, R=radius)
     if degree < 0:
         raise ValueError(f"loop degree must be >= 0, got {degree}")
-    if not (0 < radius < math.inf):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
     rng = SplitMix64(seed)
-    d = k + 1
+    d = params.k + 1
     base = np.array(rng.gauss_vector(d))
-    base *= radius / np.linalg.norm(base)
+    base *= params.R / np.linalg.norm(base)
     n = trigpoly.trig_poly(base)
     for _ in range(degree):
         a = np.array(rng.gauss_vector(d))
@@ -157,8 +153,6 @@ def _params(args):
 def _cmd_spectrum(args):
     params = _params(args)
     if args.l is not None:
-        if args.k != 2:
-            raise ValueError("angular-harmonic radial equations require --k 2")
         prob = radial.coefficients_with_harmonics(params, args.l, args.s or 0)
     else:
         prob = radial.coefficients(params)

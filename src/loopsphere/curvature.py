@@ -84,17 +84,6 @@ def unflatten_vec(x, degree, ambient_dim):
     return TrigPolyVec(v=v, a=a, b=b)
 
 
-def scalar_coords(phi, order):
-    """Orthonormal coordinates of a scalar polynomial of degree <= order."""
-    out = np.zeros(scalar_dim(order))
-    out[0] = phi.c0
-    deg = min(phi.degree, order)
-    for s in range(1, deg + 1):
-        out[2 * s - 1] = phi.cos_coeffs[s - 1] / math.sqrt(2.0)
-        out[2 * s] = phi.sin_coeffs[s - 1] / math.sqrt(2.0)
-    return out
-
-
 def scalar_basis_element(i, order):
     """The i-th orthonormal scalar basis polynomial: 1, sqrt2 cos s, sqrt2 sin s."""
     if i == 0:

@@ -32,9 +32,10 @@ integrator calls it with one float per right-hand-side evaluation; the
 finite-difference oracle, the convexity probe and the Hardy check call it
 once on a whole mesh.  For the algebraic-coordinate problems the array and
 float evaluations agree bit for bit.  Each Prufer integration leg is one
-LSODA call (ODEPACK through scipy's odeint).  LSODA keeps its state in
-Fortran common blocks, so the shooting functions must not run in two
-threads at once.
+LSODA call through scipy's odeint, whose C port of ODEPACK writes to no file
+descriptor: a failed leg comes back in `infodict["message"]`, which the
+integrator raises as a RuntimeError, and odeint's ODEintWarning reaches the
+caller's warning filters untouched.
 
 Eigenvalue normalization: `SpectrumResult.eigenvalues` stores Lambda / R^2
 (the coupling-normalized values); `raw` stores the Sturm-Liouville
@@ -43,10 +44,6 @@ use the raw values.
 """
 
 import math
-import os
-import sys
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 import enum
 
@@ -278,16 +275,14 @@ def classify_endpoint(prob, endpoint):
     alpha_invp = _local_exponent(lambda t: 1.0 / prob.p(t), endpoint, side)
     alpha_q = _local_exponent(lambda t: abs(prob.q(t)) + 1e-300, endpoint, side)
     alpha_w = _local_exponent(prob.w, endpoint, side)
+    exps, log_case = frobenius_exponents(prob, endpoint)
     tol = 1e-3
     if alpha_invp > -1.0 + tol and alpha_q > -1.0 + tol and alpha_w > -1.0 + tol:
         kind = EndpointKind.REGULAR
+    elif 2.0 * min(exps) + alpha_w > -1.0 + tol:
+        kind = EndpointKind.LIMIT_CIRCLE
     else:
-        (mu1, mu2), _ = frobenius_exponents(prob, endpoint)
-        if 2.0 * min(mu1, mu2) + alpha_w > -1.0 + tol:
-            kind = EndpointKind.LIMIT_CIRCLE
-        else:
-            kind = EndpointKind.LIMIT_POINT
-    exps, log_case = frobenius_exponents(prob, endpoint)
+        kind = EndpointKind.LIMIT_POINT
     return EndpointReport(endpoint=endpoint, kind=kind, exponents=exps, log_case=log_case)
 
 
@@ -311,50 +306,6 @@ def expected_endpoint_kinds(k):
 # ---------------------------------------------------------------------------
 # Prufer shooting on truncated intervals
 # ---------------------------------------------------------------------------
-
-
-_quiet_lock = threading.Lock()
-_quiet_depth = 0
-_quiet_saved = None
-
-
-@contextmanager
-def _quiet_solver():
-    """Silence the step-size warnings the ODE backend prints straight to fd 1/2.
-
-    Reference-counted so that overlapping callers share one redirect.
-    """
-    global _quiet_depth, _quiet_saved
-    with _quiet_lock:
-        if _quiet_depth == 0:
-            sys.stdout.flush()
-            sys.stderr.flush()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            _quiet_saved = (os.dup(1), os.dup(2), devnull)
-            os.dup2(devnull, 1)
-            os.dup2(devnull, 2)
-        _quiet_depth += 1
-    try:
-        yield
-    finally:
-        with _quiet_lock:
-            _quiet_depth -= 1
-            if _quiet_depth == 0:
-                # The solver prints through the C runtime, whose buffer would
-                # otherwise be flushed to the restored descriptors at exit.
-                import ctypes
-
-                try:
-                    ctypes.CDLL(None).fflush(None)
-                except OSError:
-                    pass
-                out, err, devnull = _quiet_saved
-                os.dup2(out, 1)
-                os.dup2(err, 2)
-                os.close(out)
-                os.close(err)
-                os.close(devnull)
-                _quiet_saved = None
 
 
 # LSODA's step budget per integration leg; the legs of the truncated problems
@@ -426,17 +377,16 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
         legs = [(t_from, t_to, rtol, atol)]
 
     phi = phi0
-    with _quiet_solver():
-        for leg_from, leg_to, leg_rtol, leg_atol in legs:
-            y, info = odeint(
-                rhs, [phi], [leg_from, leg_to], tfirst=True, tcrit=[leg_to],
-                rtol=leg_rtol, atol=leg_atol, mxstep=_MXSTEP, full_output=True,
+    for leg_from, leg_to, leg_rtol, leg_atol in legs:
+        y, info = odeint(
+            rhs, [phi], [leg_from, leg_to], tfirst=True, tcrit=[leg_to],
+            rtol=leg_rtol, atol=leg_atol, mxstep=_MXSTEP, full_output=True,
+        )
+        if info["message"] != "Integration successful.":
+            raise RuntimeError(
+                f"Prufer integration failed on ({t_from}, {t_to}): {info['message']}"
             )
-            if info["message"] != "Integration successful.":
-                raise RuntimeError(
-                    f"Prufer integration failed on ({t_from}, {t_to}): {info['message']}"
-                )
-            phi = float(y[-1, 0])
+        phi = float(y[-1, 0])
     return phi
 
 
@@ -689,12 +639,15 @@ def default_bc(prob):
     toward limit-point endpoints (where the truncated Dirichlet problems
     converge to the unique extension).
     """
-    lo, hi = prob.interval
-    left = classify_endpoint(prob, lo)
-    right = classify_endpoint(prob, hi)
-    bc_left = "dirichlet" if left.kind is EndpointKind.LIMIT_POINT else "flux"
-    bc_right = "dirichlet" if right.kind is EndpointKind.LIMIT_POINT else "flux"
-    return (bc_left, bc_right)
+    return _bc_for(_endpoint_kinds(prob))
+
+
+def _endpoint_kinds(prob):
+    return tuple(classify_endpoint(prob, e).kind for e in prob.interval)
+
+
+def _bc_for(kinds):
+    return tuple("dirichlet" if kind is EndpointKind.LIMIT_POINT else "flux" for kind in kinds)
 
 
 def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None, schedule=None):
@@ -706,8 +659,9 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None, schedule=None):
     ends reachable by several extensions), convergence to the intended
     extension is flagged as proven only in the regular/limit-point cases.
     """
+    kinds = _endpoint_kinds(prob)
     if bc is None:
-        bc = default_bc(prob)
+        bc = _bc_for(kinds)
     if schedule is None:
         schedule = default_schedule(prob, levels)
     # Each level reuses the previous level's eigenvalues as search seeds; the
@@ -719,10 +673,7 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None, schedule=None):
         history.append(prev)
     final, rel = accelerate(history)
     converged = rel <= tol
-    lp_only = all(
-        classify_endpoint(prob, e).kind is not EndpointKind.LIMIT_CIRCLE
-        for e in prob.interval
-    )
+    lp_only = EndpointKind.LIMIT_CIRCLE not in kinds
     scale = prob.params.R**2 if prob.params is not None else 1.0
     return SpectrumResult(
         eigenvalues=final / scale,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 import warnings
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import ODEintWarning
+from scipy.integrate import ODEintWarning, odeint
 
 from loopsphere import cli, manifold, radial, trigpoly
 
@@ -176,6 +177,12 @@ def test_validation_errors(tmp_path, capsys):
     code, _, err = run(capsys, ["classify", "--k", "1"])
     assert code == 2
     assert "k" in err
+    # A negative representation label, and harmonics away from k = 2.
+    for argv in (["angular", "--k", "2", "--l", "-1", "--t", "0.5"],
+                 ["spectrum", "--k", "3", "--l", "1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+    assert "k = 2" in err
     # Unknown flags abort argument parsing.
     with pytest.raises(SystemExit) as exc:
         cli.main(["classify", "--bogus", "3"])
@@ -217,6 +224,36 @@ def test_failed_integration_leg_exits_3(monkeypatch, capfd):
     assert "Prufer integration failed" in err
 
 
+def test_shooting_writes_nothing_to_fd_1_or_2_beyond_cli_output(monkeypatch, capfd):
+    # Truncation level 2 starts 1e-4 from each endpoint, so the shooting runs
+    # the deep log-distance legs; nothing silences the solver's output.
+    starts = []
+
+    def spy(rhs, y0, t, **kwargs):
+        starts.append(t[0])
+        return odeint(rhs, y0, t, **kwargs)
+
+    monkeypatch.setattr(radial, "odeint", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["spectrum", "--k", "4", "--levels", "3", "--tol", "1e-3"])
+    out, err = capfd.readouterr()
+    assert code == 0 and err == "" and caught == []
+    assert min(starts) < math.log(1e-3)
+    rows = json.loads(out)
+    assert out.startswith("[") and out.endswith("]\n") and len(rows) == 2
+
+
+def test_gap_with_stdout_closed_writes_same_json(tmp_path, monkeypatch):
+    argv = ["gap", "--k", "5", "--R", "0.5", "--levels", "3", "--tol", "1e-3", "--output"]
+    assert cli.main(argv + [str(tmp_path / "open.json")]) == 0
+    # A process started with fd 1 closed has sys.stdout set to None.
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(argv + [str(tmp_path / "closed.json")]) == 0
+    monkeypatch.undo()
+    assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "open.json").read_bytes()
+
+
 def test_output_file_and_json_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "vol.json"
     code, out, _ = run(capsys, ["volume", "--k", "2", "--output", str(out_path)])
@@ -230,6 +267,7 @@ def test_output_file_and_json_roundtrip(tmp_path, capsys):
     ["classify", "--k", "3", "--R", "1e200"],
     ["veff", "--k", "3", "--R", "1e200", "--tau", "1"],
     ["ricci", "--k", "2", "--t", "0.5", "--R", "1e300"],
+    ["random-loop", "--k", "3", "--N", "2", "--seed", "1", "--R", "1e300"],
 ])
 def test_unrepresentable_radius_power_exits_2_naming_the_value(capsys, argv):
     code, out, err = run(capsys, argv)
