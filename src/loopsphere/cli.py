@@ -157,11 +157,10 @@ def _cmd_spectrum(args):
     else:
         prob = radial.coefficients(params)
     res = radial.spectrum(prob, count=args.neigs, tol=args.tol, levels=args.levels)
-    hist = np.asarray(res.history, dtype=float)
-    est = np.abs(hist[-1] - hist[-2]) if hist.shape[0] >= 2 else np.full(args.neigs, np.nan)
+    # est_error is the residual that `converged` compares with --tol.
     header = ["n", "lambda", "est_error", "converged"]
     rows = [
-        [i, float(res.raw[i]), float(est[i]), bool(res.converged)]
+        [i, float(res.raw[i]), float(res.residual[i]), bool(res.converged)]
         for i in range(len(res.raw))
     ]
     _emit_rows(header, rows, args.format, args.output)

@@ -46,6 +46,7 @@ use the raw values.
 import math
 from dataclasses import dataclass, field
 import enum
+import warnings
 
 import numpy as np
 from scipy.integrate import odeint
@@ -365,13 +366,15 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
         # dynamics there is an adiabatic approach to an attracting direction,
         # so a noise-tolerant deep phase loses nothing.
         deep_cut = 1e-3 * width
-        legs = []
-        if d_from < deep_cut:
-            legs.append((math.log(d_from), math.log(deep_cut), max(rtol, 1e-8),
-                         max(atol, 1e-8)))
-            legs.append((math.log(deep_cut), math.log(d_to), rtol, atol))
+        u_from, u_cut, u_to = math.log(d_from), math.log(deep_cut), math.log(d_to)
+        # LSODA refuses a leg shorter than 2 eps max(|u|); a start that close
+        # to the cut (a truncation at 1e-3 of the width, rounded) has no deep
+        # phase.
+        if u_cut - u_from >= 2.0 * np.finfo(float).eps * max(abs(u_from), abs(u_cut)):
+            legs = [(u_from, u_cut, max(rtol, 1e-8), max(atol, 1e-8)),
+                    (u_cut, u_to, rtol, atol)]
         else:
-            legs.append((math.log(d_from), math.log(d_to), rtol, atol))
+            legs = [(u_from, u_to, rtol, atol)]
     else:
         rhs = slope
         legs = [(t_from, t_to, rtol, atol)]
@@ -421,9 +424,13 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), tol=1e-1
     D(lambda) - index*pi.  A coarse finite-difference solve seeds the search
     brackets (the root itself is determined entirely by the shooting
     function); a sign-change check widens or rebuilds the bracket if a seed
-    is off.  With cross_validate=True the result is additionally checked
-    against the accurate finite-difference oracle at 1e-5 relative
-    tolerance.
+    is off.  Each eigenvalue search integrates every distinct lambda once:
+    brentq opens on the two bracket ends the sign-change check has just
+    evaluated, and gets those values back instead of two more shots.  If the
+    finite-difference seed fails, a RuntimeWarning names the error and the
+    brackets come from outward doubling.  With cross_validate=True the result
+    is additionally checked against the accurate finite-difference oracle at
+    1e-5 relative tolerance.
     """
     seeds = None
     if seed_values is not None:
@@ -435,15 +442,23 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), tol=1e-1
             seeds = solve_truncated_fd(
                 prob, a, b, count=count, bc=bc, npoints=1500, richardson=False
             )
-        except Exception:
-            seeds = None
+        except Exception as exc:
+            warnings.warn(
+                f"finite-difference seed failed ({type(exc).__name__}: {exc}); "
+                "bracketing by outward doubling",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     out = []
     for index in range(count):
         target = index * math.pi
+        shots = {}
 
         def miss(lam):
-            return prufer_mismatch(prob, a, b, lam, bc=bc, rtol=ode_rtol,
-                                   atol=1e-2 * ode_rtol) - target
+            if lam not in shots:
+                shots[lam] = prufer_mismatch(prob, a, b, lam, bc=bc, rtol=ode_rtol,
+                                             atol=1e-2 * ode_rtol) - target
+            return shots[lam]
 
         lo = hi = None
         if seeds is not None:
@@ -580,10 +595,13 @@ class SpectrumResult:
     """Converged eigenvalues with the truncation history.
 
     eigenvalues: Lambda / R^2 (coupling-normalized); raw: Lambda.
+    residual: per eigenvalue, the relative change between the last two
+    accelerated rows; converged is max(residual) <= tol.
     """
 
     eigenvalues: np.ndarray
     raw: np.ndarray
+    residual: np.ndarray
     history: list
     converged: bool
     convergence_proven: bool
@@ -608,8 +626,9 @@ def _aitken(seq):
 def accelerate(history):
     """Repeated Aitken acceleration of the truncation-level eigenvalues.
 
-    Returns (values, residual): the last accelerated row and the relative
-    change between the final two accelerated rows (the convergence measure).
+    Returns (values, residual): the last accelerated row and, per
+    eigenvalue, the relative change between the final two accelerated rows
+    (whose maximum is the convergence measure).
     """
     s = np.asarray(history, dtype=float)
     while s.shape[0] >= 4:
@@ -617,8 +636,7 @@ def accelerate(history):
     if s.shape[0] < 2:
         raise ValueError("need at least two truncation levels to accelerate")
     last, prev = s[-1], s[-2]
-    resid = float(np.max(np.abs(last - prev) / (1.0 + np.abs(last))))
-    return last, resid
+    return last, np.abs(last - prev) / (1.0 + np.abs(last))
 
 
 def default_schedule(prob, levels=7):
@@ -653,8 +671,8 @@ def _bc_for(kinds):
 def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None, schedule=None):
     """Eigenvalues of the singular problem via shrinking truncations.
 
-    Convergence is declared when the last two truncation levels agree to
-    `tol` relative.  For problems whose endpoint classification makes the
+    Convergence is declared when the last two Aitken-accelerated rows agree
+    to `tol` relative (the per-eigenvalue `residual`).  For problems whose endpoint classification makes the
     flux condition a genuine boundary-condition choice (limit circle at both
     ends reachable by several extensions), convergence to the intended
     extension is flagged as proven only in the regular/limit-point cases.
@@ -671,13 +689,14 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None, schedule=None):
     for a, b in schedule:
         prev = solve_truncated(prob, a, b, count=count, bc=bc, seed_values=prev)
         history.append(prev)
-    final, rel = accelerate(history)
-    converged = rel <= tol
+    final, residual = accelerate(history)
+    converged = bool(np.max(residual) <= tol)
     lp_only = EndpointKind.LIMIT_CIRCLE not in kinds
     scale = prob.params.R**2 if prob.params is not None else 1.0
     return SpectrumResult(
         eigenvalues=final / scale,
         raw=final,
+        residual=residual,
         history=history,
         converged=converged,
         convergence_proven=converged and lp_only,

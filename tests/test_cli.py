@@ -113,6 +113,18 @@ def test_spectrum_csv(capsys):
     assert first[3] == "true"
 
 
+@pytest.mark.parametrize("argv, tol", [
+    (["--k", "5", "--levels", "6"], 1e-6),
+    (["--k", "3", "--levels", "3", "--tol", "1e-3"], 1e-3),
+])
+def test_spectrum_est_error_is_the_residual_that_decides_convergence(capsys, argv, tol):
+    code, out, _ = run(capsys, ["spectrum"] + argv)
+    rows = json.loads(out)
+    converged = max(row["est_error"] for row in rows) <= tol
+    assert all(row["converged"] == converged for row in rows)
+    assert code == (0 if converged else 3)
+
+
 def test_gap_report_fields(capsys):
     code, out, _ = run(capsys, ["gap", "--k", "5", "--R", "1.0", "--levels", "4"])
     assert code == 0
@@ -344,3 +356,20 @@ def test_fast_subcommands_exit_documented_codes_with_strict_json(command, k, deg
         _strict_json(out.getvalue())
     if code != 0:
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("command", ["spectrum", "gap"])
+@settings(max_examples=8, deadline=None)
+@given(k=st.integers(2, 6), radius=st.floats(math.log(0.25), math.log(4.0)).map(math.exp),
+       neigs=st.integers(1, 2))
+def test_solver_subcommands_exit_documented_codes_with_strict_json(command, k, radius, neigs):
+    argv = [command, f"--k={k}", f"--R={radius!r}", "--levels=2", "--tol=1e-3",
+            f"--neigs={neigs}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if out.getvalue():
+        _strict_json(out.getvalue())
+    else:
+        assert code != 0 and err.getvalue().startswith("error:"), (argv, err.getvalue())

@@ -49,6 +49,49 @@ def test_cross_validation_against_fd():
     assert np.allclose(vals, [math.pi**2, 4 * math.pi**2], rtol=1e-8)
 
 
+def test_each_lambda_is_integrated_once_per_solve(monkeypatch):
+    shots = []
+    real = radial.prufer_mismatch
+
+    def spy(prob, a, b, lam, **kwargs):
+        shots.append(lam)
+        return real(prob, a, b, lam, **kwargs)
+
+    monkeypatch.setattr(radial, "prufer_mismatch", spy)
+    k3 = radial.coefficients(manifold.ModelParams(k=3, R=1.0))
+    (a, b), = radial.default_schedule(k3, levels=1)
+    for prob, lo, hi, count, bc in [
+        (const_problem(), 0.0, 1.0, 5, ("dirichlet", "dirichlet")),
+        (k3, a, b, 2, radial.default_bc(k3)),
+    ]:
+        shots.clear()
+        vals = radial.solve_truncated(prob, lo, hi, count=count, bc=bc)
+        assert len(vals) == count
+        assert len(shots) == len(set(shots)) > 2 * count
+
+
+def test_truncation_rounded_onto_the_deep_cut_shoots():
+    # The level-1 truncation b = hi - 1e-3 (hi - lo) of this problem lies
+    # closer to the log-distance cut than the shortest leg LSODA can start.
+    prob = radial.liouville_problem(manifold.ModelParams(k=4, R=0.29780402771124387))
+    _, (a, b) = radial.default_schedule(prob, levels=2)
+    lo, hi = prob.interval
+    deep_leg = math.log(1e-3 * (hi - lo)) - math.log(hi - b)
+    assert 0.0 < deep_leg < 2.0 * np.finfo(float).eps * abs(math.log(hi - b))
+    assert math.isfinite(radial.prufer_mismatch(prob, a, b, 1.0))
+
+
+def test_failed_fd_seed_warns_and_falls_back(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("probe")
+
+    monkeypatch.setattr(radial, "solve_truncated_fd", broken)
+    with pytest.warns(RuntimeWarning, match="probe"):
+        vals = radial.solve_truncated(const_problem(), 0.0, 1.0, count=2)
+    expect = np.array([math.pi**2, 4 * math.pi**2])
+    assert np.max(np.abs(vals - expect) / expect) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # Array-valued coefficients and finite-difference assembly
 # ---------------------------------------------------------------------------
@@ -284,7 +327,7 @@ def test_accelerate_geometric_sequence():
     hist = [exact + 0.3 * 0.25**r for r in range(6)]
     final, resid = radial.accelerate(hist)
     assert np.allclose(final, exact, atol=1e-10)
-    assert resid < 1e-9
+    assert resid.shape == exact.shape and np.max(resid) < 1e-9
     with pytest.raises(ValueError, match="two truncation levels"):
         radial.accelerate([exact])
 
