@@ -2,8 +2,9 @@
 
 Subcommands map one-to-one onto the library modules:
 
-    spectrum     radial eigenvalues by shrinking truncations
-    gap          spectral-gap report with convexity and bound comparison
+    spectrum     radial eigenvalues by shrinking truncations (--neigs of them)
+    gap          spectral-gap report of the lowest two eigenvalues, with
+                 convexity and bound comparison (no --neigs)
     classify     endpoint classification of the radial problem
     frobenius    indicial (Frobenius) exponents at both endpoints
     veff         effective potential of the Liouville normal form
@@ -218,7 +219,7 @@ def _cmd_frobenius(args):
 
 def _cmd_veff(args):
     params = _params(args)
-    veff = radial.liouville_potential(params)
+    veff = radial.EffectivePotential(params)
     hi = np.pi * params.R / 2.0
     record = {
         "k": params.k,
@@ -394,7 +395,6 @@ def _add_common(sub, *, k=False, R=False, L=False, t=False, tau=False,
         sub.add_argument("--l", type=int, default=None, help="representation label")
         sub.add_argument("--s", type=int, default=None, help="weight / second representation label")
     if eigs:
-        sub.add_argument("--neigs", type=int, default=2, help="number of eigenvalues")
         sub.add_argument("--tol", type=float, default=1e-6, help="relative convergence tolerance")
         sub.add_argument("--levels", type=int, default=7, help="number of truncation levels")
     if io_in:
@@ -416,6 +416,7 @@ def build_parser():
 
     sub = subs.add_parser("spectrum", help="radial eigenvalues by shrinking truncations")
     _add_common(sub, k=True, R=True, L=True, ls=True, eigs=True)
+    sub.add_argument("--neigs", type=int, default=2, help="number of eigenvalues")
     sub.set_defaults(handler=_cmd_spectrum)
 
     sub = subs.add_parser("gap", help="spectral-gap report")

@@ -49,6 +49,11 @@ class NearSingularStratumError(ValueError):
     """Raised when the constraint Gram matrix is numerically singular."""
 
 
+# Largest condition number of the constraint Gram matrix a curvature report
+# accepts; beyond it the inverse Gram matrix amplifies roundoff past use.
+COND_LIMIT = 1e12
+
+
 # ---------------------------------------------------------------------------
 # Flat orthonormal coordinates
 # ---------------------------------------------------------------------------
@@ -185,7 +190,7 @@ class CurvatureReport:
 class CurvatureContext:
     """Caches the exact linear-algebra data of the constraint at one loop."""
 
-    def __init__(self, n, radius=None, cond_limit=1e12):
+    def __init__(self, n, radius=None):
         self.loop = n
         self.radius = infer_radius(n) if radius is None else float(radius)
         self.degree = n.degree
@@ -202,7 +207,7 @@ class CurvatureContext:
         self.grads = np.einsum("iab,b->ia", self.hessians, self.nflat)
         self.s_full = self.grads @ self.grads.T
         self.condition = float(np.linalg.cond(self.s_full))
-        if not np.isfinite(self.condition) or self.condition > cond_limit:
+        if not np.isfinite(self.condition) or self.condition > COND_LIMIT:
             raise NearSingularStratumError(
                 f"constraint Gram matrix has condition number {self.condition:.3e}; "
                 "the loop lies on or near a singular stratum (too close to a "
@@ -334,9 +339,9 @@ def tangent_basis(n, radius=None):
     return TangentBasis(base=n, vectors=vecs, gram=gram)
 
 
-def scalar_and_mean(n, radius=None, context=None):
+def scalar_and_mean(n, radius=None):
     """Full curvature report at one loop."""
-    ctx = context if context is not None else CurvatureContext(n, radius)
+    ctx = CurvatureContext(n, radius)
     ric = ctx.ricci_matrix()
     closed = ctx.closed_contractions()
     terms = closed["terms"]

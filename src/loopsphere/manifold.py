@@ -102,7 +102,7 @@ class FramePoint:
         return self.frame.shape[1] - 1
 
 
-def classify_stratum(n, params, rtol=1e-10):
+def classify_stratum(n, params):
     """Locate a loop within the degree-one variety.
 
     A loop off the variety (nonzero constraint residual) is NOT_ON_VARIETY;
@@ -114,14 +114,14 @@ def classify_stratum(n, params, rtol=1e-10):
             f"loop lives in R^{n.ambient_dim} but parameters specify R^{params.k + 1}"
         )
     res = trigpoly.constraint_residual(n, params.R)
-    if res.max_abs_coeff() > rtol * params.R**2:
+    if res.max_abs_coeff() > 1e-10 * params.R**2:
         return Stratum.NOT_ON_VARIETY
     if n.degree > 1:
         return Stratum.NOT_ON_VARIETY
     harm = 0.0 if n.degree == 0 else np.linalg.norm(n.a[0]) + np.linalg.norm(n.b[0])
     if harm <= trigpoly.TRIM_RTOL * params.R:
         return Stratum.POINT_LOOPS
-    if np.linalg.norm(n.v) <= rtol * params.R:
+    if np.linalg.norm(n.v) <= 1e-10 * params.R:
         return Stratum.GREAT_CIRCLES
     return Stratum.SMOOTH
 
@@ -257,14 +257,14 @@ def sqrt_det_omega_closed_form(t, params):
     return 2 ** ((k - 2) / 2.0) * t ** ((k - 2) / 2.0) * (1.0 - t) ** (k - 0.5) * (1.0 + t)
 
 
-def volume_density_discrepancy(params, samples=None):
+def volume_density_discrepancy(params):
     """Compare the direct sqrt-determinant with the recorded closed form.
 
-    Returns a record with both values on a sample grid and their ratio, which
-    is sqrt(2) * (1 - t)^(-1) pointwise: the closed form carries one extra
-    factor of (1-t) and one fewer factor of sqrt(2).
+    Returns a record with both values at t = 0.1, 0.2, ..., 0.9 and their
+    ratio, which is sqrt(2) * (1 - t)^(-1) pointwise: the closed form carries
+    one extra factor of (1-t) and one fewer factor of sqrt(2).
     """
-    ts = np.linspace(0.1, 0.9, 9) if samples is None else np.asarray(samples, dtype=float)
+    ts = np.linspace(0.1, 0.9, 9)
     direct = np.array([sqrt_det_omega(t, params) for t in ts])
     recorded = np.array([sqrt_det_omega_closed_form(t, params) for t in ts])
     ratio = recorded / direct
@@ -342,12 +342,12 @@ def radial_volume_closed_form(params):
                        f"radial volume at k = {params.k}, R = {params.R}")
 
 
-def radial_volume_quadrature(params, order=120):
-    """The same radial integral by Gauss-Legendre in the arclength coordinate.
+def radial_volume_quadrature(params):
+    """The same radial integral by 120-point Gauss-Legendre in the arclength coordinate.
 
     Raises ValueError when the weight's prefactor overflows a double.
     """
-    rule = numerics.gauss_legendre(order)
+    rule = numerics.gauss_legendre(120)
     eps = 1e-13 * params.R
     try:
         return numerics.integrate(

@@ -93,14 +93,17 @@ def check_symmetric(matrix, rtol=1e-13):
     return 0.5 * (m + m.T)
 
 
-def eig_symmetric(matrix, tol=1e-14, max_sweeps=100):
+def eig_symmetric(matrix):
     """Eigenvalues and eigenvectors of a symmetric matrix by cyclic Jacobi.
 
     Returns (w, V) with eigenvalues ascending and V[:, i] the orthonormal
     eigenvector for w[i].  The cyclic Jacobi iteration annihilates each
     off-diagonal entry in turn with a Givens rotation; convergence is
-    quadratic once the off-diagonal mass is small.
+    quadratic once the off-diagonal mass is small.  It stops when the
+    off-diagonal norm is at most 1e-14 of the matrix norm, and raises after
+    100 sweeps.
     """
+    tol, max_sweeps = 1e-14, 100
     a = check_symmetric(matrix).copy()
     n = a.shape[0]
     v = np.eye(n)

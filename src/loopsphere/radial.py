@@ -62,54 +62,44 @@ from .manifold import ModelParams
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SLProblem:
     """A Sturm-Liouville triple -(p f')' + q f = Lambda w f on an interval.
 
     `coeffs(t)` is the one evaluation entry point: it returns
     (p, q, w, p', q', w') at a float or an ndarray t, and the shooting
-    integrator, the finite-difference oracle and the convexity probe read
-    nothing else.  The analytic derivatives let the integrator compute the
-    logarithmic derivative of its scaling function exactly; near singular
-    endpoints a finite-difference step amplifies coefficient roundoff by
-    orders of magnitude.
+    integrator, the finite-difference oracle, the convexity probe and the
+    endpoint classification read nothing else.  The analytic derivatives let
+    the integrator compute the logarithmic derivative of its scaling function
+    exactly; near singular endpoints a finite-difference step amplifies
+    coefficient roundoff by orders of magnitude.
 
-    A problem built from bare p, q, w callables (optionally dp, dq, dw)
-    gets `coeffs` composed from them.  Each callable takes a float or an
-    ndarray t; a scalar result for an ndarray t is broadcast (a constant
-    coefficient).  A missing derivative is a central difference with step
-    1e-6 times the distance to the nearer endpoint, and 0 at an endpoint.
-    `SLProblem.from_coeffs` builds a problem whose p, q, w, dp, dq, dw each
-    read one component of `coeffs`.
+    A problem given by bare p, q, w callables instead of `coeffs` gets
+    `coeffs` composed from them.  Each callable takes a float or an ndarray
+    t; a scalar result for an ndarray t is broadcast (a constant
+    coefficient).  Each derivative is a central difference with step 1e-6
+    times the distance to the nearer endpoint, and 0 at an endpoint.
     """
 
-    p: object
-    q: object
-    w: object
     interval: tuple
     name: str = "sl-problem"
     params: ModelParams | None = None
-    dp: object = None
-    dq: object = None
-    dw: object = None
     coeffs: object = None
+    p: object = None
+    q: object = None
+    w: object = None
 
     def __post_init__(self):
         lo, hi = self.interval
         if not (lo < hi):
             raise ValueError(f"empty interval ({lo}, {hi})")
         if self.coeffs is None:
+            missing = [name for name in ("p", "q", "w") if getattr(self, name) is None]
+            if missing:
+                raise ValueError(
+                    f"SLProblem needs coeffs or all of p, q, w; missing {', '.join(missing)}"
+                )
             object.__setattr__(self, "coeffs", _composed_coeffs(self))
-
-    @classmethod
-    def from_coeffs(cls, coeffs, interval, name, params):
-        p, q, w, dp, dq, dw = (_component(coeffs, i) for i in range(6))
-        return cls(p=p, q=q, w=w, interval=interval, name=name, params=params,
-                   dp=dp, dq=dq, dw=dw, coeffs=coeffs)
-
-
-def _component(coeffs, index):
-    return lambda t: coeffs(t)[index]
 
 
 def _composed_coeffs(prob):
@@ -131,12 +121,10 @@ def _composed_coeffs(prob):
         h = 1e-6 * min(t - lo, hi - t)
         return (f(t + h) - f(t - h)) / (2.0 * h) if h > 0.0 else 0.0
 
-    pairs = ((prob.p, prob.dp), (prob.q, prob.dq), (prob.w, prob.dw))
+    funcs = (prob.p, prob.q, prob.w)
 
     def coeffs(t):
-        values = tuple(at(f, t) for f, _ in pairs)
-        slopes = tuple(central(f, t) if df is None else at(df, t) for f, df in pairs)
-        return values + slopes
+        return tuple(at(f, t) for f in funcs) + tuple(central(f, t) for f in funcs)
 
     return coeffs
 
@@ -155,7 +143,7 @@ def coefficients(params):
         dq = q * (dlogw - 1.0 / (1.0 - t))
         return p, q, w, dp, dq, w * dlogw
 
-    return SLProblem.from_coeffs(coeffs, (0.0, 1.0), f"radial-k{k}", params)
+    return SLProblem(coeffs=coeffs, interval=(0.0, 1.0), name=f"radial-k{k}", params=params)
 
 
 def coefficients_with_harmonics(params, l, s):
@@ -183,7 +171,8 @@ def coefficients_with_harmonics(params, l, s):
         )
         return p, q + ang * w, w, dp, dq + dang * w + ang * dw, dw
 
-    return SLProblem.from_coeffs(coeffs, (0.0, 1.0), f"radial-k2-l{l}-s{s}", params)
+    return SLProblem(coeffs=coeffs, interval=(0.0, 1.0), name=f"radial-k2-l{l}-s{s}",
+                     params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +213,7 @@ def _local_exponent(f, endpoint, side, eps=1e-6):
     return (4.0 * a[0] - a[1]) / 3.0
 
 
-def frobenius_exponents(prob, endpoint, eps=1e-7):
+def frobenius_exponents(prob, endpoint):
     """Indicial exponents of the equation at a regular singular endpoint.
 
     Works numerically: the equation in normal form is
@@ -236,9 +225,10 @@ def frobenius_exponents(prob, endpoint, eps=1e-7):
     """
     lo, hi = prob.interval
     side = 1.0 if abs(endpoint - lo) < abs(endpoint - hi) else -1.0
+    eps = 1e-7
 
     # r0 = lim (t - t0) p'/p is the local power-law exponent of p itself.
-    r0 = _local_exponent(prob.p, endpoint, side, eps=eps)
+    r0 = _local_exponent(lambda t: prob.coeffs(t)[0], endpoint, side, eps=eps)
 
     def limit(g):
         # Richardson extrapolation in the distance d = eps * 2^j.
@@ -248,7 +238,8 @@ def frobenius_exponents(prob, endpoint, eps=1e-7):
         return (4.0 * a0 - a1) / 3.0
 
     def q0_probe(t):
-        return (t - endpoint) ** 2 * (-prob.q(t)) / prob.p(t)
+        p, q = prob.coeffs(t)[:2]
+        return (t - endpoint) ** 2 * (-q) / p
 
     q0 = limit(q0_probe)
     disc = (r0 - 1.0) ** 2 - 4.0 * q0
@@ -273,9 +264,9 @@ def classify_endpoint(prob, endpoint):
     """
     lo, hi = prob.interval
     side = 1.0 if abs(endpoint - lo) < abs(endpoint - hi) else -1.0
-    alpha_invp = _local_exponent(lambda t: 1.0 / prob.p(t), endpoint, side)
-    alpha_q = _local_exponent(lambda t: abs(prob.q(t)) + 1e-300, endpoint, side)
-    alpha_w = _local_exponent(prob.w, endpoint, side)
+    alpha_invp = _local_exponent(lambda t: 1.0 / prob.coeffs(t)[0], endpoint, side)
+    alpha_q = _local_exponent(lambda t: abs(prob.coeffs(t)[1]) + 1e-300, endpoint, side)
+    alpha_w = _local_exponent(lambda t: prob.coeffs(t)[2], endpoint, side)
     exps, log_case = frobenius_exponents(prob, endpoint)
     tol = 1e-3
     if alpha_invp > -1.0 + tol and alpha_q > -1.0 + tol and alpha_w > -1.0 + tol:
@@ -393,8 +384,7 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
     return phi
 
 
-def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), match=None,
-                    rtol=1e-11, atol=1e-13):
+def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), rtol=1e-11, atol=1e-13):
     """Two-sided Prufer matching function D(lam) = phi_L(m) - phi_R(m).
 
     phi_L is integrated forward from a with the left boundary angle (0 for
@@ -404,8 +394,7 @@ def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), match=None,
     eigenvalue condition well-scaled when a singular endpoint layer flattens
     the one-sided angle onto its pi/2 plateaus.
     """
-    if match is None:
-        match = 0.5 * (a + b)
+    match = 0.5 * (a + b)
     bc_left, bc_right = bc
     phi_a = 0.0 if bc_left == "dirichlet" else 0.5 * math.pi
     phi_b = math.pi if bc_right == "dirichlet" else 0.5 * math.pi
@@ -414,8 +403,7 @@ def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), match=None,
     return left - right
 
 
-def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), tol=1e-10,
-                    ode_rtol=1e-11, cross_validate=False, seed=True,
+def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), ode_rtol=1e-11,
                     seed_values=None):
     """First `count` eigenvalues on [a, b] by two-sided Prufer shooting.
 
@@ -424,20 +412,21 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), tol=1e-1
     D(lambda) - index*pi.  A coarse finite-difference solve seeds the search
     brackets (the root itself is determined entirely by the shooting
     function); a sign-change check widens or rebuilds the bracket if a seed
-    is off.  Each eigenvalue search integrates every distinct lambda once:
-    brentq opens on the two bracket ends the sign-change check has just
-    evaluated, and gets those values back instead of two more shots.  If the
-    finite-difference seed fails, a RuntimeWarning names the error and the
-    brackets come from outward doubling.  With cross_validate=True the result
-    is additionally checked against the accurate finite-difference oracle at
-    1e-5 relative tolerance.
+    is off.  `seed_values` replaces the finite-difference seeds.  Each
+    eigenvalue search integrates every distinct lambda once: brentq opens on
+    the two bracket ends the sign-change check has just evaluated, and gets
+    those values back instead of two more shots.  If the finite-difference
+    seed fails, a RuntimeWarning names the error and the brackets come from
+    outward doubling.  Each root is located to 1e-10 absolute in lambda.
     """
+    if count < 1:
+        raise ValueError(f"eigenvalue count must be >= 1, got {count}")
     seeds = None
     if seed_values is not None:
         seeds = np.asarray(seed_values, dtype=float)
         if len(seeds) < count:
             raise ValueError(f"need {count} seed values, got {len(seeds)}")
-    elif seed:
+    else:
         try:
             seeds = solve_truncated_fd(
                 prob, a, b, count=count, bc=bc, npoints=1500, richardson=False
@@ -488,44 +477,23 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), tol=1e-1
                 hi = hi + 2.0 * (abs(hi) + 1.0)
             else:
                 raise RuntimeError("failed to bracket eigenvalue from above")
-        lam = float(brentq(miss, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps))
+        lam = float(brentq(miss, lo, hi, xtol=1e-10, rtol=4.0 * np.finfo(float).eps))
         out.append(lam)
-    vals = np.array(out)
-    if cross_validate:
-        oracle = solve_truncated_fd(prob, a, b, count=count, bc=bc)
-        rel = np.max(np.abs(vals - oracle) / (1.0 + np.abs(oracle)))
-        if rel > 1e-5:
-            raise RuntimeError(
-                f"shooting and finite-difference oracles disagree: rel={rel:.3e} "
-                f"(shooting {vals}, oracle {oracle})"
-            )
-    return vals
+    return np.array(out)
 
 
 def solve_truncated_fd(prob, a, b, count=2, bc=("dirichlet", "dirichlet"),
-                       npoints=2000, richardson=True, grading=0.0):
+                       npoints=2000, richardson=True):
     """Finite-difference oracle: symmetric second-order discretization.
 
     Conservative scheme for -(p f')' + q f = lam w f with midpoint p values
-    on a tanh-graded mesh (grading > 0 clusters nodes exponentially toward
-    both endpoints, resolving the coefficient boundary layers of the
-    truncated singular problems; grading = 0 gives a uniform mesh).  Flux
-    boundary nodes carry half-cell masses.  With richardson=True the
-    second-order error in the mesh parameter is eliminated from runs at
-    npoints and 2*npoints-1.
+    on a uniform mesh of npoints nodes.  Flux boundary nodes carry half-cell
+    masses.  With richardson=True the second-order error in the mesh
+    parameter is eliminated from runs at npoints and 2*npoints-1.
     """
 
-    def mesh(m):
-        s = np.linspace(0.0, 1.0, m)
-        if grading > 0.0:
-            g = np.tanh(grading * (s - 0.5))
-            g = (g - g[0]) / (g[-1] - g[0])
-        else:
-            g = s
-        return a + (b - a) * g
-
     def solve_once(m):
-        x = mesh(m)
+        x = a + (b - a) * np.linspace(0.0, 1.0, m)
         diag, off, mass = _fd_assemble(prob, x, bc)
         dinv = 1.0 / np.sqrt(mass)
         sym_diag = diag * dinv**2
@@ -565,7 +533,7 @@ def _fd_assemble(prob, x, bc):
     return diag, off, mass
 
 
-def oracle_comparison(params, a=1e-3, count=5, npoints=2000):
+def oracle_comparison(params, a=1e-3, count=5):
     """Compare the two independent eigenvalue engines on a truncation.
 
     Prufer shooting solves the radial problem in the algebraic coordinate on
@@ -578,9 +546,7 @@ def oracle_comparison(params, a=1e-3, count=5, npoints=2000):
     lp = liouville_problem(params)
     ta = manifold.tau_of_t(a, params)
     tb = manifold.tau_of_t(1.0 - a, params)
-    fd = solve_truncated_fd(
-        lp, ta, tb, count=count, bc=("dirichlet", "dirichlet"), npoints=npoints
-    )
+    fd = solve_truncated_fd(lp, ta, tb, count=count, bc=("dirichlet", "dirichlet"))
     rel = float(np.max(np.abs(shoot - fd) / np.abs(fd)))
     return {"shooting": shoot, "finite_difference": fd, "max_rel_deviation": rel}
 
@@ -668,25 +634,27 @@ def _bc_for(kinds):
     return tuple("dirichlet" if kind is EndpointKind.LIMIT_POINT else "flux" for kind in kinds)
 
 
-def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None, schedule=None):
+def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
     """Eigenvalues of the singular problem via shrinking truncations.
 
-    Convergence is declared when the last two Aitken-accelerated rows agree
-    to `tol` relative (the per-eigenvalue `residual`).  For problems whose endpoint classification makes the
-    flux condition a genuine boundary-condition choice (limit circle at both
-    ends reachable by several extensions), convergence to the intended
-    extension is flagged as proven only in the regular/limit-point cases.
+    The truncations are `default_schedule(prob, levels)`.  Convergence is
+    declared when the last two Aitken-accelerated rows agree to `tol`
+    relative (the per-eigenvalue `residual`); `tol` must be finite and
+    positive.  For problems whose endpoint classification makes the flux
+    condition a genuine boundary-condition choice (limit circle at both ends
+    reachable by several extensions), convergence to the intended extension
+    is flagged as proven only in the regular/limit-point cases.
     """
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"convergence tolerance must be finite and > 0, got {tol}")
     kinds = _endpoint_kinds(prob)
     if bc is None:
         bc = _bc_for(kinds)
-    if schedule is None:
-        schedule = default_schedule(prob, levels)
     # Each level reuses the previous level's eigenvalues as search seeds; the
     # truncation error shrinks with the level, so they are excellent brackets.
     history = []
     prev = None
-    for a, b in schedule:
+    for a, b in default_schedule(prob, levels):
         prev = solve_truncated(prob, a, b, count=count, bc=bc, seed_values=prev)
         history.append(prev)
     final, residual = accelerate(history)
@@ -780,7 +748,7 @@ _ARRAY_OPS = (np.sin, np.tan, np.float_power)
 class EffectivePotential:
     """V_eff(tau) of the Liouville normal form on (0, pi R / 2).
 
-    `value` and `derivative` take a float or an ndarray tau.  The
+    `value` and `value_and_derivative` take a float or an ndarray tau.  The
     coefficients of the numerator polynomial A are computed once, at
     construction.
     """
@@ -830,16 +798,12 @@ class EffectivePotential:
     def value(self, tau):
         return self.value_and_derivative(tau)[0]
 
-    def derivative(self, tau):
-        """Exact dV_eff/dtau via the rational form in y = csc^2(tau / R)."""
-        return self.value_and_derivative(tau)[1]
-
-    def generic_transform_value(self, tau, h=None):
+    def generic_transform_value(self, tau):
         """Independent evaluation: (sqrt w)'' / sqrt w + R^2 cos^2(tau / R).
 
         The second derivative of sqrt(w_trig) is taken by fourth-order
-        central differences with Richardson extrapolation; constants in w
-        drop out.
+        central differences with step 1e-3 min(tau, pi R / 2 - tau, R) and
+        Richardson extrapolation; constants in w drop out.
         """
         R = self.params.R
         hi = math.pi * R / 2.0
@@ -847,8 +811,7 @@ class EffectivePotential:
         def s(x):
             return math.sqrt(manifold.weight_trig(x, self.params))
 
-        if h is None:
-            h = 1e-3 * min(tau, hi - tau, R)
+        h = 1e-3 * min(tau, hi - tau, R)
 
         def second(hh):
             return (
@@ -873,13 +836,9 @@ class EffectivePotential:
         return num / den - (self.value(tau) - lam)
 
 
-def liouville_potential(params):
-    return EffectivePotential(params=params)
-
-
 def liouville_problem(params):
     """The Liouville normal form as an SLProblem with p = w = 1."""
-    veff = liouville_potential(params)
+    veff = EffectivePotential(params)
 
     def coeffs(tau):
         if isinstance(tau, np.ndarray):
@@ -889,8 +848,8 @@ def liouville_problem(params):
         value, slope = veff.value_and_derivative(tau)
         return one, value, one, zero, slope, zero
 
-    return SLProblem.from_coeffs(coeffs, (0.0, math.pi * params.R / 2.0),
-                                 f"liouville-k{params.k}", params)
+    return SLProblem(coeffs=coeffs, interval=(0.0, math.pi * params.R / 2.0),
+                     name=f"liouville-k{params.k}", params=params)
 
 
 def veff_exponents(params, endpoint):
@@ -959,7 +918,7 @@ def heun_coefficient_map(params, lam):
 # ---------------------------------------------------------------------------
 
 
-def gap_analysis(params, tol=1e-6, levels=7, count=2):
+def gap_analysis(params, tol=1e-6, levels=7):
     """Ground-state gap of the Liouville-form radial operator, with bounds.
 
     Computes Lambda_0, Lambda_1 on the Liouville interval (0, pi R / 2) by
@@ -971,7 +930,7 @@ def gap_analysis(params, tol=1e-6, levels=7, count=2):
     applies to the raw ground eigenvalue.
     """
     prob = liouville_problem(params)
-    res = spectrum(prob, count=count, tol=tol, levels=levels, bc=("dirichlet", "dirichlet"))
+    res = spectrum(prob, tol=tol, levels=levels, bc=("dirichlet", "dirichlet"))
     lam0, lam1 = float(res.raw[0]), float(res.raw[1])
     gap = lam1 - lam0
     r = math.pi * params.R / 2.0

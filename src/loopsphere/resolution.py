@@ -121,14 +121,14 @@ def apply_rotation(rot, n, inverse=False):
     return trigpoly.from_exponential(out)
 
 
-def top_harmonic_basis(n, rtol=1e-12):
+def top_harmonic_basis(n):
     """The pair (a[N], b[N]) of a loop of degree N >= 1; PeelError if degenerate."""
     if n.degree < 1:
         raise PeelError("constant loops admit no peeling step")
     a = n.a[-1]
     b = n.b[-1]
     scale = n.norm()
-    if np.linalg.norm(a) <= rtol * scale or np.linalg.norm(b) <= rtol * scale:
+    if np.linalg.norm(a) <= 1e-12 * scale or np.linalg.norm(b) <= 1e-12 * scale:
         raise PeelError(
             "top harmonic pair is degenerate (a vanishing cosine or sine component); "
             "no plane rotation lowers the degree"
@@ -136,7 +136,7 @@ def top_harmonic_basis(n, rtol=1e-12):
     return a, b
 
 
-def peel(n, radius=None):
+def peel(n):
     """One degree-lowering step.
 
     Returns (factor, lowered) with factor a PlaneRotation such that applying
@@ -199,7 +199,7 @@ def compose(factorization):
     return n
 
 
-def is_singular_rotation(rot, n, rtol=1e-10):
+def is_singular_rotation(rot, n):
     """Whether the rotation lowers (rather than raises) the degree of the loop.
 
     With an orthonormal basis (u, w) of the rotation plane oriented so that
@@ -217,7 +217,7 @@ def is_singular_rotation(rot, n, rtol=1e-10):
     z_plane = u + 1j * w
     val = abs(np.sum(z_loop * z_plane))
     scale = np.linalg.norm(z_loop) * np.linalg.norm(z_plane)
-    return val <= rtol * scale
+    return val <= 1e-10 * scale
 
 
 @dataclass(frozen=True)

@@ -129,11 +129,9 @@ def trig_poly(v, a=None, b=None):
     return TrigPolyVec(v=v, a=a, b=b)
 
 
-def to_exponential(n, order=None):
-    """Complex coefficients c[m+order] for m = -order..order, c_0 = v."""
-    order = n.degree if order is None else order
-    if order < n.degree:
-        raise ValueError("exponential order must be at least the degree")
+def to_exponential(n):
+    """Complex coefficients c[m+N] for m = -N..N (N the degree), c_0 = v."""
+    order = n.degree
     d = n.ambient_dim
     c = np.zeros((2 * order + 1, d), dtype=complex)
     c[order] = n.v

@@ -195,10 +195,21 @@ def test_validation_errors(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
     assert "k = 2" in err
+    # A solver flag out of range exits 2 naming the value, with no warning.
+    for argv, value in (("spectrum --k 3 --neigs 0 --levels 2 --tol 1e-3", "got 0"),
+                        ("spectrum --k 3 --neigs -1 --levels 2 --tol 1e-3", "got -1"),
+                        ("spectrum --k 3 --levels 2 --tol nan", "got nan"),
+                        ("gap --k 5 --levels 2 --tol nan", "got nan")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv.split())
+        assert code == 2 and out == "" and caught == [], (argv, err)
+        assert value in err, (argv, err)
     # Unknown flags abort argument parsing.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["classify", "--bogus", "3"])
-    assert exc.value.code == 2
+    for argv in (["classify", "--bogus", "3"], ["gap", "--k", "5", "--neigs", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -363,8 +374,9 @@ def test_fast_subcommands_exit_documented_codes_with_strict_json(command, k, deg
 @given(k=st.integers(2, 6), radius=st.floats(math.log(0.25), math.log(4.0)).map(math.exp),
        neigs=st.integers(1, 2))
 def test_solver_subcommands_exit_documented_codes_with_strict_json(command, k, radius, neigs):
-    argv = [command, f"--k={k}", f"--R={radius!r}", "--levels=2", "--tol=1e-3",
-            f"--neigs={neigs}"]
+    argv = [command, f"--k={k}", f"--R={radius!r}", "--levels=2", "--tol=1e-3"]
+    if command == "spectrum":
+        argv.append(f"--neigs={neigs}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

@@ -45,8 +45,17 @@ def test_prufer_mismatch_increasing_in_lambda():
 
 
 def test_cross_validation_against_fd():
-    vals = radial.solve_truncated(const_problem(), 0.0, 1.0, count=2, cross_validate=True)
+    vals = radial.solve_truncated(const_problem(), 0.0, 1.0, count=2)
+    oracle = radial.solve_truncated_fd(const_problem(), 0.0, 1.0, count=2)
+    assert np.max(np.abs(vals - oracle) / (1.0 + np.abs(oracle))) <= 1e-5
     assert np.allclose(vals, [math.pi**2, 4 * math.pi**2], rtol=1e-8)
+
+
+def test_problem_without_coefficients_names_what_is_missing():
+    with pytest.raises(ValueError, match="missing p, q, w"):
+        radial.SLProblem(interval=(0.0, 1.0))
+    with pytest.raises(ValueError, match="missing w"):
+        radial.SLProblem(p=lambda t: 1.0, q=lambda t: 0.0, interval=(0.0, 1.0))
 
 
 def test_each_lambda_is_integrated_once_per_solve(monkeypatch):
@@ -136,9 +145,9 @@ def assemble_per_row(prob, x, bc):
     m = len(x)
     hseg = np.diff(x)
     xm = 0.5 * (x[:-1] + x[1:])
-    pm = np.array([prob.p(xi) for xi in xm])
-    qv = np.array([prob.q(xi) for xi in x])
-    wv = np.array([prob.w(xi) for xi in x])
+    pm = np.array([prob.coeffs(xi)[0] for xi in xm])
+    qv = np.array([prob.coeffs(xi)[1] for xi in x])
+    wv = np.array([prob.coeffs(xi)[2] for xi in x])
     flux = pm / hseg
     keep_left = bc[0] == "flux"
     keep_right = bc[1] == "flux"
@@ -211,10 +220,10 @@ def test_analytic_derivatives_match_finite_differences():
         for frac in (0.2, 0.5, 0.8):
             t = lo + frac * (hi - lo)
             h = 1e-6 * (hi - lo)
-            for f, df in ((prob.p, prob.dp), (prob.q, prob.dq), (prob.w, prob.dw)):
-                fd = (f(t + h) - f(t - h)) / (2.0 * h)
-                scale = max(abs(fd), abs(f(t)) / (hi - lo), 1e-12)
-                assert abs(df(t) - fd) < 1e-5 * scale
+            for i in range(3):
+                fd = (prob.coeffs(t + h)[i] - prob.coeffs(t - h)[i]) / (2.0 * h)
+                scale = max(abs(fd), abs(prob.coeffs(t)[i]) / (hi - lo), 1e-12)
+                assert abs(prob.coeffs(t)[i + 3] - fd) < 1e-5 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +273,7 @@ def test_liouville_isospectral_on_matched_truncations():
 def test_veff_closed_form_vs_generic_transform():
     for k in (2, 3, 5):
         params = manifold.ModelParams(k=k, R=1.0)
-        veff = radial.liouville_potential(params)
+        veff = radial.EffectivePotential(params)
         hi = math.pi * params.R / 2.0
         for frac in np.linspace(0.1, 0.9, 9):
             tau = frac * hi
@@ -275,7 +284,7 @@ def test_veff_closed_form_vs_generic_transform():
 
 def test_veff_lambda_shift_identity():
     params = manifold.ModelParams(k=4, R=0.7)
-    veff = radial.liouville_potential(params)
+    veff = radial.EffectivePotential(params)
     for tau in (0.2, 0.5, 0.9):
         for lam in (0.0, 3.0, 11.0):
             assert abs(veff.lambda_shift_residual(tau, lam)) < 1e-10
