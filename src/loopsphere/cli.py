@@ -30,7 +30,9 @@ import sys
 
 import numpy as np
 
-from . import angular, curvature, manifold, radial, resolution, trigpoly
+# The radial subcommands import `radial` themselves, so that the others start
+# without loading scipy.
+from . import angular, curvature, manifold, resolution, trigpoly
 from .prng import SplitMix64
 
 EXIT_OK = 0
@@ -152,6 +154,8 @@ def _params(args):
 
 
 def _cmd_spectrum(args):
+    from . import radial
+
     params = _params(args)
     if args.l is not None:
         prob = radial.coefficients_with_harmonics(params, args.l, args.s or 0)
@@ -169,6 +173,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_gap(args):
+    from . import radial
+
     params = _params(args)
     rep = radial.gap_analysis(params, tol=args.tol, levels=args.levels)
     record = {
@@ -194,6 +200,8 @@ def _cmd_gap(args):
 
 
 def _cmd_classify(args):
+    from . import radial
+
     params = _params(args)
     reports = radial.classify_endpoints(params)
     header = ["endpoint", "kind", "mu1", "mu2", "log_case"]
@@ -206,6 +214,8 @@ def _cmd_classify(args):
 
 
 def _cmd_frobenius(args):
+    from . import radial
+
     params = _params(args)
     prob = radial.coefficients(params)
     header = ["endpoint", "mu1", "mu2", "log_case"]
@@ -218,6 +228,8 @@ def _cmd_frobenius(args):
 
 
 def _cmd_veff(args):
+    from . import radial
+
     params = _params(args)
     veff = radial.EffectivePotential(params)
     hi = np.pi * params.R / 2.0

@@ -19,7 +19,7 @@ the scalar volume weights, and the total Riemannian volume.
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class ModelParams:
     k: int
     R: float = 1.0
     L: float = 1.0
+    # c_k of `weight_prefactor`, computed once at construction, or None where
+    # its power of 2 overflows a double (k > 410); not part of the identity.
+    prefactor: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 2:
@@ -66,6 +69,11 @@ class ModelParams:
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "R", float(self.R))
         object.__setattr__(self, "L", float(self.L))
+        try:
+            prefactor = weight_prefactor(self)
+        except OverflowError:
+            prefactor = None
+        object.__setattr__(self, "prefactor", prefactor)
 
 
 class Stratum(enum.Enum):
@@ -183,12 +191,20 @@ def weight_prefactor(params):
 
 
 def weight_alg(t, params):
-    """Scalar radial volume weight in the coordinate t in (0, 1); t a float or an ndarray."""
-    if not numerics._inside(t, 0.0, 1.0):
+    """Scalar radial volume weight in the coordinate t in (0, 1); t a float or an ndarray.
+
+    The prefactor is `params.prefactor`; the powers go through the C
+    library's pow for either argument type (see numerics._power).
+    """
+    array = isinstance(t, np.ndarray)
+    if not (numerics._inside(t, 0.0, 1.0) if array else 0.0 < t < 1.0):
         raise ValueError(f"weight_alg requires t in the open interval (0, 1), got {t}")
+    prefactor = params.prefactor
+    if prefactor is None:
+        prefactor = weight_prefactor(params)  # raises the OverflowError
+    pw = np.float_power if array else pow
     k = params.k
-    return (weight_prefactor(params) * numerics._power(t, (k - 3) / 2.0)
-            * numerics._power(1.0 - t, k - 2) * (1.0 + t))
+    return prefactor * pw(t, (k - 3) / 2.0) * pw(1.0 - t, k - 2) * (1.0 + t)
 
 
 def weight_trig(tau, params):

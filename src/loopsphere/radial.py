@@ -31,11 +31,19 @@ returns (p, q, w, p', q', w') at a float or an ndarray t.  The shooting
 integrator calls it with one float per right-hand-side evaluation; the
 finite-difference oracle, the convexity probe and the Hardy check call it
 once on a whole mesh.  For the algebraic-coordinate problems the array and
-float evaluations agree bit for bit.  Each Prufer integration leg is one
-LSODA call through scipy's odeint, whose C port of ODEPACK writes to no file
-descriptor: a failed leg comes back in `infodict["message"]`, which the
-integrator raises as a RuntimeError, and odeint's ODEintWarning reaches the
-caller's warning filters untouched.
+float evaluations agree bit for bit.  The float calls dominate the cost of a
+solve (about 160 000 of them for `gap --k 5 --R 0.5 --levels 3`), so every
+constant factor of a formula is computed once per problem, when it is built
+(`ModelParams.prefactor`, the V_eff numerator and 4 R^2, the scales of p, q
+and of the harmonic term), and each evaluation chooses its float or array
+operations once.  On a shared 2-core x86-64 VM with Python 3.11 a float
+right-hand side then costs 2-4 us for the Liouville form and for bare
+callables, 3-5 us in the algebraic coordinate and 5-9 us with the k = 2
+harmonic term (the host's speed varies by up to 2x).
+Each Prufer integration leg is one LSODA call through scipy's odeint, whose C
+port of ODEPACK writes to no file descriptor: a failed leg comes back in
+`infodict["message"]`, which the integrator raises as a RuntimeError, and
+odeint's ODEintWarning reaches the caller's warning filters untouched.
 
 Eigenvalue normalization: `SpectrumResult.eigenvalues` stores Lambda / R^2
 (the coupling-normalized values); `raw` stores the Sturm-Liouville
@@ -105,26 +113,26 @@ class SLProblem:
 def _composed_coeffs(prob):
     """The (p, q, w, p', q', w') entry point of a problem given by callables."""
     lo, hi = prob.interval
+    p, q, w = funcs = (prob.p, prob.q, prob.w)
 
     def at(f, t):
         value = f(t)
-        if isinstance(t, np.ndarray) and np.ndim(value) == 0:
-            return np.full(t.shape, value, dtype=float)
-        return value
+        return np.full(t.shape, value, dtype=float) if np.ndim(value) == 0 else value
 
-    def central(f, t):
+    def coeffs(t):
+        # One step h per t serves all three central differences.
         if isinstance(t, np.ndarray):
             h = 1e-6 * np.minimum(t - lo, hi - t)
             step = np.where(h > 0.0, h, 1.0)
-            slope = (at(f, t + step) - at(f, t - step)) / (2.0 * step)
-            return np.where(h > 0.0, slope, 0.0)
+            up, down, width = t + step, t - step, 2.0 * step
+            return (*[at(f, t) for f in funcs],
+                    *[np.where(h > 0.0, (at(f, up) - at(f, down)) / width, 0.0) for f in funcs])
         h = 1e-6 * min(t - lo, hi - t)
-        return (f(t + h) - f(t - h)) / (2.0 * h) if h > 0.0 else 0.0
-
-    funcs = (prob.p, prob.q, prob.w)
-
-    def coeffs(t):
-        return tuple(at(f, t) for f in funcs) + tuple(central(f, t) for f in funcs)
+        if not h > 0.0:
+            return p(t), q(t), w(t), 0.0, 0.0, 0.0
+        up, down, width = t + h, t - h, 2.0 * h
+        return (p(t), q(t), w(t),
+                (p(up) - p(down)) / width, (q(up) - q(down)) / width, (w(up) - w(down)) / width)
 
     return coeffs
 
@@ -132,15 +140,20 @@ def _composed_coeffs(prob):
 def coefficients(params):
     """The radial problem on (0, 1) in the algebraic coordinate."""
     k, R = params.k, params.R
+    # The constant left-hand factors of the products below, computed once.
+    p_scale, q_scale = 4.0 / R**2, R**2
+    left_exp, right_exp = k - 3, k - 2
 
     def coeffs(t):
         w = manifold.weight_alg(t, params)
-        p = 4.0 / R**2 * t * (1.0 - t) * w
-        q = R**2 * (1.0 - t) * w
+        u = 1.0 - t
+        p = p_scale * t * u * w
+        q = q_scale * u * w
         # Logarithmic derivative of the weight c t^((k-3)/2) (1-t)^(k-2) (1+t).
-        dlogw = (k - 3) / (2.0 * t) - (k - 2) / (1.0 - t) + 1.0 / (1.0 + t)
-        dp = p * (dlogw + 1.0 / t - 1.0 / (1.0 - t))
-        dq = q * (dlogw - 1.0 / (1.0 - t))
+        dlogw = left_exp / (2.0 * t) - right_exp / u + 1.0 / (1.0 + t)
+        inv_u = 1.0 / u
+        dp = p * (dlogw + 1.0 / t - inv_u)
+        dq = q * (dlogw - inv_u)
         return p, q, w, dp, dq, w * dlogw
 
     return SLProblem(coeffs=coeffs, interval=(0.0, 1.0), name=f"radial-k{k}", params=params)
@@ -160,14 +173,17 @@ def coefficients_with_harmonics(params, l, s):
 
     base = coefficients(params).coeffs
     R = params.R
+    # The constant left-hand factors of d(ang)/dt, computed once.
+    casimir, casimir_scale, weight2, r2 = -4.0 * l * (2 * l + 1), 3.0 * R**2, s**2, R**2
 
     def coeffs(t):
         p, q, w, dp, dq, dw = base(t)
         ang = angular.angular_eigenvalue_k2(l, s, t, R)
+        pw = np.float_power if isinstance(t, np.ndarray) else pow  # as numerics._power
+        t2 = pw(t, 2)
         dang = (
-            -4.0 * l * (2 * l + 1) / (3.0 * R**2 * numerics._power(1.0 + t, 2))
-            + s**2 * (3.0 * numerics._power(t, 2) - 2.0 * t + 3.0)
-            / (R**2 * numerics._power(1.0 - numerics._power(t, 2), 2))
+            casimir / (casimir_scale * pw(1.0 + t, 2))
+            + weight2 * (3.0 * t2 - 2.0 * t + 3.0) / (r2 * pw(1.0 - t2, 2))
         )
         return p, q + ang * w, w, dp, dq + dang * w + ang * dw, dw
 
@@ -329,13 +345,15 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
     """
     lo_int, hi_int = prob.interval
     coeffs = prob.coeffs
+    cos, sin, sqrt, exp = math.cos, math.sin, math.sqrt, math.exp
 
     def slope(t, y):
-        c = math.cos(y[0])
-        s = math.sin(y[0])
+        phi = y[0]
+        c = cos(phi)
+        s = sin(phi)
         pv, qv, wv, dpv, dqv, dwv = coeffs(t)
         bal = wv + abs(qv)
-        sig = math.sqrt(pv * bal)
+        sig = sqrt(pv * bal)
         sgn = 1.0 if qv > 0.0 else (-1.0 if qv < 0.0 else 0.0)
         dlog = 0.5 * (dpv / pv + (dwv + sgn * dqv) / bal)
         return sig / pv * c * c + (lam * wv - qv) / sig * s * s + dlog * s * c
@@ -348,9 +366,8 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
         sign = 1.0 if anchor == lo_int else -1.0
 
         def rhs(u, y):
-            d = math.exp(u)
-            t = anchor + sign * d
-            return sign * d * slope(t, y)
+            dt_du = sign * exp(u)
+            return dt_du * slope(anchor + dt_du, y)
 
         # Catastrophic cancellation in t - endpoint makes the coefficient
         # values noisy at relative level ~ eps/d deep in the layer; the angle
@@ -489,7 +506,9 @@ def solve_truncated_fd(prob, a, b, count=2, bc=("dirichlet", "dirichlet"),
     Conservative scheme for -(p f')' + q f = lam w f with midpoint p values
     on a uniform mesh of npoints nodes.  Flux boundary nodes carry half-cell
     masses.  With richardson=True the second-order error in the mesh
-    parameter is eliminated from runs at npoints and 2*npoints-1.
+    parameter is eliminated from runs at npoints and 2*npoints-1.  LAPACK
+    bisection (?stebz) gives the lowest `count` eigenvalues only; no
+    eigenvectors are computed.
     """
 
     def solve_once(m):
@@ -498,10 +517,9 @@ def solve_truncated_fd(prob, a, b, count=2, bc=("dirichlet", "dirichlet"),
         dinv = 1.0 / np.sqrt(mass)
         sym_diag = diag * dinv**2
         sym_off = off * dinv[:-1] * dinv[1:]
-        vals = eigh_tridiagonal(
-            sym_diag, sym_off, select="i", select_range=(0, count - 1)
-        )[0]
-        return vals
+        return eigh_tridiagonal(
+            sym_diag, sym_off, eigvals_only=True, select="i", select_range=(0, count - 1)
+        )
 
     v1 = solve_once(npoints)
     if not richardson:
@@ -640,13 +658,16 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
     The truncations are `default_schedule(prob, levels)`.  Convergence is
     declared when the last two Aitken-accelerated rows agree to `tol`
     relative (the per-eigenvalue `residual`); `tol` must be finite and
-    positive.  For problems whose endpoint classification makes the flux
-    condition a genuine boundary-condition choice (limit circle at both ends
-    reachable by several extensions), convergence to the intended extension
-    is flagged as proven only in the regular/limit-point cases.
+    positive, and `levels` at least 2.  For problems whose endpoint
+    classification makes the flux condition a genuine boundary-condition
+    choice (limit circle at both ends reachable by several extensions),
+    convergence to the intended extension is flagged as proven only in the
+    regular/limit-point cases.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"convergence tolerance must be finite and > 0, got {tol}")
+    if levels < 2:
+        raise ValueError(f"need at least two truncation levels to accelerate, got {levels}")
     kinds = _endpoint_kinds(prob)
     if bc is None:
         bc = _bc_for(kinds)
@@ -749,15 +770,20 @@ class EffectivePotential:
     """V_eff(tau) of the Liouville normal form on (0, pi R / 2).
 
     `value` and `value_and_derivative` take a float or an ndarray tau.  The
-    coefficients of the numerator polynomial A are computed once, at
-    construction.
+    coefficients of the numerator polynomial A, the interval end pi R / 2 and
+    the factor 4 R^2 of both denominators are computed once, at construction.
     """
 
     params: ModelParams
     poly: tuple = field(init=False, repr=False, compare=False)
+    hi: float = field(init=False, repr=False, compare=False)
+    four_r2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "poly", tuple(_veff_poly_coeffs(self.params.k, self.params.R)))
+        R = self.params.R
+        object.__setattr__(self, "poly", tuple(_veff_poly_coeffs(self.params.k, R)))
+        object.__setattr__(self, "hi", math.pi * R / 2.0)
+        object.__setattr__(self, "four_r2", 4.0 * R**2)
 
     def value_and_derivative(self, tau):
         """V_eff and dV_eff/dtau, sharing one validation and one sine.
@@ -766,33 +792,40 @@ class EffectivePotential:
         exact derivative the rational form in y = 1 / sin(tau / R)^2; the two
         squares differ in rounding, and each form keeps its own.
         """
-        R = self.params.R
-        hi = math.pi * R / 2.0
-        if not numerics._inside(tau, 0.0, hi):
+        R, hi, four_r2 = self.params.R, self.hi, self.four_r2
+        array = isinstance(tau, np.ndarray)
+        if not (numerics._inside(tau, 0.0, hi) if array else 0.0 < tau < hi):
             raise ValueError(f"tau must lie in (0, {hi}), got {tau}")
-        sin, tan, pw = _ARRAY_OPS if isinstance(tau, np.ndarray) else _FLOAT_OPS
-        s = sin(tau / R)
+        sin, tan, pw = _ARRAY_OPS if array else _FLOAT_OPS
+        z = tau / R
+        s = sin(z)
         try:
             x = 1.0 / s
         except ZeroDivisionError:  # tau / R underflows to 0 (an array gives inf)
             x = math.inf
         x2 = x * x
-        den = 4.0 * R**2 * x2 * (x2 - 1.0) * pw(x2 + 1.0, 2)
+        den = four_r2 * x2 * (x2 - 1.0) * pw(x2 + 1.0, 2)
         # x2 >= 1, so den >= 0 and vanishes only where sin(tau / R) rounds to 1;
         # it is infinite where x2 overflows, before sin(tau / R)^2 underflows.
-        if not numerics._inside(den, 0.0, math.inf):
+        if not (numerics._inside(den, 0.0, math.inf) if array else 0.0 < den < math.inf):
             raise ValueError(f"potential pole at tau={tau}")
         y = 1.0 / pw(s, 2)
-        # Horner's rule for A(x2), and for A(y) with its derivative A'(y).
-        num = ynum = ydnum = 0.0
-        for c in self.poly:
-            num = num * x2 + c
-            ydnum = ydnum * y + ynum
-            ynum = ynum * y + c
-        yden = 4.0 * R**2 * (((y + 1.0) * y - 1.0) * y - 1.0) * y
-        ydden = 4.0 * R**2 * ((4.0 * y + 3.0) * y - 2.0) * y - 4.0 * R**2
+        # Horner's rule for A(x2), and for A(y) with its derivative A'(y),
+        # unrolled.  Each recurrence starts at 0, and its first step 0 * x + c0
+        # is c0: x2 and y are finite once the pole check passes, and c0 is
+        # never -0.0.
+        c0, c1, c2, c3, c4, c5 = self.poly
+        num = ((((c0 * x2 + c1) * x2 + c2) * x2 + c3) * x2 + c4) * x2 + c5
+        y1 = c0 * y + c1
+        y2 = y1 * y + c2
+        y3 = y2 * y + c3
+        y4 = y3 * y + c4
+        ynum = y4 * y + c5
+        ydnum = (((c0 * y + y1) * y + y2) * y + y3) * y + y4
+        yden = four_r2 * (((y + 1.0) * y - 1.0) * y - 1.0) * y
+        ydden = four_r2 * ((4.0 * y + 3.0) * y - 2.0) * y - four_r2
         dv_dy = (ydnum * yden - ynum * ydden) / pw(yden, 2)
-        dy_dtau = -2.0 * y / (R * tan(tau / R))
+        dy_dtau = -2.0 * y / (R * tan(z))
         return num / den, dv_dy * dy_dtau
 
     def value(self, tau):

@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import math
+import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +180,7 @@ def test_curvature_report(tmp_path, capsys):
     assert rec["scalar_trace_residual"] < 1e-9
 
 
-def test_validation_errors(tmp_path, capsys):
+def test_validation_errors(tmp_path, capsys, monkeypatch):
     # Malformed loop JSON names the offending field and exits 2.
     path = tmp_path / "bad.json"
     path.write_text('{"k": 2, "N": 1, "R": 1.0, "v": [0.0], "a": [], "b": []}')
@@ -205,12 +207,37 @@ def test_validation_errors(tmp_path, capsys):
             code, out, err = run(capsys, argv.split())
         assert code == 2 and out == "" and caught == [], (argv, err)
         assert value in err, (argv, err)
+    # Fewer than two truncation levels are refused before any endpoint is
+    # classified or any truncation solved.
+    def no_work(*args, **kwargs):
+        raise AssertionError("solver work started")
+
+    monkeypatch.setattr(radial, "classify_endpoint", no_work)
+    monkeypatch.setattr(radial, "solve_truncated", no_work)
+    for argv, value in (("spectrum --k 3 --levels 1 --tol 1e-3", "got 1"),
+                        ("gap --k 5 --levels 0 --tol 1e-3", "got 0")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv.split())
+        assert code == 2 and out == "" and caught == [], (argv, err)
+        assert value in err, (argv, err)
+    monkeypatch.undo()
     # Unknown flags abort argument parsing.
     for argv in (["classify", "--bogus", "3"], ["gap", "--k", "5", "--neigs", "3"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_start_up_and_non_radial_commands_leave_scipy_unimported():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import loopsphere.cli as cli; "
+            "cli.build_parser(); assert cli.main(['ricci', '--k', '2', '--t', '0.5']) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          check=True)
+    assert proc.stderr.strip() == "[]"
 
 
 def test_unrepresentable_volume_exits_2_naming_the_value(capsys):

@@ -102,6 +102,26 @@ def test_weight_prefactor_value():
     )
 
 
+def test_stored_prefactor_leaves_the_parameters_identity_alone():
+    params = manifold.ModelParams(k=3, R=2.0)
+    assert params.prefactor == manifold.weight_prefactor(params)
+    assert repr(params) == "ModelParams(k=3, R=2.0, L=1.0)"
+    twin = manifold.ModelParams(k=3.0, R=2)
+    assert twin == params and hash(twin) == hash(params)
+    assert manifold.ModelParams(k=3, R=2.5) != params
+
+
+def test_weight_with_an_overflowing_prefactor_raises_on_use():
+    # 2^((5k-3)/2) overflows a double above k = 410; the parameters stay valid
+    # for the commands that never take the weight.
+    params = manifold.ModelParams(k=411)
+    assert params.prefactor is None
+    with pytest.raises(ValueError, match="open interval"):
+        manifold.weight_alg(1.5, params)
+    with pytest.raises(OverflowError):
+        manifold.weight_alg(0.5, params)
+
+
 def test_metric_omega_structure():
     params = manifold.ModelParams(k=5, R=2.0)
     block = manifold.metric_omega(0.3, params)

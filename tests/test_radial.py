@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from loopsphere import manifold, radial
 
@@ -180,6 +181,155 @@ def test_vectorized_fd_assembly_matches_per_row_reference():
         want = assemble_per_row(prob, x, bc)
         for g_part, w_part in zip(got, want):
             assert np.array_equal(g_part, w_part), bc
+
+
+# ---------------------------------------------------------------------------
+# Reference float arithmetic of the coefficients
+#
+# The library computes constant factors once per problem, unrolls Horner's
+# rule and dispatches on the argument type once per call.  The references
+# below evaluate the same formulas the plain way, one float at a time, with
+# every constant recomputed on each call; the library must match them bit
+# for bit.
+# ---------------------------------------------------------------------------
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def reference_weight_alg(t, params):
+    k, R = params.k, params.R
+    return (R ** (3 * k - 2) / 2 ** ((5 * k - 3) / 2) * t ** ((k - 3) / 2.0)
+            * (1.0 - t) ** (k - 2) * (1.0 + t))
+
+
+def reference_algebraic(params):
+    k, R = params.k, params.R
+
+    def coeffs(t):
+        w = reference_weight_alg(t, params)
+        p = 4.0 / R**2 * t * (1.0 - t) * w
+        q = R**2 * (1.0 - t) * w
+        dlogw = (k - 3) / (2.0 * t) - (k - 2) / (1.0 - t) + 1.0 / (1.0 + t)
+        dp = p * (dlogw + 1.0 / t - 1.0 / (1.0 - t))
+        dq = q * (dlogw - 1.0 / (1.0 - t))
+        return p, q, w, dp, dq, w * dlogw
+
+    return coeffs
+
+
+def reference_harmonic(params, l, s):
+    base = reference_algebraic(params)
+    R = params.R
+
+    def coeffs(t):
+        p, q, w, dp, dq, dw = base(t)
+        ang = (4.0 * l * (2 * l + 1) / (3.0 * R**2 * (1.0 + t))
+               + s**2 * (3.0 * t - 1.0) / (R**2 * (1.0 - t**2)))
+        dang = (-4.0 * l * (2 * l + 1) / (3.0 * R**2 * (1.0 + t) ** 2)
+                + s**2 * (3.0 * t**2 - 2.0 * t + 3.0) / (R**2 * (1.0 - t**2) ** 2))
+        return p, q + ang * w, w, dp, dq + dang * w + ang * dw, dw
+
+    return coeffs
+
+
+def reference_liouville(params):
+    k, R = params.k, params.R
+
+    def coeffs(tau):
+        s = math.sin(tau / R)
+        x = 1.0 / s
+        x2 = x * x
+        den = 4.0 * R**2 * x2 * (x2 - 1.0) * (x2 + 1.0) ** 2
+        y = 1.0 / s**2
+        num = ynum = ydnum = 0.0
+        for c in radial._veff_poly_coeffs(k, R):
+            num = num * x2 + c
+            ydnum = ydnum * y + ynum
+            ynum = ynum * y + c
+        yden = 4.0 * R**2 * (((y + 1.0) * y - 1.0) * y - 1.0) * y
+        ydden = 4.0 * R**2 * ((4.0 * y + 3.0) * y - 2.0) * y - 4.0 * R**2
+        dv_dy = (ydnum * yden - ynum * ydden) / yden**2
+        dy_dtau = -2.0 * y / (R * math.tan(tau / R))
+        return 1.0, num / den, 1.0, 0.0, dv_dy * dy_dtau, 0.0
+
+    return coeffs
+
+
+def reference_composed(funcs, lo, hi):
+    def central(f, t):
+        h = 1e-6 * min(t - lo, hi - t)
+        return (f(t + h) - f(t - h)) / (2.0 * h) if h > 0.0 else 0.0
+
+    return lambda t: tuple(f(t) for f in funcs) + tuple(central(f, t) for f in funcs)
+
+
+CALLABLES = (lambda t: 1.0 + t * t, lambda t: 3.0 * t - 1.0, lambda t: 2.0 - t)
+
+
+def problems_with_references():
+    """(problem, reference coeffs, truncation (a, b)) for each problem kind."""
+    out = []
+    for k, R in ((2, 0.75), (3, 1.25), (5, 0.6), (7, 0.9)):
+        params = manifold.ModelParams(k=k, R=R)
+        out.append((radial.coefficients(params), reference_algebraic(params), (1e-4, 1.0 - 1e-3)))
+        lp = radial.liouville_problem(params)
+        hi = lp.interval[1]
+        out.append((lp, reference_liouville(params), (1e-3 * hi, hi - 1e-3 * hi)))
+    for l, s in ((1, 0), (2, 1)):
+        params = manifold.ModelParams(k=2, R=0.75)
+        out.append((radial.coefficients_with_harmonics(params, l, s),
+                    reference_harmonic(params, l, s), (1e-3, 1.0 - 1e-3)))
+    for funcs in (CALLABLES, (lambda t: 1.0, lambda t: 0.0, lambda t: 1.0)):
+        prob = radial.SLProblem(p=funcs[0], q=funcs[1], w=funcs[2], interval=(0.0, 1.0))
+        out.append((prob, reference_composed(funcs, 0.0, 1.0), (0.0, 1.0)))
+    return out
+
+
+def test_float_coefficients_equal_reference_arithmetic_bitwise():
+    for prob, reference, _ in problems_with_references():
+        lo, hi = prob.interval
+        xs = [float(x) for x in graded_points(lo, hi)]
+        if prob.p is not None:  # bare callables are also evaluated at the ends
+            xs += [lo, hi]
+        for x in xs:
+            assert bits(prob.coeffs(x)) == bits(reference(x)), (prob.name, x)
+
+
+def test_matching_function_equals_reference_arithmetic_bitwise():
+    # The algebraic truncation starts at 1e-4, inside the log-distance legs.
+    for prob, reference, (a, b) in problems_with_references():
+        twin = radial.SLProblem(coeffs=reference, interval=prob.interval)
+        lam = 2.0 + 3.0 * (prob.params.R if prob.params else 1.0)
+        got = radial.prufer_mismatch(prob, a, b, lam)
+        assert got.hex() == radial.prufer_mismatch(twin, a, b, lam).hex(), prob.name
+
+
+def test_fd_eigenvalues_equal_the_eigenvector_solve_bitwise(monkeypatch):
+    # The Liouville-form solves of the benchmark: eigenvalues only must equal
+    # the eigenvalues of a solve that also returns eigenvectors.
+    def solve_all():
+        out = []
+        for k in range(2, 8):
+            for R in (0.5, 0.75, 1.0):
+                params = manifold.ModelParams(k=k, R=R)
+                lo = manifold.tau_of_t(1e-3, params)
+                hi = manifold.tau_of_t(1.0 - 1e-3, params)
+                vals = radial.solve_truncated_fd(radial.liouville_problem(params), lo, hi,
+                                                 count=5, bc=("dirichlet", "dirichlet"),
+                                                 npoints=2000)
+                out.append(((k, R), bits(vals)))
+        return out
+
+    eigenvalues_only = solve_all()
+
+    def eigh_with_vectors(d, e, eigvals_only, **kwargs):
+        assert eigvals_only
+        return eigh_tridiagonal(d, e, **kwargs)[0]
+
+    monkeypatch.setattr(radial, "eigh_tridiagonal", eigh_with_vectors)
+    assert solve_all() == eigenvalues_only
 
 
 # ---------------------------------------------------------------------------
