@@ -16,6 +16,9 @@ Subcommands map one-to-one onto the library modules:
     check        constraint residual, degree, and stratum of a loop
     random-loop  seeded random sphere-valued loop of prescribed degree
 
+`main` builds the parser of the invoked subcommand only; help and a missing
+or unknown command get the parser of all twelve.
+
 Exit codes: 0 success, 2 validation error (bad flags, malformed input, or a
 result that a double cannot represent), 3 numeric diagnostic failure.
 Output is JSON (default) or CSV with floats at 17 significant digits;
@@ -54,25 +57,16 @@ def _fmt(value):
     return str(value)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars, the values json cannot encode itself."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dumps(obj, **kwargs):
     """Strict JSON text; a NaN or infinite value raises ValueError."""
-    return json.dumps(_jsonable(obj), allow_nan=False, **kwargs)
+    return json.dumps(obj, allow_nan=False, default=_json_default, **kwargs)
 
 
 def _write(text, output):
@@ -285,7 +279,7 @@ def _cmd_curvature(args):
         "scalar": rep.scalar,
         "mean_sq": rep.mean_sq,
         "ricci_min": rep.ricci_min,
-        "ricci_eigenvalues": sorted(np.linalg.eigvalsh(rep.ricci_matrix).tolist()),
+        "ricci_eigenvalues": rep.ricci_eigenvalues.tolist(),
         "leung_rhs": rep.leung_rhs,
         "condition_gram": rep.condition_gram,
         "scalar_terms": rep.scalar_terms,
@@ -347,7 +341,7 @@ def _cmd_angular(args):
 
 def _cmd_factorize(args):
     data = json.loads(_read_input(args.input))
-    if "rotations" in data:
+    if isinstance(data, dict) and "rotations" in data:
         fact = resolution.rotations_from_dict(data)
         n = resolution.compose(fact)
         _write(_dumps(trigpoly.loop_to_dict(n, fact.radius), indent=2) + "\n", args.output)
@@ -391,96 +385,76 @@ def _cmd_random_loop(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, *, k=False, R=False, L=False, t=False, tau=False,
-                ls=False, eigs=False, io_in=False, seed=False, N=False):
-    if k:
+# name, help, `_add_common` flags, handler
+_COMMANDS = (
+    ("spectrum", "radial eigenvalues by shrinking truncations", "k R L ls eigs neigs",
+     _cmd_spectrum),
+    ("gap", "spectral-gap report", "k R L eigs", _cmd_gap),
+    ("classify", "endpoint classification", "k R L", _cmd_classify),
+    ("frobenius", "indicial exponents at both endpoints", "k R L", _cmd_frobenius),
+    ("veff", "Liouville-form effective potential", "k R L tau", _cmd_veff),
+    ("volume", "Riemannian volume, quadrature vs closed form", "k R L", _cmd_volume),
+    ("curvature", "curvature report at a loop", "input", _cmd_curvature),
+    ("ricci", "closed-form Ricci tables", "k R t", _cmd_ricci),
+    ("angular", "angular eigenvalues and multiplicities", "k R t ls", _cmd_angular),
+    ("factorize", "loop <-> plane-rotation factorization", "input", _cmd_factorize),
+    ("check", "constraint residual and stratum of a loop", "input", _cmd_check),
+    ("random-loop", "seeded random sphere-valued loop", "k R seed N", _cmd_random_loop),
+)
+_NAMES = tuple(row[0] for row in _COMMANDS)
+
+
+def _add_common(sub, flags):
+    if "k" in flags:
         sub.add_argument("--k", type=int, required=True, help="sphere dimension (>= 2)")
-    if R:
+    if "R" in flags:
         sub.add_argument("--R", type=float, default=1.0, help="sphere radius (> 0)")
-    if L:
+    if "L" in flags:
         sub.add_argument("--L", type=float, default=1.0, help="coupling scale (> 0)")
-    if t:
+    if "t" in flags:
         sub.add_argument("--t", type=float, required=True, help="radial coordinate in (0, 1)")
-    if tau:
+    if "tau" in flags:
         sub.add_argument("--tau", type=float, default=None, help="arclength coordinate in (0, pi R / 2)")
-    if ls:
+    if "ls" in flags:
         sub.add_argument("--l", type=int, default=None, help="representation label")
         sub.add_argument("--s", type=int, default=None, help="weight / second representation label")
-    if eigs:
+    if "eigs" in flags:
         sub.add_argument("--tol", type=float, default=1e-6, help="relative convergence tolerance")
         sub.add_argument("--levels", type=int, default=7, help="number of truncation levels")
-    if io_in:
+    if "input" in flags:
         sub.add_argument("--input", required=True, help="input JSON path ('-' for stdin)")
-    if seed:
+    if "seed" in flags:
         sub.add_argument("--seed", type=int, required=True, help="64-bit PRNG seed")
-    if N:
+    if "N" in flags:
         sub.add_argument("--N", type=int, required=True, help="harmonic degree (>= 0)")
     sub.add_argument("--output", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
+    if "neigs" in flags:  # after --format, where spectrum's help has always listed it
+        sub.add_argument("--neigs", type=int, default=2, help="number of eigenvalues")
 
 
-def build_parser():
+def build_parser(command=None):
+    """The CLI parser, with every subcommand or only the one named `command`."""
     parser = argparse.ArgumentParser(
         prog="loopsphere",
         description="Finite-dimensional loop spaces of round spheres.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("spectrum", help="radial eigenvalues by shrinking truncations")
-    _add_common(sub, k=True, R=True, L=True, ls=True, eigs=True)
-    sub.add_argument("--neigs", type=int, default=2, help="number of eigenvalues")
-    sub.set_defaults(handler=_cmd_spectrum)
-
-    sub = subs.add_parser("gap", help="spectral-gap report")
-    _add_common(sub, k=True, R=True, L=True, eigs=True)
-    sub.set_defaults(handler=_cmd_gap)
-
-    sub = subs.add_parser("classify", help="endpoint classification")
-    _add_common(sub, k=True, R=True, L=True)
-    sub.set_defaults(handler=_cmd_classify)
-
-    sub = subs.add_parser("frobenius", help="indicial exponents at both endpoints")
-    _add_common(sub, k=True, R=True, L=True)
-    sub.set_defaults(handler=_cmd_frobenius)
-
-    sub = subs.add_parser("veff", help="Liouville-form effective potential")
-    _add_common(sub, k=True, R=True, L=True, tau=True)
-    sub.set_defaults(handler=_cmd_veff)
-
-    sub = subs.add_parser("volume", help="Riemannian volume, quadrature vs closed form")
-    _add_common(sub, k=True, R=True, L=True)
-    sub.set_defaults(handler=_cmd_volume)
-
-    sub = subs.add_parser("curvature", help="curvature report at a loop")
-    _add_common(sub, io_in=True)
-    sub.set_defaults(handler=_cmd_curvature)
-
-    sub = subs.add_parser("ricci", help="closed-form Ricci tables")
-    _add_common(sub, k=True, R=True, t=True)
-    sub.set_defaults(handler=_cmd_ricci)
-
-    sub = subs.add_parser("angular", help="angular eigenvalues and multiplicities")
-    _add_common(sub, k=True, R=True, t=True, ls=True)
-    sub.set_defaults(handler=_cmd_angular)
-
-    sub = subs.add_parser("factorize", help="loop <-> plane-rotation factorization")
-    _add_common(sub, io_in=True)
-    sub.set_defaults(handler=_cmd_factorize)
-
-    sub = subs.add_parser("check", help="constraint residual and stratum of a loop")
-    _add_common(sub, io_in=True)
-    sub.set_defaults(handler=_cmd_check)
-
-    sub = subs.add_parser("random-loop", help="seeded random sphere-valued loop")
-    _add_common(sub, k=True, R=True, seed=True, N=True)
-    sub.set_defaults(handler=_cmd_random_loop)
-
+    # One command's parser still lists them all in the usage line that an
+    # unrecognized argument prints.
+    metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, flags, handler in _COMMANDS:
+        if command in (None, name):
+            sub = subs.add_parser(name, help=help_text)
+            _add_common(sub, flags.split())
+            sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except (trigpoly.LoopFormatError, json.JSONDecodeError) as exc:

@@ -174,12 +174,16 @@ class CurvatureReport:
     scalar: float
     mean_sq: float
     ricci_matrix: np.ndarray
-    ricci_min: float
+    ricci_eigenvalues: np.ndarray  # ascending
     leung_rhs: float | None
     condition_gram: float
     dim: int
     scalar_terms: dict
     scalar_trace_residual: float
+
+    @property
+    def ricci_min(self):
+        return float(self.ricci_eigenvalues[0])
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +359,7 @@ def scalar_and_mean(n, radius=None):
         scalar=scalar_closed,
         mean_sq=mean_sq,
         ricci_matrix=ric,
-        ricci_min=float(np.linalg.eigvalsh(ric)[0]),
+        ricci_eigenvalues=np.linalg.eigvalsh(ric),
         leung_rhs=leung,
         condition_gram=ctx.condition,
         dim=dim,

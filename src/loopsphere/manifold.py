@@ -29,6 +29,8 @@ from .trigpoly import TrigPolyVec
 
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
 _LOG_MAX = math.log(sys.float_info.max)
+# The largest k whose 2^((5k-3)/2) is a double: 2^1023.5.
+K_MAX = 410
 
 
 class StratumError(ValueError):
@@ -37,23 +39,28 @@ class StratumError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Sphere dimension k >= 2, finite radius R > 0, finite coupling scale L > 0.
+    """Sphere dimension 2 <= k <= K_MAX, finite radius R > 0, finite coupling scale L > 0.
 
-    The largest powers the model takes, R^(3k-2) (the weight prefactor; R^4
-    is the next) and L itself, must be normal doubles; the check runs in log
-    space.
+    The largest powers the model takes, 2^((5k-3)/2) and R^(3k-2) (both in
+    the weight prefactor; R^4 is the next) and L itself, must be normal
+    doubles; the check on R and L runs in log space.
     """
 
     k: int
     R: float = 1.0
     L: float = 1.0
-    # c_k of `weight_prefactor`, computed once at construction, or None where
-    # its power of 2 overflows a double (k > 410); not part of the identity.
-    prefactor: float | None = field(init=False, repr=False, compare=False)
+    # c_k of `weight_prefactor`, computed once at construction; not part of
+    # the identity.
+    prefactor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 2:
             raise ValueError(f"sphere dimension k must be an integer >= 2, got {self.k}")
+        if self.k > K_MAX:
+            raise ValueError(
+                f"sphere dimension k = {self.k} is out of range: the weight prefactor's "
+                f"2^((5k-3)/2) overflows a double for k > {K_MAX}"
+            )
         if not (0 < self.R < math.inf):
             raise ValueError(f"radius R must be positive and finite, got {self.R}")
         if not (0 < self.L < math.inf):
@@ -69,11 +76,7 @@ class ModelParams:
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "R", float(self.R))
         object.__setattr__(self, "L", float(self.L))
-        try:
-            prefactor = weight_prefactor(self)
-        except OverflowError:
-            prefactor = None
-        object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "prefactor", weight_prefactor(self))
 
 
 class Stratum(enum.Enum):
@@ -199,12 +202,9 @@ def weight_alg(t, params):
     array = isinstance(t, np.ndarray)
     if not (numerics._inside(t, 0.0, 1.0) if array else 0.0 < t < 1.0):
         raise ValueError(f"weight_alg requires t in the open interval (0, 1), got {t}")
-    prefactor = params.prefactor
-    if prefactor is None:
-        prefactor = weight_prefactor(params)  # raises the OverflowError
     pw = np.float_power if array else pow
     k = params.k
-    return prefactor * pw(t, (k - 3) / 2.0) * pw(1.0 - t, k - 2) * (1.0 + t)
+    return params.prefactor * pw(t, (k - 3) / 2.0) * pw(1.0 - t, k - 2) * (1.0 + t)
 
 
 def weight_trig(tau, params):
@@ -359,23 +359,14 @@ def radial_volume_closed_form(params):
 
 
 def radial_volume_quadrature(params):
-    """The same radial integral by 120-point Gauss-Legendre in the arclength coordinate.
-
-    Raises ValueError when the weight's prefactor overflows a double.
-    """
+    """The same radial integral by 120-point Gauss-Legendre in the arclength coordinate."""
     rule = numerics.gauss_legendre(120)
     eps = 1e-13 * params.R
-    try:
-        return numerics.integrate(
-            lambda tau: weight_trig(tau, params),
-            (eps, math.pi * params.R / 2.0 - eps),
-            rule,
-        )
-    except OverflowError as exc:
-        raise ValueError(
-            f"radial quadrature at k = {params.k}, R = {params.R}: computing the weight prefactor "
-            f"R^{3 * params.k - 3} / 2^{(5 * params.k - 5) / 2} overflows a double ({exc})"
-        ) from exc
+    return numerics.integrate(
+        lambda tau: weight_trig(tau, params),
+        (eps, math.pi * params.R / 2.0 - eps),
+        rule,
+    )
 
 
 def volume_total(params):

@@ -55,7 +55,7 @@ class PlaneRotation:
             "W preserves the plane": np.linalg.norm(p @ w - w),
         }
         for name, err in checks.items():
-            if err > 100 * tol:
+            if not err <= 100 * tol:  # NaN fails too
                 raise ValueError(f"invalid plane rotation: {name} fails with error {err:.3e}")
         object.__setattr__(self, "projection", p)
         object.__setattr__(self, "rotation", w)
@@ -323,14 +323,14 @@ def rotations_from_dict(data):
         k = int(data["k"])
         radius = float(data["R"])
         base = np.asarray(data["base"], dtype=float)
-        rots = [
-            PlaneRotation(
-                projection=np.asarray(item["P"], dtype=float),
-                rotation=np.asarray(item["W"], dtype=float),
-            )
-            for item in data["rotations"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs = [(np.asarray(item["P"], dtype=float), np.asarray(item["W"], dtype=float))
+                 for item in data["rotations"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise trigpoly.LoopFormatError(f"malformed rotations record: {exc}") from exc
+    trigpoly.check_entries("rotations", radius, base, *(m for pair in pairs for m in pair))
+    try:
+        rots = [PlaneRotation(projection=p, rotation=w) for p, w in pairs]
+    except ValueError as exc:
         raise trigpoly.LoopFormatError(f"malformed rotations record: {exc}") from exc
     if base.shape != (k + 1,):
         raise trigpoly.LoopFormatError(

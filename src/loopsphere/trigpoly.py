@@ -22,6 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TRIM_RTOL = 1e-12
+# The largest magnitude of an entry or radius a serialized loop may hold, so
+# that the squares and products of entries the constraint sums are doubles.
+MAX_ENTRY = 2.0**500
 
 
 class LoopFormatError(ValueError):
@@ -261,6 +264,17 @@ def loop_to_dict(n, radius):
     }
 
 
+def check_entries(record, *values):
+    """Raise LoopFormatError unless every value is finite and at most MAX_ENTRY in magnitude."""
+    for value in values:
+        bad = np.asarray(value)[~(np.abs(value) <= MAX_ENTRY)]
+        if bad.size:
+            raise LoopFormatError(
+                f"{record} record holds {float(bad[0])!r}; entries must be finite and at "
+                f"most 2^500 in magnitude"
+            )
+
+
 def loop_from_dict(data):
     """Deserialize; returns (TrigPolyVec, radius).  Validates shapes and types."""
     try:
@@ -274,8 +288,9 @@ def loop_from_dict(data):
             a = a.reshape(0, k + 1)
         if b.size == 0:
             b = b.reshape(0, k + 1)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise LoopFormatError(f"malformed loop record: {exc}") from exc
+    check_entries("loop", radius, v, a, b)
     if radius <= 0:
         raise LoopFormatError(f"radius must be positive, got {radius}")
     if v.shape != (k + 1,):

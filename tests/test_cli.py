@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import ODEintWarning, odeint
 
-from loopsphere import cli, manifold, radial, trigpoly
+from loopsphere import cli, manifold, radial, resolution, trigpoly
 
 
 def run(capsys, argv):
@@ -240,6 +242,154 @@ def test_cli_start_up_and_non_radial_commands_leave_scipy_unimported():
     assert proc.stderr.strip() == "[]"
 
 
+def test_module_entry_point_runs_a_command():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "loopsphere.cli", "ricci", "--k", "2", "--t", "0.5"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)[-1]["quantity"] == "fiber_ricci_vb"
+
+
+# One valid argv per subcommand.
+_VALID_ARGV = {
+    "spectrum": ["--k", "3", "--neigs", "3", "--levels", "4", "--format", "csv"],
+    "gap": ["--k", "5", "--R", "0.5", "--tol", "1e-3"],
+    "classify": ["--k", "4"],
+    "frobenius": ["--k", "4", "--L", "2"],
+    "veff": ["--k", "3", "--tau", "0.5"],
+    "volume": ["--k", "3", "--R", "2", "--output", "vol.json"],
+    "curvature": ["--input", "loop.json"],
+    "ricci": ["--k", "2", "--t", "0.5"],
+    "angular": ["--k", "2", "--l", "2", "--s", "1", "--t", "0.25"],
+    "factorize": ["--input", "-"],
+    "check": ["--input", "-", "--format", "csv"],
+    "random-loop": ["--k", "3", "--N", "2", "--seed", "7"],
+}
+
+
+def _parse(parser, argv):
+    """(parsed flags or exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_every_subcommand_has_a_valid_argv_here():
+    assert list(_VALID_ARGV) == list(cli._NAMES)
+
+
+@pytest.mark.parametrize("name", list(_VALID_ARGV))
+def test_one_subcommand_parser_parses_as_the_full_parser(name):
+    one, full = cli.build_parser(name), cli.build_parser()
+    cases = {
+        "help": [name, "--help"],
+        "valid": [name] + _VALID_ARGV[name],
+        "missing required flag": [name],
+        "unrecognized flag": [name] + _VALID_ARGV[name] + ["--bogus", "3"],
+    }
+    for case, argv in cases.items():
+        got = _parse(one, argv)
+        assert got == _parse(full, argv), case
+        if case == "help":
+            assert got[0] == 0 and got[1].startswith(f"usage: loopsphere {name} ")
+        elif case == "valid":
+            assert got[0]["command"] == name and got[2] == ""
+        else:
+            assert got[0] == 2 and got[1] == "" and "error:" in got[2]
+    # The other subcommands are not built.
+    other = "ricci" if name != "ricci" else "check"
+    code, _, err = _parse(one, [other] + _VALID_ARGV[other])
+    assert code == 2 and f"invalid choice: '{other}'" in err
+
+
+def test_main_builds_only_the_invoked_subcommands_parser(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert cli.main(["ricci", "--k", "2", "--t", "0.5"]) == 0
+    # The console script calls main() with no arguments.
+    monkeypatch.setattr(sys, "argv", ["loopsphere", "classify", "--k", "4"])
+    assert cli.main() == 0
+    for argv in (["--help"], [], ["bogus"], ["-h", "ricci"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert built == ["ricci", "classify", None, None, None, None]
+    capsys.readouterr()
+
+
+_USAGE = """\
+usage: loopsphere [-h]
+                  {spectrum,gap,classify,frobenius,veff,volume,curvature,ricci,angular,factorize,check,random-loop}
+                  ...
+"""
+
+_HELP = _USAGE + """
+Finite-dimensional loop spaces of round spheres.
+
+positional arguments:
+  {spectrum,gap,classify,frobenius,veff,volume,curvature,ricci,angular,factorize,check,random-loop}
+    spectrum            radial eigenvalues by shrinking truncations
+    gap                 spectral-gap report
+    classify            endpoint classification
+    frobenius           indicial exponents at both endpoints
+    veff                Liouville-form effective potential
+    volume              Riemannian volume, quadrature vs closed form
+    curvature           curvature report at a loop
+    ricci               closed-form Ricci tables
+    angular             angular eigenvalues and multiplicities
+    factorize           loop <-> plane-rotation factorization
+    check               constraint residual and stratum of a loop
+    random-loop         seeded random sphere-valued loop
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--help"], 0, _HELP, ""),
+    ([], 2, "", _USAGE + "loopsphere: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "", _USAGE + "loopsphere: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'spectrum', 'gap', 'classify', 'frobenius', 'veff', 'volume', 'curvature', "
+     "'ricci', 'angular', 'factorize', 'check', 'random-loop')\n"),
+], ids=["help", "no command", "unknown command"])
+def test_top_level_help_and_command_errors(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, 1e300])
+def test_non_finite_or_huge_loop_entries_exit_2_naming_the_value(tmp_path, capsys, value):
+    loop = cli.random_loop(2, 1, 1.0, 3)
+    records = {"loop": trigpoly.loop_to_dict(loop, 1.0),
+               "rotations": resolution.rotations_to_dict(resolution.factorize(loop, 1.0))}
+    records["loop"]["a"][0][1] = value
+    records["rotations"]["rotations"][0]["P"][1][1] = value
+    for name, record in records.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(record))
+        commands = ("check", "factorize", "curvature") if name == "loop" else ("factorize",)
+        for command in commands:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, [command, "--input", str(path)])
+            assert (code, out, caught) == (2, "", []), (command, name, err)
+            assert err == f"error: {name} record holds {value!r}; entries must be finite and at " \
+                          f"most 2^500 in magnitude\n"
+
+
 def test_unrepresentable_volume_exits_2_naming_the_value(capsys):
     code, out, err = run(capsys, ["volume", "--k", "200"])
     assert code == 2 and out == ""
@@ -412,3 +562,87 @@ def test_solver_subcommands_exit_documented_codes_with_strict_json(command, k, r
         _strict_json(out.getvalue())
     else:
         assert code != 0 and err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+_BAD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 0.0, -1.0,
+                               -5, 0, 1, 4, 2**63, "x", "3", None, True, [], [[]], {}, [1.0]]
+                             ).map(copy.deepcopy)
+
+
+def _subtrees(node, path):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _subtrees(child, path + (key,))
+
+
+@st.composite
+def _fuzzed_loop_files(draw):
+    """A loop (or rotations) record from random-loop, then up to three faults."""
+    k = draw(st.sampled_from([2, 3]))
+    degree = draw(st.integers(0, 4))
+    radius = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    loop = cli.random_loop(k, degree, radius, draw(st.integers(0, 2**64 - 1)))
+    record = trigpoly.loop_to_dict(loop, radius)
+    if draw(st.booleans()):
+        try:
+            record = resolution.rotations_to_dict(resolution.factorize(loop, radius))
+        except ValueError:  # known factorization defects; fuzz the loop instead
+            pass
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 9)) == 0:
+            record = draw(_BAD_VALUES)  # not an object at all
+        if not isinstance(record, dict) or not record:
+            break
+        key = draw(st.sampled_from(sorted(record)))
+        path = draw(st.sampled_from(list(_subtrees(record[key], (key,)))))
+        parent = record
+        for step in path[:-1]:
+            parent = parent[step]
+        node = parent[path[-1]]
+        action = draw(st.sampled_from(["delete", "replace", "scale", "append"]))
+        if action == "delete":
+            del parent[path[-1]]  # a missing key, or a ragged or short stack
+        elif action == "replace":
+            parent[path[-1]] = draw(_BAD_VALUES)
+        elif action == "scale" and isinstance(node, (int, float)) and not isinstance(node, bool):
+            parent[path[-1]] = node * draw(st.sampled_from([1.5, 1.0 + 1e-6, -1.0, 1e300]))
+        elif action == "append" and isinstance(node, list):
+            node.append(copy.deepcopy(node[-1]) if node else 0.0)
+    return record
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=_fuzzed_loop_files())
+def test_loop_file_commands_exit_documented_codes_on_fuzzed_files(record):
+    # NaN and infinite coefficients reach the file as JSON's NaN and Infinity
+    # tokens, which json.loads reads.
+    text = json.dumps(record)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/loop.json"
+        with open(path, "w") as fh:
+            fh.write(text)
+        for command in ("check", "factorize", "curvature"):
+            argv = [command, "--input", path]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+            assert code in (0, 2, 3), (argv, text, err.getvalue())
+            # A warning would be one more line on a command's standard error.
+            assert caught == [], (argv, text, [str(w.message) for w in caught])
+            if code == 0 or (command == "check" and code == 3 and out.getvalue()):
+                # Success, or the check's report of a loop off the sphere.
+                assert err.getvalue() == "", (argv, text, err.getvalue())
+                report = _strict_json(out.getvalue())
+                assert code == 0 or report["on_sphere"] is False, (argv, text)
+            else:
+                assert out.getvalue() == "", (argv, text, out.getvalue())
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv, text, lines)
