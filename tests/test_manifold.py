@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,10 +17,6 @@ def random_frame(rng, k):
 def test_model_params_validation():
     with pytest.raises(ValueError, match="k must be"):
         manifold.ModelParams(k=1)
-    # 2^((5k-3)/2) in the weight prefactor overflows a double above k = 410.
-    assert manifold.ModelParams(k=410).prefactor > 0.0
-    with pytest.raises(ValueError, match=r"k = 411 is out of range.*k > 410"):
-        manifold.ModelParams(k=411)
     with pytest.raises(ValueError, match="radius"):
         manifold.ModelParams(k=2, R=0.0)
     with pytest.raises(ValueError, match="coupling"):
@@ -113,6 +110,20 @@ def test_stored_prefactor_leaves_the_parameters_identity_alone():
     twin = manifold.ModelParams(k=3.0, R=2)
     assert twin == params and hash(twin) == hash(params)
     assert manifold.ModelParams(k=3, R=2.5) != params
+
+
+def test_weight_with_an_overflowing_prefactor_raises_on_use():
+    # 2^((5k-3)/2) in the weight prefactor overflows a double above k = 410,
+    # so ModelParams refuses such k and the weight never meets the overflow.
+    with pytest.raises(OverflowError):
+        manifold.weight_prefactor(SimpleNamespace(k=manifold.K_MAX + 1, R=1.0))
+    with pytest.raises(ValueError, match=r"k = 411 is out of range.*k > 410"):
+        manifold.ModelParams(k=manifold.K_MAX + 1)
+    params = manifold.ModelParams(k=manifold.K_MAX)
+    assert params.prefactor > 0.0
+    assert math.isfinite(manifold.weight_alg(0.5, params))
+    with pytest.raises(ValueError, match="open interval"):
+        manifold.weight_alg(1.5, params)
 
 
 def test_metric_omega_structure():
