@@ -356,7 +356,7 @@ def _cmd_check(args):
     n, radius = trigpoly.loop_from_json(_read_input(args.input))
     params = manifold.ModelParams(k=n.ambient_dim - 1, R=radius)
     residual = trigpoly.constraint_residual(n, radius).max_abs_coeff()
-    ok = residual <= 1e-9 * radius**2
+    ok = residual <= trigpoly.SPHERE_RTOL * radius**2
     stratum = (
         manifold.classify_stratum(n, params).value
         if n.degree <= 1

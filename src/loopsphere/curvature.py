@@ -201,7 +201,7 @@ class CurvatureContext:
         self.ambient_dim = n.ambient_dim
         deg = n.degree
         res = trigpoly.constraint_residual(n, self.radius)
-        if res.max_abs_coeff() > 1e-9 * self.radius**2:
+        if res.max_abs_coeff() > trigpoly.SPHERE_RTOL * self.radius**2:
             raise ValueError(
                 "loop is not sphere-valued: largest constraint-residual "
                 f"coefficient is {res.max_abs_coeff():.3e}"
@@ -344,8 +344,14 @@ def tangent_basis(n, radius=None):
 
 
 def scalar_and_mean(n, radius=None):
-    """Full curvature report at one loop."""
-    ctx = CurvatureContext(n, radius)
+    """Full curvature report at one loop.
+
+    The kernels are computed for the loop scaled to the unit sphere, where
+    their entries are of order one whatever the radius; the curvatures then
+    scale as 1/R^2.
+    """
+    radius = infer_radius(n) if radius is None else float(radius)
+    ctx = CurvatureContext(trigpoly.scale(n, 1.0 / radius), 1.0)
     ric = ctx.ricci_matrix()
     closed = ctx.closed_contractions()
     terms = closed["terms"]
@@ -355,15 +361,16 @@ def scalar_and_mean(n, radius=None):
     mean_sq = closed["mean_sq"]
     dim = ric.shape[0]
     leung = leung_bound(scalar_closed, mean_sq, dim)
+    r2 = radius**2
     return CurvatureReport(
-        scalar=scalar_closed,
-        mean_sq=mean_sq,
-        ricci_matrix=ric,
-        ricci_eigenvalues=np.linalg.eigvalsh(ric),
-        leung_rhs=leung,
+        scalar=scalar_closed / r2,
+        mean_sq=mean_sq / r2,
+        ricci_matrix=ric / r2,
+        ricci_eigenvalues=np.linalg.eigvalsh(ric) / r2,
+        leung_rhs=None if leung is None else leung / r2,
         condition_gram=ctx.condition,
         dim=dim,
-        scalar_terms=terms,
+        scalar_terms={name: term / r2 for name, term in terms.items()},
         scalar_trace_residual=resid,
     )
 

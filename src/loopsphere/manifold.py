@@ -125,7 +125,7 @@ def classify_stratum(n, params):
             f"loop lives in R^{n.ambient_dim} but parameters specify R^{params.k + 1}"
         )
     res = trigpoly.constraint_residual(n, params.R)
-    if res.max_abs_coeff() > 1e-10 * params.R**2:
+    if res.max_abs_coeff() > trigpoly.SPHERE_RTOL * params.R**2:
         return Stratum.NOT_ON_VARIETY
     if n.degree > 1:
         return Stratum.NOT_ON_VARIETY

@@ -280,7 +280,7 @@ def classify_endpoint(prob, endpoint):
     """
     lo, hi = prob.interval
     side = 1.0 if abs(endpoint - lo) < abs(endpoint - hi) else -1.0
-    alpha_invp = _local_exponent(lambda t: 1.0 / prob.coeffs(t)[0], endpoint, side)
+    alpha_invp = -_local_exponent(lambda t: prob.coeffs(t)[0], endpoint, side)
     alpha_q = _local_exponent(lambda t: abs(prob.coeffs(t)[1]) + 1e-300, endpoint, side)
     alpha_w = _local_exponent(lambda t: prob.coeffs(t)[2], endpoint, side)
     exps, log_case = frobenius_exponents(prob, endpoint)

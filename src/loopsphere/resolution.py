@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trigpoly
-from .trigpoly import ScalarTrigPoly, TrigPolyVec
 
 
 class PeelError(ValueError):
@@ -98,27 +97,12 @@ def rotation_from_basis(a, b):
 
 
 def apply_rotation(rot, n, inverse=False):
-    """Pointwise product theta -> lambda(theta) n(theta), computed exactly.
-
-    The rotation has exponential coefficients Lambda_{+-1} = (P -+ i W)/2 and
-    Lambda_0 = I - P, so the product is a short convolution.
-    """
+    """Pointwise product theta -> lambda(theta) n(theta), computed exactly."""
     if rot.ambient_dim != n.ambient_dim:
         raise ValueError("rotation and loop ambient dimensions differ")
     p = rot.projection
     w = -rot.rotation if inverse else rot.rotation
-    lam_plus = 0.5 * (p - 1j * w)
-    lam_minus = np.conj(lam_plus)
-    lam_zero = (np.eye(rot.ambient_dim) - p).astype(complex)
-    c = trigpoly.to_exponential(n)
-    order = n.degree + 1
-    d = n.ambient_dim
-    out = np.zeros((2 * order + 1, d), dtype=complex)
-    for m in range(c.shape[0]):
-        out[m + 1] += lam_zero @ c[m]
-        out[m + 2] += lam_plus @ c[m]
-        out[m] += lam_minus @ c[m]
-    return trigpoly.from_exponential(out)
+    return trigpoly.matrix_mul(np.eye(rot.ambient_dim) - p, p, w, n)
 
 
 def top_harmonic_basis(n):
@@ -177,7 +161,7 @@ class Factorization:
 def factorize(n, radius):
     """Full peeling of a sphere-valued loop into plane rotations and a base point."""
     res = trigpoly.constraint_residual(n, radius)
-    if res.max_abs_coeff() > 1e-9 * radius**2:
+    if res.max_abs_coeff() > trigpoly.SPHERE_RTOL * radius**2:
         raise ValueError(
             f"loop does not map into the sphere of radius {radius}: "
             f"largest constraint-residual coefficient is {res.max_abs_coeff():.3e}"
@@ -213,10 +197,8 @@ def is_singular_rotation(rot, n):
     u = p[:, int(np.argmax(cols))]
     u = u / np.linalg.norm(u)
     w = -rot.rotation @ u
-    z_loop = a_top + 1j * b_top
-    z_plane = u + 1j * w
-    val = abs(np.sum(z_loop * z_plane))
-    scale = np.linalg.norm(z_loop) * np.linalg.norm(z_plane)
+    val = np.hypot(u @ a_top - w @ b_top, w @ a_top + u @ b_top)
+    scale = np.sqrt((a_top @ a_top + b_top @ b_top) * (u @ u + w @ w))
     return val <= 1e-10 * scale
 
 
@@ -272,16 +254,7 @@ def orthogonal_loop_from_pair(a, b):
 
 def apply_orthogonal_loop(phi, n):
     """Pointwise product theta -> phi(theta) n(theta)."""
-    half = 0.5 * (phi.A - 1j * phi.B)
-    c = trigpoly.to_exponential(n)
-    order = n.degree + 1
-    d = n.ambient_dim
-    out = np.zeros((2 * order + 1, d), dtype=complex)
-    for m in range(c.shape[0]):
-        out[m + 1] += phi.V.astype(complex) @ c[m]
-        out[m + 2] += half @ c[m]
-        out[m] += np.conj(half) @ c[m]
-    return trigpoly.from_exponential(out)
+    return trigpoly.matrix_mul(phi.V, phi.A, phi.B, n)
 
 
 def compare_peel_mechanisms(n):

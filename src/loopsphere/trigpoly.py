@@ -7,7 +7,8 @@ A vector trig polynomial of degree N in ambient dimension d is
 stored as the constant v (shape (d,)) and harmonic stacks a, b (shape (N, d)).
 Products are computed exactly through complex exponential coefficients
 c_s = (a_s - i b_s)/2, c_{-s} = conj(c_s), c_0 = v, for which the pointwise
-product is a convolution.
+product is a convolution.  The one layout, `_exponential`, serves scalar,
+vector and degree-one matrix loops alike.
 
 The L2 pairing used throughout is the average over the circle,
 
@@ -22,6 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TRIM_RTOL = 1e-12
+# A loop is on the sphere when no constraint-residual coefficient exceeds
+# SPHERE_RTOL R^2.
+SPHERE_RTOL = 1e-9
 # The largest magnitude of an entry or radius a serialized loop may hold, so
 # that the squares and products of entries the constraint sums are doubles.
 MAX_ENTRY = 2.0**500
@@ -132,42 +136,34 @@ def trig_poly(v, a=None, b=None):
     return TrigPolyVec(v=v, a=a, b=b)
 
 
-def to_exponential(n):
-    """Complex coefficients c[m+N] for m = -N..N (N the degree), c_0 = v."""
-    order = n.degree
-    d = n.ambient_dim
-    c = np.zeros((2 * order + 1, d), dtype=complex)
-    c[order] = n.v
-    for s in range(1, n.degree + 1):
-        cs = 0.5 * (n.a[s - 1] - 1j * n.b[s - 1])
-        c[order + s] = cs
-        c[order - s] = np.conj(cs)
-    return c
+def _exponential(v, a, b):
+    """Complex coefficients c[m+N], m = -N..N, of v + sum_s a[s] cos + b[s] sin.
+
+    c_0 = v and c_{+-s} = (a[s] -+ i b[s])/2; a and b stack the N harmonics on
+    their first axis and have the shape of v after it: () for a scalar, (d,)
+    for a vector and (d, d) for a matrix loop.
+    """
+    half = 0.5 * (a - 1j * b)
+    return np.concatenate([np.conj(half[::-1]), [v], half])
 
 
 def from_exponential(c):
-    """Inverse of to_exponential; input shape (2M+1, d) with Hermitian symmetry."""
-    m2, d = c.shape
-    order = (m2 - 1) // 2
-    v = c[order].real
-    a = np.zeros((order, d))
-    b = np.zeros((order, d))
-    for s in range(1, order + 1):
-        a[s - 1] = 2.0 * c[order + s].real
-        b[s - 1] = -2.0 * c[order + s].imag
-    return TrigPolyVec(v=v, a=a, b=b)
+    """Vector loop of coefficients c of shape (2M+1, d) with Hermitian symmetry."""
+    order = (c.shape[0] - 1) // 2
+    return TrigPolyVec(v=c[order].real, a=2.0 * c[order + 1 :].real, b=-2.0 * c[order + 1 :].imag)
 
 
-def _convolve_exponential(c1, c2):
-    """Full convolution over the harmonic axis (pointwise product of series)."""
-    m1 = (c1.shape[0] - 1) // 2
-    m2 = (c2.shape[0] - 1) // 2
-    order = m1 + m2
-    out_shape = (2 * order + 1,) + np.broadcast_shapes(c1.shape[1:], c2.shape[1:])
-    out = np.zeros(out_shape, dtype=complex)
+def _convolve(c1, c2):
+    """Full convolution over the harmonic axis (pointwise product of series).
+
+    Each product c1[i] c2[j] is formed once and added to out[i + j] in
+    ascending i, so every entry is rounded the same way whatever the trailing
+    shape; the curvature Hessians rely on that.
+    """
+    tail = np.broadcast_shapes(c1.shape[1:], c2.shape[1:])
+    out = np.zeros((c1.shape[0] + c2.shape[0] - 1,) + tail, dtype=complex)
     for i in range(c1.shape[0]):
-        for j in range(c2.shape[0]):
-            out[i + j] = out[i + j] + c1[i] * c2[j]
+        out[i : i + c2.shape[0]] += c1[i] * c2
     return out
 
 
@@ -175,29 +171,34 @@ def pointwise_dot(m, n):
     """Exact scalar polynomial theta -> m(theta) . n(theta), degree deg m + deg n."""
     if m.ambient_dim != n.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    cm = to_exponential(m)
-    cn = to_exponential(n)
+    c = _convolve(_exponential(m.v, m.a, m.b), _exponential(n.v, n.a, n.b)).sum(axis=-1)
     order = m.degree + n.degree
-    c = np.zeros(2 * order + 1, dtype=complex)
-    for i in range(cm.shape[0]):
-        for j in range(cn.shape[0]):
-            c[i + j] += cm[i] @ cn[j]
-    c0 = c[order].real
-    cos_c = 2.0 * c[order + 1 :].real
-    sin_c = -2.0 * c[order + 1 :].imag
-    return ScalarTrigPoly(c0=c0, cos_coeffs=cos_c, sin_coeffs=sin_c)
+    return ScalarTrigPoly(c0=c[order].real, cos_coeffs=2.0 * c[order + 1 :].real,
+                          sin_coeffs=-2.0 * c[order + 1 :].imag)
 
 
 def scalar_mul(n, phi):
     """Exact vector polynomial theta -> phi(theta) * n(theta)."""
-    cn = to_exponential(n)
-    cphi = np.zeros((2 * phi.degree + 1, 1), dtype=complex)
-    cphi[phi.degree, 0] = phi.c0
-    for s in range(1, phi.degree + 1):
-        cs = 0.5 * (phi.cos_coeffs[s - 1] - 1j * phi.sin_coeffs[s - 1])
-        cphi[phi.degree + s, 0] = cs
-        cphi[phi.degree - s, 0] = np.conj(cs)
-    return from_exponential(_convolve_exponential(cphi, cn))
+    cphi = _exponential(phi.c0, phi.cos_coeffs, phi.sin_coeffs)[:, None]
+    return from_exponential(_convolve(cphi, _exponential(n.v, n.a, n.b)))
+
+
+def matrix_mul(m0, m1, m2, n):
+    """Exact vector polynomial theta -> (m0 + m1 cos theta + m2 sin theta) n(theta).
+
+    One mat-vec per matrix coefficient and coefficient of n, added in the
+    order constant, e^{i theta}, e^{-i theta}: a matrix product over all
+    coefficients at once rounds differently, and the factorization round
+    trips are sensitive to that.
+    """
+    lam_minus, lam_zero, lam_plus = _exponential(m0, m1[None], m2[None])
+    c = _exponential(n.v, n.a, n.b)
+    out = np.zeros((c.shape[0] + 2, n.ambient_dim), dtype=complex)
+    for m in range(c.shape[0]):
+        out[m + 1] += lam_zero @ c[m]
+        out[m + 2] += lam_plus @ c[m]
+        out[m] += lam_minus @ c[m]
+    return from_exponential(out)
 
 
 def add(m, n):

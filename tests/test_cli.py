@@ -182,6 +182,47 @@ def test_curvature_report(tmp_path, capsys):
     assert rec["scalar_trace_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("radius", [1e-60, 1e-100, 1.16e77])
+def test_curvature_report_scales_as_inverse_radius_squared(tmp_path, capsys, k, radius):
+    loop = cli.random_loop(k, 2, 1.0, 7)
+    reports = []
+    for scale in (1.0, radius):
+        path = tmp_path / f"loop-{scale}.json"
+        path.write_text(trigpoly.loop_to_json(trigpoly.scale(loop, scale), scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, ["curvature", "--input", str(path)])
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    unit, scaled = reports
+    assert scaled["dim"] == unit["dim"]
+    for key in ("scalar", "mean_sq", "ricci_min", "ricci_eigenvalues", "leung_rhs"):
+        expect = np.asarray(unit[key]) / radius**2
+        assert np.allclose(scaled[key], expect, rtol=1e-10, atol=0.0), key
+    for name, term in unit["scalar_terms"].items():
+        assert scaled["scalar_terms"][name] == pytest.approx(term / radius**2, rel=1e-10)
+
+
+def test_check_and_stratum_share_one_on_sphere_tolerance(tmp_path, capsys):
+    # Residual 6.0e-10 R^2: on the sphere, so on the smooth degree-one stratum too.
+    loop = trigpoly.scale(cli.random_loop(3, 1, 1.0, 4), 1.0 + 3e-10)
+    path = tmp_path / "loop.json"
+    path.write_text(trigpoly.loop_to_json(loop, 1.0))
+    code, out, _ = run(capsys, ["check", "--input", str(path)])
+    rec = json.loads(out)
+    assert 5e-10 < rec["constraint_residual"] < 1e-9
+    assert (code, rec["on_sphere"], rec["stratum"]) == (0, True, "smooth")
+
+
+@pytest.mark.parametrize("k", ["50", "410"])
+@pytest.mark.parametrize("command", [["classify"], ["spectrum", "--levels", "2", "--tol", "1e-3"]])
+def test_underflowing_coefficient_probe_exits_2_on_one_line(capsys, command, k):
+    code, out, err = run(capsys, [command[0], "--k", k, *command[1:]])
+    assert (code, out) == (2, "")
+    assert err == "error: exponent probe requires positive coefficient values\n"
+
+
 def test_validation_errors(tmp_path, capsys, monkeypatch):
     # Malformed loop JSON names the offending field and exits 2.
     path = tmp_path / "bad.json"

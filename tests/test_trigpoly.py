@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopsphere import trigpoly
+from loopsphere import resolution, trigpoly
 from loopsphere.prng import SplitMix64
 
 
@@ -49,7 +49,7 @@ def test_scalar_mul_exact():
 def test_exponential_roundtrip():
     rng = SplitMix64(4)
     n = random_poly(rng, 4, 5)
-    back = trigpoly.from_exponential(trigpoly.to_exponential(n))
+    back = trigpoly.from_exponential(trigpoly._exponential(n.v, n.a, n.b))
     assert np.allclose(back.v, n.v, atol=1e-15)
     assert np.allclose(back.a, n.a, atol=1e-15)
     assert np.allclose(back.b, n.b, atol=1e-15)
@@ -132,3 +132,78 @@ def test_trim_drops_negligible_top_harmonics():
         b=np.array([[0.0, 0.5], [0.0, 1e-18]]),
     )
     assert n.degree == 1
+
+
+# Oracles: the loops the kernels replaced, kept to pin their rounding.  The
+# frozen curvature and factorization results depend on it bit for bit.
+
+
+def double_loop_convolution(c1, c2):
+    order = (c1.shape[0] - 1) // 2 + (c2.shape[0] - 1) // 2
+    out_shape = (2 * order + 1,) + np.broadcast_shapes(c1.shape[1:], c2.shape[1:])
+    out = np.zeros(out_shape, dtype=complex)
+    for i in range(c1.shape[0]):
+        for j in range(c2.shape[0]):
+            out[i + j] = out[i + j] + c1[i] * c2[j]
+    return out
+
+
+def three_tap_product(lam_zero, lam_plus, lam_minus, n):
+    c = np.zeros((2 * n.degree + 1, n.ambient_dim), dtype=complex)
+    c[n.degree] = n.v
+    for s in range(1, n.degree + 1):
+        cs = 0.5 * (n.a[s - 1] - 1j * n.b[s - 1])
+        c[n.degree + s] = cs
+        c[n.degree - s] = np.conj(cs)
+    out = np.zeros((c.shape[0] + 2, n.ambient_dim), dtype=complex)
+    for m in range(c.shape[0]):
+        out[m + 1] += lam_zero @ c[m]
+        out[m + 2] += lam_plus @ c[m]
+        out[m] += lam_minus @ c[m]
+    return trigpoly.from_exponential(out)
+
+
+def assert_same_poly(got, expect):
+    assert np.array_equal(got.v, expect.v)
+    assert np.array_equal(got.a, expect.a)
+    assert np.array_equal(got.b, expect.b)
+
+
+# Shapes as the library forms them: a scalar series rides on a trailing axis
+# of length one (scalar_mul) against loops in R^(k+1), k >= 2.  A product of
+# two single numbers can take numpy's scalar path, which may round without
+# the fused multiply-add of its array loop on some hosts.
+@pytest.mark.parametrize("shape1, shape2", [
+    ((1, 1), (1, 3)),
+    ((3, 1), (5, 3)),
+    ((5, 3), (3, 3)),
+    ((1, 4), (7, 4)),
+    ((7, 1), (5, 6)),
+    ((13, 1), (7, 112)),  # _hessians(3, 4): 4N+1 scalar taps against 28 directions of R^4
+], ids=str)
+def test_convolve_matches_double_loop_bitwise(shape1, shape2):
+    gen = np.random.default_rng(sum(shape1) + 7 * sum(shape2))
+    c1 = gen.standard_normal(shape1) + 1j * gen.standard_normal(shape1)
+    c2 = gen.standard_normal(shape2) + 1j * gen.standard_normal(shape2)
+    assert np.array_equal(trigpoly._convolve(c1, c2), double_loop_convolution(c1, c2))
+
+
+def test_matrix_mul_matches_three_tap_loop_bitwise():
+    rng = SplitMix64(10)
+    n = random_poly(rng, 3, 5)
+    a = np.array(rng.gauss_vector(5))
+    b = np.array(rng.gauss_vector(5))
+    a /= np.linalg.norm(a)
+    b -= (a @ b) * a
+    b /= np.linalg.norm(b)
+    rot = resolution.rotation_from_basis(a, b)
+    p = rot.projection
+    for inverse, w in ((False, rot.rotation), (True, -rot.rotation)):
+        lam_plus = 0.5 * (p - 1j * w)
+        expect = three_tap_product((np.eye(5) - p).astype(complex), lam_plus,
+                                   np.conj(lam_plus), n)
+        assert_same_poly(resolution.apply_rotation(rot, n, inverse=inverse), expect)
+    phi = resolution.orthogonal_loop_from_pair(a, b)
+    half = 0.5 * (phi.A - 1j * phi.B)
+    expect = three_tap_product(phi.V.astype(complex), half, np.conj(half), n)
+    assert_same_poly(resolution.apply_orthogonal_loop(phi, n), expect)
