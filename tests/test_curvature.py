@@ -37,6 +37,26 @@ def test_degree_one_k2_closed_forms():
     assert eigs[0] >= closed["lower_bound"] - 1e-9
 
 
+def test_flat_coordinates_match_per_harmonic_loops_bitwise():
+    for k, degree, seed in ((2, 1, 0), (3, 3, 1), (4, 2, 2)):
+        n = random_loop(k, degree, 1.3, seed)
+        d = k + 1
+        for deg in (degree, degree + 1):
+            expected = np.zeros(curvature.flat_dim(deg, d))
+            expected[:d] = n.v
+            for s in range(1, n.degree + 1):
+                expected[d * (2 * s - 1) : d * 2 * s] = n.a[s - 1] / math.sqrt(2.0)
+                expected[d * 2 * s : d * (2 * s + 1)] = n.b[s - 1] / math.sqrt(2.0)
+            flat = curvature.flatten_vec(n, deg)
+            assert np.array_equal(flat, expected)
+            back = curvature.unflatten_vec(flat, deg, d)
+            for s in range(1, n.degree + 1):
+                a_s, b_s = flat[d * (2 * s - 1) : d * 2 * s], flat[d * 2 * s : d * (2 * s + 1)]
+                assert np.array_equal(back.a[s - 1], a_s * math.sqrt(2.0))
+                assert np.array_equal(back.b[s - 1], b_s * math.sqrt(2.0))
+            assert np.array_equal(back.v, n.v) and back.degree == n.degree
+
+
 def _per_direction_hessians(degree, ambient_dim):
     """Reference assembly: one scalar_mul per (basis scalar, flat direction)."""
     m = curvature.scalar_dim(2 * degree)
@@ -70,6 +90,29 @@ def test_ricci_min_matches_jacobi_oracle():
         w, _ = numerics.eig_symmetric(rep.ricci_matrix)
         scale = max(1.0, float(np.max(np.abs(w))))
         assert abs(rep.ricci_min - w[0]) <= 1e-12 * scale, (k, degree, seed)
+
+
+def test_ricci_and_tangent_trace_match_einsum_contractions():
+    # The contractions written as the einsums they replaced.
+    loops = [(k, degree, seed) for k in (2, 3, 4) for degree in (1, 2, 3, 4) for seed in (0, 1, 2)]
+    loops += [(3, 5, 0), (2, 3, 6), (3, 3, 9)]  # the D2 loops
+    checked = 0
+    for k, degree, seed in loops:
+        try:
+            ctx = curvature.CurvatureContext(random_loop(k, degree, 1.0, seed))
+        except curvature.NearSingularStratumError:
+            continue
+        basis = ctx.tangent_matrix()
+        u = np.einsum("aA,iab,bB->ABi", basis, ctx.hessians, basis)
+        trace_u = np.einsum("EEi->i", u)
+        first = np.einsum("i,ij,ABj->AB", trace_u, ctx.s_inv, u)
+        second = np.einsum("EAi,ij,BEj->AB", u, ctx.s_inv, u)
+        ric = first - second
+        bar = 1e-12 * max(1.0, float(np.linalg.norm(ric)))
+        assert np.max(np.abs(ctx.ricci_matrix() - ric)) <= bar, (k, degree, seed)
+        assert np.max(np.abs(ctx.tangent_hessian_trace() - trace_u)) <= bar, (k, degree, seed)
+        checked += 1
+    assert checked >= 30
 
 
 def test_grad_f_is_constraint_gradient():
