@@ -28,18 +28,19 @@ Rayleigh upper bound for the ground state, and the spectral-gap report.
 
 Engine.  Every coefficient evaluation goes through `SLProblem.coeffs`, which
 returns (p, q, w, p', q', w') at a float or an ndarray t.  The shooting
-integrator calls it with one float per right-hand-side evaluation; the
+integrator calls it with one float per LSODA abscissa (about half of the
+right-hand sides repeat the last abscissa, and reuse its coefficients); the
 finite-difference oracle, the convexity probe and the Hardy check call it
 once on a whole mesh.  For the algebraic-coordinate problems the array and
 float evaluations agree bit for bit.  The float calls dominate the cost of a
-solve (about 160 000 of them for `gap --k 5 --R 0.5 --levels 3`), so every
-constant factor of a formula is computed once per problem, when it is built
-(`ModelParams.prefactor`, the V_eff numerator and 4 R^2, the scales of p, q
-and of the harmonic term), and each evaluation chooses its float or array
-operations once.  On a shared 2-core x86-64 VM with Python 3.11 a float
-right-hand side then costs 2-4 us for the Liouville form and for bare
-callables, 3-5 us in the algebraic coordinate and 5-9 us with the k = 2
-harmonic term (the host's speed varies by up to 2x).
+solve (83 000 of them, for 160 000 right-hand sides, in `gap --k 5 --R 0.5
+--levels 3`), so every constant factor of a formula is computed once per
+problem, when it is built (`ModelParams.prefactor`, the V_eff numerator and
+4 R^2, the scales of p, q and of the harmonic term), and each evaluation
+chooses its float or array operations once.  On a shared 2-core x86-64 VM
+with Python 3.11 a float evaluation then costs 1.2 us (algebraic, bare
+callables) to 2.8 us (k = 2 harmonic term), and a right-hand side about 1 us
+more; the host's speed varies by up to 2x.
 Each Prufer integration leg is one LSODA call through scipy's odeint, whose C
 port of ODEPACK writes to no file descriptor: a failed leg comes back in
 `infodict["message"]`, which the integrator raises as a RuntimeError, and
@@ -210,7 +211,7 @@ class EndpointReport:
     log_case: bool
 
 
-def _local_exponent(f, endpoint, side, eps=1e-6):
+def _local_exponent(f, endpoint, side, eps):
     """Power-law exponent of f near the endpoint.
 
     Log-ratio estimates at nested scales eps, 2 eps, 4 eps, 8 eps are
@@ -237,11 +238,12 @@ def frobenius_exponents(prob, endpoint):
     is mu(mu-1) + r0 mu + q0 = 0 with r0 = lim (t-t0) p'/p and
     q0 = lim (t-t0)^2 (lambda w - q)/p (independent of lambda when w/p has at
     most a simple pole, as here).  Returns (exponents, log_case); log_case is
-    True when the exponents differ by an integer (including zero).
+    True when the exponents differ by an integer (including zero).  The
+    probes start 1e-7 interval widths from the endpoint.
     """
     lo, hi = prob.interval
     side = 1.0 if abs(endpoint - lo) < abs(endpoint - hi) else -1.0
-    eps = 1e-7
+    eps = 1e-7 * (hi - lo)
 
     # r0 = lim (t - t0) p'/p is the local power-law exponent of p itself.
     r0 = _local_exponent(lambda t: prob.coeffs(t)[0], endpoint, side, eps=eps)
@@ -277,12 +279,14 @@ def classify_endpoint(prob, endpoint):
     Regular: 1/p, q, w all integrable at the endpoint (local power-law
     exponents > -1).  Limit circle: both Frobenius solutions square-integrable
     against w, i.e. 2 mu_min + alpha_w > -1 strictly.  Otherwise limit point.
+    The probes start 1e-6 interval widths from the endpoint.
     """
     lo, hi = prob.interval
     side = 1.0 if abs(endpoint - lo) < abs(endpoint - hi) else -1.0
-    alpha_invp = -_local_exponent(lambda t: prob.coeffs(t)[0], endpoint, side)
-    alpha_q = _local_exponent(lambda t: abs(prob.coeffs(t)[1]) + 1e-300, endpoint, side)
-    alpha_w = _local_exponent(lambda t: prob.coeffs(t)[2], endpoint, side)
+    eps = 1e-6 * (hi - lo)
+    alpha_invp = -_local_exponent(lambda t: prob.coeffs(t)[0], endpoint, side, eps)
+    alpha_q = _local_exponent(lambda t: abs(prob.coeffs(t)[1]) + 1e-300, endpoint, side, eps)
+    alpha_w = _local_exponent(lambda t: prob.coeffs(t)[2], endpoint, side, eps)
     exps, log_case = frobenius_exponents(prob, endpoint)
     tol = 1e-3
     if alpha_invp > -1.0 + tol and alpha_q > -1.0 + tol and alpha_w > -1.0 + tol:
@@ -341,51 +345,47 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
     in the log-distance variable u = log|t - endpoint|, which turns the
     power-law coefficient blowup into slowly varying terms.  Each leg is one
     LSODA call (ODEPACK through scipy's odeint) that stops exactly at the
-    leg's end (tcrit) instead of interpolating past it.
+    leg's end (tcrit) instead of interpolating past it.  The right-hand side
+    evaluates the coefficients once per LSODA abscissa: a call at the last
+    abscissa reuses its phi-free factors, with the same arithmetic.
     """
     lo_int, hi_int = prob.interval
     coeffs = prob.coeffs
     cos, sin, sqrt, exp = math.cos, math.sin, math.sqrt, math.exp
-
-    def slope(t, y):
-        phi = y[0]
-        c = cos(phi)
-        s = sin(phi)
-        pv, qv, wv, dpv, dqv, dwv = coeffs(t)
-        bal = wv + abs(qv)
-        sig = sqrt(pv * bal)
-        sgn = 1.0 if qv > 0.0 else (-1.0 if qv < 0.0 else 0.0)
-        dlog = 0.5 * (dpv / pv + (dwv + sgn * dqv) / bal)
-        return sig / pv * c * c + (lam * wv - qv) / sig * s * s + dlog * s * c
-
     width = hi_int - lo_int
     anchor = lo_int if abs(t_from - lo_int) <= abs(t_from - hi_int) else hi_int
-    d_from = abs(t_from - anchor)
-    d_to = abs(t_to - anchor)
-    if 0.0 < d_from < 0.01 * width <= d_to:
-        sign = 1.0 if anchor == lo_int else -1.0
+    d_from, d_to = abs(t_from - anchor), abs(t_to - anchor)
+    log_legs = 0.0 < d_from < 0.01 * width <= d_to
+    sign = 1.0 if anchor == lo_int else -1.0
+    memo = [None] * 5  # x, dt/dx, sigma/p, (lam w - q)/sigma, sigma'/sigma
 
-        def rhs(u, y):
-            dt_du = sign * exp(u)
-            return dt_du * slope(anchor + dt_du, y)
+    def rhs(x, y):
+        if x != memo[0]:
+            scale = sign * exp(x) if log_legs else 1.0
+            pv, qv, wv, dpv, dqv, dwv = coeffs(anchor + scale if log_legs else x)
+            bal = wv + abs(qv)
+            sig = sqrt(pv * bal)
+            sgn = 1.0 if qv > 0.0 else (-1.0 if qv < 0.0 else 0.0)
+            dlog = 0.5 * (dpv / pv + (dwv + sgn * dqv) / bal)
+            memo[:] = x, scale, sig / pv, (lam * wv - qv) / sig, dlog
+        _, scale, fa, fb, fc = memo
+        c, s = cos(y[0]), sin(y[0])
+        return scale * (fa * c * c + fb * s * s + fc * s * c)
 
+    legs = [(t_from, t_to, rtol, atol)]
+    if log_legs:
         # Catastrophic cancellation in t - endpoint makes the coefficient
         # values noisy at relative level ~ eps/d deep in the layer; the angle
         # dynamics there is an adiabatic approach to an attracting direction,
         # so a noise-tolerant deep phase loses nothing.
-        deep_cut = 1e-3 * width
-        u_from, u_cut, u_to = math.log(d_from), math.log(deep_cut), math.log(d_to)
+        u_from, u_cut, u_to = math.log(d_from), math.log(1e-3 * width), math.log(d_to)
         # LSODA refuses a leg shorter than 2 eps max(|u|); a start that close
         # to the cut (a truncation at 1e-3 of the width, rounded) has no deep
         # phase.
+        legs = [(u_from, u_to, rtol, atol)]
         if u_cut - u_from >= 2.0 * np.finfo(float).eps * max(abs(u_from), abs(u_cut)):
             legs = [(u_from, u_cut, max(rtol, 1e-8), max(atol, 1e-8)),
                     (u_cut, u_to, rtol, atol)]
-        else:
-            legs = [(u_from, u_to, rtol, atol)]
-    else:
-        rhs = slope
-        legs = [(t_from, t_to, rtol, atol)]
 
     phi = phi0
     for leg_from, leg_to, leg_rtol, leg_atol in legs:
@@ -839,12 +839,11 @@ class EffectivePotential:
         Richardson extrapolation; constants in w drop out.
         """
         R = self.params.R
-        hi = math.pi * R / 2.0
 
         def s(x):
             return math.sqrt(manifold.weight_trig(x, self.params))
 
-        h = 1e-3 * min(tau, hi - tau, R)
+        h = 1e-3 * min(tau, self.hi - tau, R)
 
         def second(hh):
             return (

@@ -129,6 +129,18 @@ def test_spectrum_est_error_is_the_residual_that_decides_convergence(capsys, arg
     assert code == (0 if converged else 3)
 
 
+def test_gap_classifies_the_right_end_at_large_and_small_R(capsys):
+    # The endpoint probes scale with the Liouville interval: R = 10 and 100
+    # no longer meet a "potential pole", and k = 2 at R = 0.5 reads a real
+    # double exponent instead of a complex pair.
+    for argv, expected in (("gap --k 5 --R 10 --levels 2 --tol 1e-3", 0),
+                           ("gap --k 5 --R 100 --levels 3 --tol 1e-3", 0),
+                           ("gap --k 2 --R 0.5 --levels 2 --tol 1e-3", 3)):
+        code, out, err = run(capsys, argv.split())
+        assert code == expected and err == "", (argv, err)
+        assert json.loads(out)["converged"] == (expected == 0), argv
+
+
 def test_gap_report_fields(capsys):
     code, out, _ = run(capsys, ["gap", "--k", "5", "--R", "1.0", "--levels", "4"])
     assert code == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import odeint
 from scipy.linalg import eigh_tridiagonal
 
 from loopsphere import manifold, radial
@@ -306,6 +307,128 @@ def test_matching_function_equals_reference_arithmetic_bitwise():
         assert got.hex() == radial.prufer_mismatch(twin, a, b, lam).hex(), prob.name
 
 
+def reference_prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
+    """The Prufer integrator with every coefficient evaluated on every call."""
+    lo, hi = prob.interval
+
+    def slope(t, y):
+        c, s = math.cos(y[0]), math.sin(y[0])
+        pv, qv, wv, dpv, dqv, dwv = prob.coeffs(t)
+        bal = wv + abs(qv)
+        sig = math.sqrt(pv * bal)
+        sgn = 1.0 if qv > 0.0 else (-1.0 if qv < 0.0 else 0.0)
+        dlog = 0.5 * (dpv / pv + (dwv + sgn * dqv) / bal)
+        return sig / pv * c * c + (lam * wv - qv) / sig * s * s + dlog * s * c
+
+    width = hi - lo
+    anchor = lo if abs(t_from - lo) <= abs(t_from - hi) else hi
+    d_from, d_to = abs(t_from - anchor), abs(t_to - anchor)
+    rhs, legs = slope, [(t_from, t_to, rtol, atol)]
+    if 0.0 < d_from < 0.01 * width <= d_to:
+        sign = 1.0 if anchor == lo else -1.0
+
+        def rhs(u, y):
+            dt_du = sign * math.exp(u)
+            return dt_du * slope(anchor + dt_du, y)
+
+        u_from, u_cut, u_to = math.log(d_from), math.log(1e-3 * width), math.log(d_to)
+        legs = [(u_from, u_to, rtol, atol)]
+        if u_cut - u_from >= 2.0 * np.finfo(float).eps * max(abs(u_from), abs(u_cut)):
+            legs = [(u_from, u_cut, max(rtol, 1e-8), max(atol, 1e-8)), (u_cut, u_to, rtol, atol)]
+    phi = phi0
+    for leg_from, leg_to, leg_rtol, leg_atol in legs:
+        y = odeint(rhs, [phi], [leg_from, leg_to], tfirst=True, tcrit=[leg_to],
+                   rtol=leg_rtol, atol=leg_atol, mxstep=radial._MXSTEP)
+        phi = float(y[-1, 0])
+    return phi
+
+
+def prufer_legs():
+    """(problem, t_from, t_to, lam, phi0): forward and backward legs of each kind."""
+    cases = []
+
+    def both_ways(prob, a, b, bc, lams):
+        phi_a = 0.0 if bc[0] == "dirichlet" else 0.5 * math.pi
+        phi_b = math.pi if bc[1] == "dirichlet" else 0.5 * math.pi
+        for lam in lams:
+            cases.append((prob, a, 0.5 * (a + b), lam, phi_a))
+            cases.append((prob, b, 0.5 * (a + b), lam, phi_b))
+
+    # The deep-cut log legs of gap --k 5 --R 0.5 at the three bench levels.
+    gap = radial.liouville_problem(manifold.ModelParams(k=5, R=0.5))
+    for a, b in radial.default_schedule(gap, levels=3):
+        both_ways(gap, a, b, ("dirichlet", "dirichlet"), (0.16, 2.5))
+    # Flux conditions toward the limit-circle and regular ends.
+    for prob in (radial.coefficients(manifold.ModelParams(k=3)),
+                 radial.coefficients(manifold.ModelParams(k=4)),
+                 radial.coefficients_with_harmonics(manifold.ModelParams(k=2), 1, 0)):
+        for a, b in radial.default_schedule(prob, levels=3):
+            both_ways(prob, a, b, radial.default_bc(prob), (0.3, 4.0))
+    # Bare callables on the whole interval (criterion 01), and a start
+    # rounded onto the deep cut, which leaves a single log-distance leg.
+    both_ways(const_problem(), 0.0, 1.0, ("dirichlet", "dirichlet"), (math.pi**2, 30.0))
+    shallow = radial.liouville_problem(manifold.ModelParams(k=4, R=0.29780402771124387))
+    (a, b), = radial.default_schedule(shallow, levels=2)[1:]
+    both_ways(shallow, a, b, ("dirichlet", "dirichlet"), (1.0,))
+    return cases
+
+
+def test_prufer_integrate_equals_per_call_coefficient_reference_bitwise(monkeypatch):
+    legs_per_call = []
+    real = radial.odeint
+
+    def counting_odeint(*args, **kwargs):
+        legs_per_call[-1] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "odeint", counting_odeint)
+    for prob, t_from, t_to, lam, phi0 in prufer_legs():
+        legs_per_call.append(0)
+        got = radial._prufer_integrate(prob, t_from, t_to, lam, phi0)
+        want = reference_prufer_integrate(prob, t_from, t_to, lam, phi0)
+        assert got.hex() == want.hex(), (prob.name, t_from, t_to, lam)
+    # Both the one-leg (t or shallow log) and the two-leg (deep log) paths ran.
+    assert set(legs_per_call) == {1, 2}
+
+
+def test_coefficients_are_evaluated_once_per_abscissa(monkeypatch):
+    # Level index 2 of gap --k 5 --R 0.5: two log-distance legs at each end.
+    base = radial.liouville_problem(manifold.ModelParams(k=5, R=0.5))
+    evaluations = []
+
+    def counted(t):
+        evaluations.append(t)
+        return base.coeffs(t)
+
+    prob = radial.SLProblem(coeffs=counted, interval=base.interval)
+    legs = []
+    real = radial.odeint
+
+    def spy(rhs, *args, **kwargs):
+        abscissae = []
+        legs.append(abscissae)
+
+        def recorded(x, y):
+            abscissae.append(x)
+            return rhs(x, y)
+
+        return real(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(radial, "odeint", spy)
+    a, b = radial.default_schedule(prob, levels=3)[2]
+    for t_from, phi0 in ((a, 0.0), (b, math.pi)):
+        evaluations.clear()
+        legs.clear()
+        radial._prufer_integrate(prob, t_from, 0.5 * (a + b), 0.16, phi0)
+        assert len(legs) == 2
+        # One evaluation per change of abscissa between consecutive calls,
+        # counted across the leg boundary: the second leg opens at the cut,
+        # where the first one stopped.
+        xs = [x for leg in legs for x in leg]
+        assert len(evaluations) == 1 + sum(u != v for u, v in zip(xs, xs[1:]))
+        assert len(evaluations) <= 0.6 * len(xs), (len(evaluations), len(xs))
+
+
 def test_fd_eigenvalues_equal_the_eigenvector_solve_bitwise(monkeypatch):
     # The Liouville-form solves of the benchmark: eigenvalues only must equal
     # the eigenvalues of a solve that also returns eigenvectors.
@@ -344,6 +467,17 @@ def test_endpoint_table():
         expected = radial.expected_endpoint_kinds(k)
         assert reports[0.0].kind is expected[0.0], k
         assert reports[1.0].kind is expected[1.0], k
+
+
+def test_liouville_endpoint_kinds_do_not_depend_on_R():
+    # The probes scale with the interval pi R / 2; at a fixed absolute
+    # distance, sin(tau / R) rounds to 1 at the right end once R >= 10.
+    for k in range(2, 7):
+        kinds = {R: radial._endpoint_kinds(radial.liouville_problem(manifold.ModelParams(k=k, R=R)))
+                 for R in (0.25, 0.5, 1.0, 10.0, 100.0)}
+        assert len(set(kinds.values())) == 1, (k, kinds)
+        if k != 3:  # k = 3 sits on the LP/LC threshold, where the probe reads LC
+            assert kinds[1.0][1] is radial.expected_endpoint_kinds(k)[1.0], k
 
 
 def test_frobenius_exponents_closed_form():
