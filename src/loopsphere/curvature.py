@@ -10,9 +10,9 @@ flat coordinates of that space:
 
   * grad f_phi = 2 Pr_N(n phi), with Pr_N the harmonic truncation;
   * the Hessian of f_phi is the symmetric matrix H_phi : X -> 2 Pr_N(X phi),
-    which depends on (N, d) only.  It is assembled with one exact product
-    per scalar basis element phi_i: the unit flat directions ride side by
-    side on the ambient axis of one vector polynomial (see _hessians);
+    which depends on (N, d) only and equals h_phi (x) I_d, h_phi the same map
+    on scalars.  All the h_i come from one product-to-sum of exponential
+    coefficients and are lifted to H_i by the Kronecker product (_hessians);
   * the constraint Gram matrix s_ij = <grad f_i, grad f_j> is invertible on
     the smooth stratum, and the Gauss equation contracts Hessian products
     against its inverse:
@@ -113,33 +113,35 @@ def _hessians(degree, ambient_dim):
     """Hessians H_i, shape (m, nn, nn), of the constraints f_i at any loop.
 
     Column col of H_i is 2 flatten(Pr_N(x_col phi_i)) for the unit flat
-    direction x_col.  All nn directions ride side by side on the ambient axis
-    of one vector polynomial, direction col in slots col*d .. col*d+d-1, so
-    each phi_i takes one scalar_mul.  The convolution is elementwise along
-    that axis and each output coefficient sums at most two nonzero products,
-    so every entry equals the one-direction-at-a-time product exactly (only
-    the sign of some zeros differs).  Elementwise arithmetic only: a matrix
-    product or einsum could fuse multiply-adds and change the rounding.
+    direction x_col.  Multiplying by phi_i acts on each ambient component
+    alike, so H_i = h_i (x) I_d with h_i the same map on the 2N+1 unit scalar
+    directions.  All m blocks come from one trigpoly._convolve of the basis
+    scalars' exponential coefficients against the directions', followed by
+    the from_exponential, flatten_vec and 2.0 * steps: every entry takes the
+    float operations of the one-product-per-direction assembly and equals it
+    exactly (only the sign of some zeros differs).  Elementwise arithmetic
+    only: a matrix product or einsum could fuse multiply-adds and change the
+    rounding.
     """
-    d = ambient_dim
+    nb = scalar_dim(degree)
     m = scalar_dim(2 * degree)
-    nn = flat_dim(degree, d)
-    # Flat coordinate j of direction col lives in unit[col, block(j), j % d]:
-    # block 0 is the constant term, blocks 2s-1 and 2s harmonic s.
-    unit = np.eye(nn).reshape(nn, 2 * degree + 1, d)
-    unit[:, 1:] *= math.sqrt(2.0)
-    blocks = unit.transpose(1, 0, 2).reshape(2 * degree + 1, nn * d)
-    batch = TrigPolyVec(v=blocks[0], a=blocks[1::2], b=blocks[2::2])
-    hess = np.zeros((m, nn, nn))
-    for i in range(m):
-        phi = scalar_basis_element(i, 2 * degree)
-        image = trigpoly.project(trigpoly.scalar_mul(batch, phi), degree)
-        flat = np.zeros((2 * degree + 1, nn, d))
-        flat[0] = image.v.reshape(nn, d)
-        flat[1::2] = image.a.reshape(degree, nn, d) / math.sqrt(2.0)
-        flat[2::2] = image.b.reshape(degree, nn, d) / math.sqrt(2.0)
-        hess[i] = 2.0 * flat.transpose(0, 2, 1).reshape(nn, nn)
-    return hess
+
+    def units(size):
+        # Exponential coefficients of the basis 1, sqrt2 cos s, sqrt2 sin s.
+        unit = np.eye(size)
+        unit[1:] *= math.sqrt(2.0)
+        return trigpoly._exponential(unit[0], unit[1::2], unit[2::2])
+
+    # Harmonics 0..N of phi_i x_col: rows 3N..4N of the product.
+    c = trigpoly._convolve(units(m)[:, :, None], units(nb)[:, None])[3 * degree : 4 * degree + 1]
+    flat = np.empty((nb, m, nb))
+    flat[0] = c[0].real
+    flat[1::2] = 2.0 * c[1:].real / math.sqrt(2.0)
+    flat[2::2] = -2.0 * c[1:].imag / math.sqrt(2.0)
+    hess = np.zeros((m, nb, ambient_dim, nb, ambient_dim))
+    diag = np.arange(ambient_dim)
+    hess[:, :, diag, :, diag] = 2.0 * flat.transpose(1, 0, 2)
+    return hess.reshape(m, nb * ambient_dim, nb * ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +227,14 @@ class CurvatureContext:
         return KernelOperator(N=self.degree, matrix=self.s_full / 4.0)
 
     def green_operator(self):
-        """Inverse of the constraint metric as an operator on scalars."""
-        return KernelOperator(N=self.degree, matrix=4.0 * self.s_inv)
+        """Inverse of the constraint metric as an operator on scalars.
+
+        With grads^T = Q R, s = R^T R and s^{-1} = R^{-1} R^{-T}, a product
+        of a matrix with its own transpose: symmetric by construction, where
+        the inverse of s is not to 1e-12 once cond(s) reaches about 1e7.
+        """
+        r_inv = np.linalg.inv(np.linalg.qr(self.grads.T, mode="r"))
+        return KernelOperator(N=self.degree, matrix=4.0 * (r_inv @ r_inv.T))
 
     def pair_coords(self, x, y):
         """u(X,Y)_i = <X, H_i Y> -- coordinates of the scalar 2 X.Y."""
@@ -345,6 +353,8 @@ def scalar_and_mean(n, radius=None):
     their entries are of order one whatever the radius; the curvatures then
     scale as 1/R^2.
     """
+    if n.ambient_dim < 2:
+        raise ValueError("curvature requires k >= 1: the loops on S^0 are isolated points")
     radius = infer_radius(n) if radius is None else float(radius)
     ctx = CurvatureContext(trigpoly.scale(n, 1.0 / radius), 1.0)
     ric = ctx.ricci_matrix()
@@ -355,7 +365,7 @@ def scalar_and_mean(n, radius=None):
     resid = abs(scalar_closed - scalar_trace) / max(abs(scalar_trace), 1.0)
     mean_sq = closed["mean_sq"]
     dim = ric.shape[0]
-    leung = leung_bound(scalar_closed, mean_sq, dim)
+    leung = leung_bound(scalar_closed, mean_sq, dim) if dim >= 2 else None
     r2 = radius**2
     return CurvatureReport(
         scalar=scalar_closed / r2,

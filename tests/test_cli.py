@@ -194,6 +194,22 @@ def test_curvature_report(tmp_path, capsys):
     assert rec["scalar_trace_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_curvature_of_circle_valued_loop_has_no_leung_bound(tmp_path, capsys, degree):
+    # theta -> (cos N theta, sin N theta): a 1-dimensional variety, below the
+    # dimension the Leung bound needs.
+    path = tmp_path / "loop.json"
+    zero = [[0.0, 0.0]] * (degree - 1)
+    path.write_text(json.dumps({"k": 1, "N": degree, "R": 1.0, "v": [0.0, 0.0],
+                                "a": zero + [[1.0, 0.0]], "b": zero + [[0.0, 1.0]]}))
+    code, out, err = run(capsys, ["curvature", "--input", str(path)])
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert (rec["dim"], rec["scalar"], rec["leung_rhs"]) == (1, 0.0, None)
+    assert rec["ricci_eigenvalues"] == [0.0]
+    assert rec["mean_sq"] == pytest.approx(1.0, rel=1e-14)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("radius", [1e-60, 1e-100, 1.16e77])
 def test_curvature_report_scales_as_inverse_radius_squared(tmp_path, capsys, k, radius):
@@ -242,6 +258,10 @@ def test_validation_errors(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["check", "--input", str(path)])
     assert code == 2
     assert "constant term" in err
+    # A loop on S^0 is a point of a 0-dimensional variety.
+    path.write_text('{"k": 0, "N": 0, "R": 1.0, "v": [1.0], "a": [], "b": []}')
+    code, out, err = run(capsys, ["curvature", "--input", str(path)])
+    assert (code, out) == (2, "") and "k >= 1" in err
     # Invalid parameter range.
     code, _, err = run(capsys, ["classify", "--k", "1"])
     assert code == 2

@@ -74,14 +74,26 @@ def _per_direction_hessians(degree, ambient_dim):
 
 
 def test_batched_hessians_match_per_direction_assembly_bitwise():
-    for degree in range(8):
-        for d in (3, 4, 5, 7):
+    for degree in range(9):
+        scalar = curvature._hessians(degree, 1)
+        for d in (1, 3, 4, 5, 7):
             expected = _per_direction_hessians(degree, d)
             got = curvature._hessians(degree, d)
             assert np.array_equal(got, expected), (degree, d)
+            for i in range(scalar.shape[0]):
+                assert np.array_equal(got[i], np.kron(scalar[i], np.eye(d))), (degree, d, i)
     # One ulp off in a single entry is a mismatch.
     got[3, 5, 7] = np.nextafter(got[3, 5, 7], np.inf)
     assert not np.array_equal(got, expected)
+
+
+def test_curvature_context_builds_no_trig_polynomial_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar_mul called")
+
+    monkeypatch.setattr(trigpoly, "scalar_mul", refuse)
+    ctx = curvature.CurvatureContext(random_loop(3, 3, 1.0, 0))
+    assert ctx.hessians.shape == (13, 28, 28)
 
 
 def test_ricci_min_matches_jacobi_oracle():
@@ -138,10 +150,23 @@ def test_grad_f_is_constraint_gradient():
 
 
 def test_gram_green_inverse_pair():
-    n = random_loop(3, 1, 1.0, seed=7)
-    gram = curvature.gram_kernel(n).matrix
-    green = curvature.green_kernel(n).matrix
-    assert np.allclose(gram @ green, np.eye(gram.shape[0]), atol=1e-9)
+    # An inverse of s is not symmetric to 1e-12 on 8 of these loops, among
+    # them (2, 3, 8) at cond 4.4e7 and (3, 5, 8) at 2.1e11.
+    admitted = 0
+    for k in (2, 3, 4):
+        for degree in range(1, 6):
+            for seed in range(10):
+                n = random_loop(k, degree, 1.0, seed)
+                try:
+                    ctx = curvature.CurvatureContext(n)
+                except curvature.NearSingularStratumError:
+                    continue
+                gram = curvature.gram_kernel(n).matrix
+                green = curvature.green_kernel(n).matrix
+                resid = np.linalg.norm(gram @ green - np.eye(gram.shape[0]), 2)
+                assert resid <= 1e-14 * ctx.condition, (k, degree, seed)
+                admitted += 1
+    assert admitted == 138
 
 
 def test_tangent_basis_orthonormal_and_tangential():
