@@ -98,11 +98,16 @@ def angular_eigenvalue_k2(l, s, t, radius):
     """Closed-form eigenvalue on W_{2l} at angular weight s; t a float or an ndarray."""
     if abs(s) > l:
         raise ValueError(f"weight |s| = {abs(s)} exceeds l = {l}")
-    if not numerics._inside(t, 0.0, 1.0):
+    if isinstance(t, np.ndarray):  # the powers go through pow either way, as numerics._power
+        inside, pw = numerics._inside(t, 0.0, 1.0), np.float_power
+    else:
+        inside, pw = 0.0 < t < 1.0, pow
+    if not inside:
         raise ValueError(f"t must lie in (0, 1), got {t}")
-    return 4.0 * l * (2 * l + 1) / (3.0 * radius**2 * (1.0 + t)) + s**2 * (
+    r2 = radius**2
+    return 4.0 * l * (2 * l + 1) / (3.0 * r2 * (1.0 + t)) + s**2 * (
         3.0 * t - 1.0
-    ) / (radius**2 * (1.0 - numerics._power(t, 2)))
+    ) / (r2 * (1.0 - pw(t, 2)))
 
 
 def h_omega_matrix_k2(l, t, radius):

@@ -354,16 +354,15 @@ def _cmd_factorize(args):
 
 def _cmd_check(args):
     n, radius = trigpoly.loop_from_json(_read_input(args.input))
-    params = manifold.ModelParams(k=n.ambient_dim - 1, R=radius)
     residual = trigpoly.constraint_residual(n, radius).max_abs_coeff()
     ok = residual <= trigpoly.SPHERE_RTOL * radius**2
     stratum = (
-        manifold.classify_stratum(n, params).value
+        manifold.classify_stratum(n, radius).value
         if n.degree <= 1
         else ("smooth" if ok else "not-on-variety")
     )
     record = {
-        "k": params.k,
+        "k": n.ambient_dim - 1,
         "N": n.degree,
         "R": radius,
         "constraint_residual": residual,

@@ -113,26 +113,23 @@ class FramePoint:
         return self.frame.shape[1] - 1
 
 
-def classify_stratum(n, params):
-    """Locate a loop within the degree-one variety.
+def classify_stratum(n, radius):
+    """Locate a loop on the sphere of the given radius within the degree-one variety.
 
     A loop off the variety (nonzero constraint residual) is NOT_ON_VARIETY;
     on the variety, vanishing harmonics mean a point loop, vanishing constant
-    term a great circle, anything else the smooth stratum.
+    term a great circle, anything else the smooth stratum.  Any ambient
+    dimension is accepted, the circle (k = 1) included.
     """
-    if n.ambient_dim != params.k + 1:
-        raise ValueError(
-            f"loop lives in R^{n.ambient_dim} but parameters specify R^{params.k + 1}"
-        )
-    res = trigpoly.constraint_residual(n, params.R)
-    if res.max_abs_coeff() > trigpoly.SPHERE_RTOL * params.R**2:
+    res = trigpoly.constraint_residual(n, radius)
+    if res.max_abs_coeff() > trigpoly.SPHERE_RTOL * radius**2:
         return Stratum.NOT_ON_VARIETY
     if n.degree > 1:
         return Stratum.NOT_ON_VARIETY
     harm = 0.0 if n.degree == 0 else np.linalg.norm(n.a[0]) + np.linalg.norm(n.b[0])
-    if harm <= trigpoly.TRIM_RTOL * params.R:
+    if harm <= trigpoly.TRIM_RTOL * radius:
         return Stratum.POINT_LOOPS
-    if np.linalg.norm(n.v) <= 1e-10 * params.R:
+    if np.linalg.norm(n.v) <= 1e-10 * radius:
         return Stratum.GREAT_CIRCLES
     return Stratum.SMOOTH
 
@@ -163,7 +160,11 @@ def chart_inverse(n, params):
 
     Raises StratumError naming the stratum for singular or off-variety loops.
     """
-    stratum = classify_stratum(n, params)
+    if n.ambient_dim != params.k + 1:
+        raise ValueError(
+            f"loop lives in R^{n.ambient_dim} but parameters specify R^{params.k + 1}"
+        )
+    stratum = classify_stratum(n, params.R)
     if stratum is not Stratum.SMOOTH:
         raise StratumError(
             f"chart inverse requires a smooth-stratum loop; this one lies on '{stratum.value}'"

@@ -15,7 +15,10 @@ class SplitMix64:
     """Deterministic 64-bit PRNG with a uniform/gaussian convenience layer."""
 
     def __init__(self, seed):
-        self._state = int(seed) & _MASK
+        """`seed` is an integer in [0, 2^64); one outside is refused, not wrapped."""
+        if not 0 <= seed <= _MASK:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
+        self._state = int(seed)
         self._gauss_cache = None
 
     def next_u64(self):

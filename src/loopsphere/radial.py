@@ -36,11 +36,18 @@ float evaluations agree bit for bit.  The float calls dominate the cost of a
 solve (83 000 of them, for 160 000 right-hand sides, in `gap --k 5 --R 0.5
 --levels 3`), so every constant factor of a formula is computed once per
 problem, when it is built (`ModelParams.prefactor`, the V_eff numerator and
-4 R^2, the scales of p, q and of the harmonic term), and each evaluation
-chooses its float or array operations once.  On a shared 2-core x86-64 VM
-with Python 3.11 a float evaluation then costs 1.2 us (algebraic, bare
-callables) to 2.8 us (k = 2 harmonic term), and a right-hand side about 1 us
-more; the host's speed varies by up to 2x.
+4 R^2, the scales of p, q and of the harmonic term), each evaluation
+chooses its float or array operations once, and the right-hand side keeps
+the last abscissa's factors in closure cells.  On a shared 2-core x86-64 VM
+with Python 3.11 a float evaluation costs 0.7 us (algebraic), 0.8 us (bare
+callables), 1.3 us (Liouville form) and 1.8 us (k = 2 harmonic term); the
+rest of a right-hand side adds 0.4 to 0.5 us at a new abscissa, a repeated
+abscissa costs 0.23 us in all, and odeint's own call 0.4 to 1.3 us more; the
+host's speed varies by up to 2x.
+A solve makes about 7 shots (matching evaluations) per eigenvalue, 7.3 over
+the benchmark's spectral round: 2 to 3 to bracket the coarse
+finite-difference seed of its own truncation, which lies within 4e-3
+relative of the root, and 4 to 5 for brentq.
 Each Prufer integration leg is one LSODA call through scipy's odeint, whose C
 port of ODEPACK writes to no file descriptor: a failed leg comes back in
 `infodict["message"]`, which the integrator raises as a RuntimeError, and
@@ -357,19 +364,25 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
     d_from, d_to = abs(t_from - anchor), abs(t_to - anchor)
     log_legs = 0.0 < d_from < 0.01 * width <= d_to
     sign = 1.0 if anchor == lo_int else -1.0
-    memo = [None] * 5  # x, dt/dx, sigma/p, (lam w - q)/sigma, sigma'/sigma
+    # The last abscissa and its phi-free factors: dt/dx, sigma/p,
+    # (lam w - q)/sigma and sigma'/sigma.
+    last, scale, fa, fb, fc = None, 1.0, 0.0, 0.0, 0.0
 
     def rhs(x, y):
-        if x != memo[0]:
-            scale = sign * exp(x) if log_legs else 1.0
-            pv, qv, wv, dpv, dqv, dwv = coeffs(anchor + scale if log_legs else x)
+        nonlocal last, scale, fa, fb, fc
+        if x != last:
+            if log_legs:
+                scale = sign * exp(x)
+                pv, qv, wv, dpv, dqv, dwv = coeffs(anchor + scale)
+            else:
+                pv, qv, wv, dpv, dqv, dwv = coeffs(x)
             bal = wv + abs(qv)
             sig = sqrt(pv * bal)
             sgn = 1.0 if qv > 0.0 else (-1.0 if qv < 0.0 else 0.0)
-            dlog = 0.5 * (dpv / pv + (dwv + sgn * dqv) / bal)
-            memo[:] = x, scale, sig / pv, (lam * wv - qv) / sig, dlog
-        _, scale, fa, fb, fc = memo
-        c, s = cos(y[0]), sin(y[0])
+            last, fa, fb = x, sig / pv, (lam * wv - qv) / sig
+            fc = 0.5 * (dpv / pv + (dwv + sgn * dqv) / bal)
+        phi = y.item()
+        c, s = cos(phi), sin(phi)
         return scale * (fa * c * c + fb * s * s + fc * s * c)
 
     legs = [(t_from, t_to, rtol, atol)]
@@ -420,8 +433,7 @@ def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), rtol=1e-11, 
     return left - right
 
 
-def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), ode_rtol=1e-11,
-                    seed_values=None):
+def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), ode_rtol=1e-11):
     """First `count` eigenvalues on [a, b] by two-sided Prufer shooting.
 
     The matching defect D(lambda) of `prufer_mismatch` is increasing in
@@ -429,32 +441,25 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), ode_rtol
     D(lambda) - index*pi.  A coarse finite-difference solve seeds the search
     brackets (the root itself is determined entirely by the shooting
     function); a sign-change check widens or rebuilds the bracket if a seed
-    is off.  `seed_values` replaces the finite-difference seeds.  Each
-    eigenvalue search integrates every distinct lambda once: brentq opens on
-    the two bracket ends the sign-change check has just evaluated, and gets
-    those values back instead of two more shots.  If the finite-difference
-    seed fails, a RuntimeWarning names the error and the brackets come from
-    outward doubling.  Each root is located to 1e-10 absolute in lambda.
+    is off.  Each eigenvalue search integrates every distinct lambda once:
+    brentq opens on the two bracket ends the sign-change check has just
+    evaluated, and gets those values back instead of two more shots.  If the
+    finite-difference seed fails, a RuntimeWarning names the error and the
+    brackets come from outward doubling.  Each root is located to 1e-10
+    absolute in lambda.
     """
     if count < 1:
         raise ValueError(f"eigenvalue count must be >= 1, got {count}")
     seeds = None
-    if seed_values is not None:
-        seeds = np.asarray(seed_values, dtype=float)
-        if len(seeds) < count:
-            raise ValueError(f"need {count} seed values, got {len(seeds)}")
-    else:
-        try:
-            seeds = solve_truncated_fd(
-                prob, a, b, count=count, bc=bc, npoints=1500, richardson=False
-            )
-        except Exception as exc:
-            warnings.warn(
-                f"finite-difference seed failed ({type(exc).__name__}: {exc}); "
-                "bracketing by outward doubling",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    try:
+        seeds = solve_truncated_fd(prob, a, b, count=count, bc=bc, npoints=1500, richardson=False)
+    except Exception as exc:
+        warnings.warn(
+            f"finite-difference seed failed ({type(exc).__name__}: {exc}); "
+            "bracketing by outward doubling",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     out = []
     for index in range(count):
         target = index * math.pi
@@ -663,6 +668,12 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
     choice (limit circle at both ends reachable by several extensions),
     convergence to the intended extension is flagged as proven only in the
     regular/limit-point cases.
+
+    Each level is an independent `solve_truncated`, seeded by its own coarse
+    finite-difference solve: on the benchmark's three-level spectra those
+    seeds lie 2e-6 to 4e-3 relative off the roots, where the previous
+    level's eigenvalues lie up to 0.36 off (lambda_0 of the Liouville form
+    at k = 5, R = 0.5, level 1) and cost the bracket search more widenings.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"convergence tolerance must be finite and > 0, got {tol}")
@@ -671,13 +682,10 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
     kinds = _endpoint_kinds(prob)
     if bc is None:
         bc = _bc_for(kinds)
-    # Each level reuses the previous level's eigenvalues as search seeds; the
-    # truncation error shrinks with the level, so they are excellent brackets.
-    history = []
-    prev = None
-    for a, b in default_schedule(prob, levels):
-        prev = solve_truncated(prob, a, b, count=count, bc=bc, seed_values=prev)
-        history.append(prev)
+    # Every level seeds its brackets from its own coarse finite-difference
+    # solve, far closer to its roots than the previous level's eigenvalues.
+    history = [solve_truncated(prob, a, b, count=count, bc=bc)
+               for a, b in default_schedule(prob, levels)]
     final, residual = accelerate(history)
     converged = bool(np.max(residual) <= tol)
     lp_only = EndpointKind.LIMIT_CIRCLE not in kinds

@@ -64,6 +64,34 @@ def test_check_great_circle(tmp_path, capsys):
     assert rec["stratum"] == "great-circles"
 
 
+@pytest.mark.parametrize("record, stratum", [
+    ({"k": 1, "N": 1, "R": 1.0, "v": [0, 0], "a": [[1, 0]], "b": [[0, 1]]}, "great-circles"),
+    ({"k": 3, "N": 0, "R": 1e120, "v": [1e120, 0, 0, 0], "a": [], "b": []}, "point-loops"),
+])
+def test_check_accepts_loops_without_model_parameters(tmp_path, capsys, record, stratum):
+    # A circle-valued loop (k = 1) and a radius whose R^7 overflows: no
+    # ModelParams exists for either, and `curvature` and `factorize` take both.
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert (rec["k"], rec["R"], rec["on_sphere"], rec["stratum"]) == (
+        record["k"], record["R"], True, stratum)
+
+
+def test_random_loop_seed_range_is_64_bits(capsys):
+    argv = ["random-loop", "--k", "3", "--N", "1"]
+    for seed in ("0", str(2**64 - 1)):
+        code, out, _ = run(capsys, argv + ["--seed", seed])
+        assert code == 0 and out
+    # Out of range, a seed used to wrap onto the loop of seed mod 2^64.
+    for seed in (str(2**64), "-1"):
+        code, out, err = run(capsys, argv + [f"--seed={seed}"])
+        assert code == 2 and out == ""
+        assert err == f"error: seed must be an integer in [0, 2^64), got {seed}\n"
+
+
 def test_check_rejects_off_sphere(tmp_path, capsys):
     bad = {
         "k": 2,
@@ -580,7 +608,7 @@ _FUZZ_FLOATS = st.one_of(
        k=st.sampled_from([2, 3]) | st.integers(-1, 12), degree=st.integers(-2, 5),
        radius=_FUZZ_FLOATS, t=_FUZZ_FLOATS, tau=st.none() | _FUZZ_FLOATS,
        l=st.none() | st.integers(-2, 4), s=st.none() | st.integers(-3, 4),
-       seed=st.integers(-2**70, 2**70))
+       seed=st.integers(0, 2**64 - 1) | st.integers(-2**70, 2**70))
 def test_fast_subcommands_exit_documented_codes_with_strict_json(command, k, degree, radius, t,
                                                                   tau, l, s, seed):
     values = {"--k": k, "--N": degree, "--R": radius, "--t": t, "--tau": tau, "--l": l,

@@ -65,18 +65,25 @@ def test_trig_chart_matches_alg_chart():
 def test_classify_stratum_cases():
     params = manifold.ModelParams(k=2, R=1.0)
     point_loop = trigpoly.trig_poly(np.array([1.0, 0.0, 0.0]))
-    assert manifold.classify_stratum(point_loop, params) is manifold.Stratum.POINT_LOOPS
+    assert manifold.classify_stratum(point_loop, 1.0) is manifold.Stratum.POINT_LOOPS
     circle = trigpoly.trig_poly(
         np.zeros(3), a=np.array([[1.0, 0.0, 0.0]]), b=np.array([[0.0, 1.0, 0.0]])
     )
-    assert manifold.classify_stratum(circle, params) is manifold.Stratum.GREAT_CIRCLES
+    assert manifold.classify_stratum(circle, 1.0) is manifold.Stratum.GREAT_CIRCLES
     rng = SplitMix64(14)
     smooth = manifold.alg_chart(
         manifold.FramePoint(t=0.5, frame=random_frame(rng, 2)), params
     )
-    assert manifold.classify_stratum(smooth, params) is manifold.Stratum.SMOOTH
+    assert manifold.classify_stratum(smooth, 1.0) is manifold.Stratum.SMOOTH
     off = trigpoly.trig_poly(np.array([2.0, 0.0, 0.0]))
-    assert manifold.classify_stratum(off, params) is manifold.Stratum.NOT_ON_VARIETY
+    assert manifold.classify_stratum(off, 1.0) is manifold.Stratum.NOT_ON_VARIETY
+    # The circle (k = 1) has no ModelParams; its loops classify all the same.
+    circle_of_circle = trigpoly.trig_poly(
+        np.zeros(2), a=np.array([[1.0, 0.0]]), b=np.array([[0.0, 1.0]])
+    )
+    assert manifold.classify_stratum(circle_of_circle, 1.0) is manifold.Stratum.GREAT_CIRCLES
+    with pytest.raises(ValueError, match="R\\^4 but parameters specify R\\^3"):
+        manifold.chart_inverse(trigpoly.trig_poly(np.array([1.0, 0.0, 0.0, 0.0])), params)
     with pytest.raises(manifold.StratumError, match="point-loops"):
         manifold.chart_inverse(point_loop, params)
 

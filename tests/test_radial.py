@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import odeint
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from loopsphere import manifold, radial
 
@@ -644,6 +645,73 @@ def test_spectrum_regular_problem_neumann():
     assert res.converged and res.convergence_proven
     assert abs(res.raw[0]) < 1e-6
     assert res.raw[1] == pytest.approx(math.pi**2, rel=1e-6)
+
+
+def chained_seed_solve(prob, a, b, count, bc, seeds):
+    """Eigenvalues on [a, b] bracketed from given seeds, as `spectrum` once seeded
+    each level from the previous level's eigenvalues."""
+    out = []
+    for index in range(count):
+        def miss(lam, target=index * math.pi):
+            return radial.prufer_mismatch(prob, a, b, lam, bc=bc, rtol=1e-11, atol=1e-13) - target
+
+        guess = float(seeds[index])
+        delta = 1e-4 * (1.0 + abs(guess))
+        for _ in range(40):
+            lo, hi = guess - delta, guess + delta
+            if out and lo <= out[-1]:
+                lo = 0.5 * (out[-1] + guess)
+            if miss(lo) < 0.0 < miss(hi):
+                break
+            delta *= 4.0
+        else:
+            raise AssertionError(f"seed {guess} brackets no eigenvalue")
+        out.append(float(brentq(miss, lo, hi, xtol=1e-10, rtol=4.0 * np.finfo(float).eps)))
+    return np.array(out)
+
+
+def bench_spectra():
+    """(name, problem, boundary conditions) of the four spectra of the benchmark."""
+    gap = radial.liouville_problem(manifold.ModelParams(k=5, R=0.5))
+    out = [("gap-k5-R0.5", gap, ("dirichlet", "dirichlet"))]
+    for k in (3, 4):
+        prob = radial.coefficients(manifold.ModelParams(k=k))
+        out.append((f"spectrum-k{k}", prob, radial.default_bc(prob)))
+    prob = radial.coefficients_with_harmonics(manifold.ModelParams(k=2), 1, 0)
+    out.append(("spectrum-k2-l1-s0", prob, radial.default_bc(prob)))
+    return out
+
+
+def test_fd_seeded_levels_agree_with_previous_level_seeds():
+    # Seeds from each level's own coarse FD solve land on the same roots as
+    # seeds from the previous level's eigenvalues.  gap-k5-R0.5's lambda_0 is
+    # the exception in width: its matching function changes sign irregularly
+    # within about 3e-8 relative of the root (LSODA error, ROADMAP item 4), so
+    # two brackets find two of those sign changes (2.0e-8 apart at level 1).
+    for name, prob, bc in bench_spectra():
+        res = radial.spectrum(prob, count=2, tol=1e-3, levels=3, bc=bc)
+        schedule = radial.default_schedule(prob, levels=3)
+        seeds = res.history[0]
+        for level, (a, b) in enumerate(schedule[1:], start=1):
+            old = chained_seed_solve(prob, a, b, 2, bc, seeds)
+            rtol = np.array([3e-8 if name == "gap-k5-R0.5" else 1e-9, 1e-9])
+            dev = np.abs(res.history[level] - old) / np.abs(old)
+            assert np.all(dev <= rtol), (name, level, dev)
+            seeds = old
+
+
+def test_spectrum_k3_shoots_at_most_40_times(monkeypatch):
+    shots = []
+    real = radial.prufer_mismatch
+
+    def spy(*args, **kwargs):
+        shots.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "prufer_mismatch", spy)
+    radial.spectrum(radial.coefficients(manifold.ModelParams(k=3)), count=2, tol=1e-3, levels=3)
+    # 38 shots; seeding levels 1 and 2 from the level before took 54.
+    assert len(shots) <= 40
 
 
 def test_oracle_comparison_quick():
