@@ -19,6 +19,12 @@ Subcommands map one-to-one onto the library modules:
 `main` builds the parser of the invoked subcommand only; help and a missing
 or unknown command get the parser of all twelve.
 
+Only numpy is imported at module level.  Each handler imports the library
+modules it runs, and `main` imports the error classes' modules only when a
+command fails, so `import loopsphere.cli` with `build_parser()` loads no
+other library module, a command compiles only its own modules, and only the
+radial subcommands load scipy.
+
 Exit codes: 0 success, 2 validation error (bad flags, malformed input, or a
 result that a double cannot represent), 3 numeric diagnostic failure.
 Output is JSON (default) or CSV with floats at 17 significant digits;
@@ -32,11 +38,6 @@ import json
 import sys
 
 import numpy as np
-
-# The radial subcommands import `radial` themselves, so that the others start
-# without loading scipy.
-from . import angular, curvature, manifold, resolution, trigpoly
-from .prng import SplitMix64
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -119,6 +120,9 @@ def random_loop(k, degree, radius, seed):
     which generically raises the harmonic degree by exactly one while
     preserving the constraint identically.
     """
+    from . import manifold, resolution, trigpoly
+    from .prng import SplitMix64
+
     params = manifold.ModelParams(k=k, R=radius)
     if degree < 0:
         raise ValueError(f"loop degree must be >= 0, got {degree}")
@@ -144,6 +148,8 @@ def random_loop(k, degree, radius, seed):
 
 
 def _params(args):
+    from . import manifold
+
     return manifold.ModelParams(k=args.k, R=args.R, L=args.L)
 
 
@@ -248,6 +254,8 @@ def _cmd_veff(args):
 
 
 def _cmd_volume(args):
+    from . import manifold
+
     params = _params(args)
     # The closed forms name a value that a double cannot represent; the
     # quadrature's integrand would overflow on the way to it.
@@ -269,6 +277,8 @@ def _cmd_volume(args):
 
 
 def _cmd_curvature(args):
+    from . import curvature, trigpoly
+
     n, radius = trigpoly.loop_from_json(_read_input(args.input))
     rep = curvature.scalar_and_mean(n, radius=radius)
     record = {
@@ -290,6 +300,8 @@ def _cmd_curvature(args):
 
 
 def _cmd_ricci(args):
+    from . import curvature, manifold
+
     params = manifold.ModelParams(k=args.k, R=args.R)
     if not (0.0 < args.t < 1.0):
         raise ValueError(f"--t must lie in (0, 1), got {args.t}")
@@ -308,6 +320,8 @@ def _cmd_ricci(args):
 
 
 def _cmd_angular(args):
+    from . import angular, manifold
+
     params = manifold.ModelParams(k=args.k, R=args.R)
     if not (0.0 < args.t < 1.0):
         raise ValueError(f"--t must lie in (0, 1), got {args.t}")
@@ -340,6 +354,8 @@ def _cmd_angular(args):
 
 
 def _cmd_factorize(args):
+    from . import resolution, trigpoly
+
     data = json.loads(_read_input(args.input))
     if isinstance(data, dict) and "rotations" in data:
         fact = resolution.rotations_from_dict(data)
@@ -353,14 +369,17 @@ def _cmd_factorize(args):
 
 
 def _cmd_check(args):
+    from . import trigpoly
+
     n, radius = trigpoly.loop_from_json(_read_input(args.input))
     residual = trigpoly.constraint_residual(n, radius).max_abs_coeff()
     ok = residual <= trigpoly.SPHERE_RTOL * radius**2
-    stratum = (
-        manifold.classify_stratum(n, radius).value
-        if n.degree <= 1
-        else ("smooth" if ok else "not-on-variety")
-    )
+    if n.degree <= 1:
+        from . import manifold
+
+        stratum = manifold.classify_stratum(n, radius).value
+    else:
+        stratum = "smooth" if ok else "not-on-variety"
     record = {
         "k": n.ambient_dim - 1,
         "N": n.degree,
@@ -374,6 +393,8 @@ def _cmd_check(args):
 
 
 def _cmd_random_loop(args):
+    from . import trigpoly
+
     n = random_loop(args.k, args.N, args.R, args.seed)
     _write(_dumps(trigpoly.loop_to_dict(n, args.R), indent=2) + "\n", args.output)
     return EXIT_OK
@@ -456,14 +477,20 @@ def main(argv=None):
     args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
-    except (trigpoly.LoopFormatError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (curvature.NearSingularStratumError, resolution.PeelError,
-            manifold.StratumError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
+        # Malformed input, or one of the library's numeric diagnostics, which
+        # all derive from ValueError.
+        from .curvature import NearSingularStratumError
+        from .manifold import StratumError
+        from .resolution import PeelError
+
+        print(f"error: {exc}", file=sys.stderr)
+        numeric = (NearSingularStratumError, PeelError, StratumError)
+        return EXIT_NUMERIC if isinstance(exc, numeric) else EXIT_VALIDATION
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OverflowError as exc:

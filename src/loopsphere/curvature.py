@@ -42,6 +42,7 @@ the top-degree stratum, and the Leung / Chen / Meyer eigenvalue bounds.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,12 +367,22 @@ def scalar_and_mean(n, radius=None):
     mean_sq = closed["mean_sq"]
     dim = ric.shape[0]
     leung = leung_bound(scalar_closed, mean_sq, dim) if dim >= 2 else None
+    eigenvalues = np.linalg.eigvalsh(ric)
     r2 = radius**2
+    # Near the smallest radius a loop file may hold, the curvatures of a
+    # strongly curved loop exceed the doubles.
+    largest = max(abs(scalar_closed), mean_sq, np.abs(eigenvalues).max(), abs(leung or 0.0),
+                  *(abs(term) for term in terms.values()))
+    if largest > sys.float_info.max * r2:
+        raise ValueError(
+            f"radius R = {radius!r} is out of range: a curvature of {largest:.3e} / R^2 "
+            f"cannot be represented as a double"
+        )
     return CurvatureReport(
         scalar=scalar_closed / r2,
         mean_sq=mean_sq / r2,
         ricci_matrix=ric / r2,
-        ricci_eigenvalues=np.linalg.eigvalsh(ric) / r2,
+        ricci_eigenvalues=eigenvalues / r2,
         leung_rhs=None if leung is None else leung / r2,
         condition_gram=ctx.condition,
         dim=dim,

@@ -301,6 +301,7 @@ def rotations_from_dict(data):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise trigpoly.LoopFormatError(f"malformed rotations record: {exc}") from exc
     trigpoly.check_entries("rotations", radius, base, *(m for pair in pairs for m in pair))
+    trigpoly.check_radius("rotations", radius)
     try:
         rots = [PlaneRotation(projection=p, rotation=w) for p, w in pairs]
     except ValueError as exc:

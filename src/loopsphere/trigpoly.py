@@ -29,6 +29,9 @@ SPHERE_RTOL = 1e-9
 # The largest magnitude of an entry or radius a serialized loop may hold, so
 # that the squares and products of entries the constraint sums are doubles.
 MAX_ENTRY = 2.0**500
+# The smallest radius a serialized loop may hold, so that R^2, the scale of
+# the sphere test and of the harmonic trim, is a normal double.
+MIN_RADIUS = 2.0**-500
 
 
 class LoopFormatError(ValueError):
@@ -276,6 +279,17 @@ def check_entries(record, *values):
             )
 
 
+def check_radius(record, radius):
+    """Raise LoopFormatError unless the radius is at least MIN_RADIUS."""
+    if radius <= 0:
+        raise LoopFormatError(f"radius must be positive, got {radius}")
+    if radius < MIN_RADIUS:
+        raise LoopFormatError(
+            f"{record} record has radius R = {radius!r}; R must be at least 2^-500, so that "
+            f"R^2 is a normal double"
+        )
+
+
 def loop_from_dict(data):
     """Deserialize; returns (TrigPolyVec, radius).  Validates shapes and types."""
     try:
@@ -292,8 +306,7 @@ def loop_from_dict(data):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise LoopFormatError(f"malformed loop record: {exc}") from exc
     check_entries("loop", radius, v, a, b)
-    if radius <= 0:
-        raise LoopFormatError(f"radius must be positive, got {radius}")
+    check_radius("loop", radius)
     if v.shape != (k + 1,):
         raise LoopFormatError(f"constant term has shape {v.shape}, expected ({k + 1},)")
     if a.shape != (deg, k + 1) or b.shape != (deg, k + 1):

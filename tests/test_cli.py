@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -336,11 +337,47 @@ def test_validation_errors(tmp_path, capsys, monkeypatch):
 def test_cli_start_up_and_non_radial_commands_leave_scipy_unimported():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import loopsphere.cli as cli; "
-            "cli.build_parser(); assert cli.main(['ricci', '--k', '2', '--t', '0.5']) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+            "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top); "
+            "cli.build_parser(); print(loaded('loopsphere'), file=sys.stderr); "
+            "assert cli.main(['ricci', '--k', '2', '--t', '0.5']) == 0; "
+            "print(loaded('loopsphere'), loaded('scipy'), sep='\\n', file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                           check=True)
-    assert proc.stderr.strip() == "[]"
+    start_up, after_ricci, scipy = map(ast.literal_eval, proc.stderr.splitlines())
+    # Each command imports the library modules it runs, and only those.
+    assert start_up == ["loopsphere", "loopsphere.cli"]
+    unused = {f"loopsphere.{name}" for name in ("resolution", "angular", "prng", "radial")}
+    assert not unused & set(after_ricci), after_ricci
+    assert scipy == []
+
+
+# One fresh-process input per `except` branch of `cli.main` but RuntimeError's,
+# which no input reaches without patching the solver (see
+# test_failed_integration_leg_exits_3).  In-process tests cannot catch a missing
+# import on these paths: this module imports every library module first.
+@pytest.mark.parametrize("argv, stdin, code, message", [
+    (["curvature", "--input", "-"], ("random-loop", 2, 4, 2), 3, "condition number 5.014e+19"),
+    (["check", "--input", "-"], ("truncated", 3, 2, 7), 2, "invalid JSON"),
+    (["factorize", "--input", "-"], ("random-loop", 3, 6, 9), 2, "basis must be orthogonal"),
+    (["spectrum", "--k", "1"], None, 2, "k must be an integer >= 2, got 1"),
+    (["check", "--input", "missing.json"], None, 2, "No such file or directory"),
+    (["angular", "--k", "2", "--l", str(10**400), "--t", "0.5"], None, 2,
+     "a value overflows a double"),
+], ids=["near-singular", "truncated", "D1", "bad-k", "missing-file", "overflow"])
+def test_fresh_process_error_paths_exit_on_one_error_line(tmp_path, argv, stdin, code, message):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    text = None
+    if stdin is not None:
+        kind, k, degree, seed = stdin
+        text = trigpoly.loop_to_json(cli.random_loop(k, degree, 1.0, seed), 1.0, indent=2)
+        if kind == "truncated":
+            text = text[: len(text) // 2]
+    proc = subprocess.run([sys.executable, "-m", "loopsphere.cli", *argv], input=text,
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
 
 
 def test_module_entry_point_runs_a_command():
@@ -747,3 +784,101 @@ def test_loop_file_commands_exit_documented_codes_on_fuzzed_files(record):
                 assert out.getvalue() == "", (argv, text, out.getvalue())
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), (argv, text, lines)
+
+
+def _main_on_stdin(argv, text):
+    """(exit code, stdout, stderr, warnings) of `cli.main(argv)` with `text` on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught, \
+            pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("always")
+        patch.setattr(sys, "stdin", io.StringIO(text))
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("k, degree, seed", [(2, 1, 1), (3, 2, 7), (3, 4, 0), (4, 3, 2),
+                                             (2, 3, 1)])
+def test_loop_files_below_the_radius_floor_exit_2_naming_the_radius(k, degree, seed):
+    # Scaled whole, these loops stay on their spheres.  Below 2^-500, R^2 is
+    # subnormal or 0: `check` found them off the sphere from R = 1e-156, and
+    # from 1e-162 the trim dropped every harmonic, so `check` and `factorize`
+    # answered for a constant loop.
+    loop = cli.random_loop(k, degree, 1.0, seed)
+    rotations = resolution.rotations_to_dict(resolution.factorize(loop, 1.0))
+    for radius in (1e-156, 1e-158, 1e-162, 1e-200, 2.0**-501):
+        record = trigpoly.loop_to_dict(trigpoly.scale(loop, radius), radius)
+        scaled = {**rotations, "R": radius, "base": [radius * x for x in rotations["base"]]}
+        for command, rec in [("check", record), ("factorize", record), ("curvature", record),
+                             ("factorize", scaled)]:
+            name = "rotations" if "rotations" in rec else "loop"
+            result = _main_on_stdin([command, "--input", "-"], json.dumps(rec))
+            assert result == (2, "", f"error: {name} record has radius R = {radius!r}; R must be "
+                                     f"at least 2^-500, so that R^2 is a normal double\n", [])
+    # At the floor itself every command answers.
+    text = trigpoly.loop_to_json(trigpoly.scale(loop, 2.0**-500), 2.0**-500)
+    results = {command: _main_on_stdin([command, "--input", "-"], text)
+               for command in ("check", "factorize", "curvature")}
+    assert all(r[0] == 0 and r[2:] == ("", []) for r in results.values()), results
+    report = json.loads(results["check"][1])
+    assert (report["N"], report["on_sphere"]) == (degree, True)
+
+
+def test_curvatures_beyond_the_doubles_exit_2_on_one_line():
+    # k4-N3-s7 has curvatures of order 1e11 at R = 1, so of order 1e312 at
+    # R = 2^-500, where numpy's overflow warnings used to precede the error.
+    radius = 2.0**-500
+    text = trigpoly.loop_to_json(trigpoly.scale(cli.random_loop(4, 3, 1.0, 7), radius), radius)
+    code, out, err, caught = _main_on_stdin(["curvature", "--input", "-"], text)
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith(f"error: radius R = {radius!r} is out of range: a curvature of ")
+    assert err.endswith(" / R^2 cannot be represented as a double\n") and err.count("\n") == 1
+
+
+# Radii across the range a loop file may hold: from 2^-500 up to 2^498, where
+# the entries of a loop, at most sqrt(2) R, stay below 2^500.  Powers of two
+# scale exactly, so a command at radius R reads the R = 1 loop bit for bit and
+# any difference comes from the scale itself.  A scale with a mantissa rounds
+# each entry once, and the closed curvature route (D2, ROADMAP item 1) turns
+# that ulp into 1e-7 to 1.3e-6 relative on Sc for 3 of 150 random loops, at
+# Gram condition numbers of 9e5 to 6e7, and into 170 % on k2-N4-s8 (3e10).
+_RADII = st.integers(-500, 498).map(lambda e: 2.0**e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 4), degree=st.integers(0, 4), seed=st.integers(0, 2**64 - 1),
+       radius=_RADII | st.sampled_from([2.0**-500, 2.0**498]))
+def test_scaled_loops_answer_as_the_unit_loop(k, degree, seed, radius):
+    loop = cli.random_loop(k, degree, 1.0, seed)
+    texts = {r: trigpoly.loop_to_json(trigpoly.scale(loop, r), r) for r in (1.0, radius)}
+    for command in ("check", "factorize", "curvature"):
+        results = {r: _main_on_stdin([command, "--input", "-"], text)
+                   for r, text in texts.items()}
+        (unit_code, unit_out, _, _), (code, out, err, caught) = results[1.0], results[radius]
+        assert code in (0, 2, 3) and caught == [], (command, err, caught)
+        unit, report = (_strict_json(text) if text else None for text in (unit_out, out))
+        if code != 0 and report is None:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+        if command == "curvature" and unit_code == 0:
+            # Sc and the other curvatures scale as 1/R^2, which leaves the
+            # doubles near the smallest radii for a strongly curved loop.
+            values = [unit["scalar"], unit["mean_sq"], *unit["ricci_eigenvalues"],
+                      unit["leung_rhs"] or 0.0, *unit["scalar_terms"].values()]
+            if max(map(abs, values)) > sys.float_info.max * radius**2:
+                assert code == 2 and "cannot be represented as a double" in err, err
+                continue
+        assert code == unit_code, (command, err)
+        if command == "check":
+            assert (report["N"], report["on_sphere"]) == (unit["N"], unit["on_sphere"])
+        elif command == "curvature" and code == 0:
+            assert report["scalar"] * radius**2 == pytest.approx(unit["scalar"], rel=1e-8)
+        elif command == "factorize" and code == 0:
+            back = _main_on_stdin(["factorize", "--input", "-"], out)
+            assert back[0] == 0, back
+            n, r = trigpoly.loop_from_json(back[1])
+            expect = trigpoly.scale(loop, radius)
+            assert r == radius and n.degree == expect.degree
+            for got, want in ((n.v, expect.v), (n.a, expect.a), (n.b, expect.b)):
+                assert np.abs(got - want).max(initial=0.0) <= 1e-10 * radius
