@@ -138,6 +138,11 @@ def angular_spectrum_k2(l, t, radius):
 # ---------------------------------------------------------------------------
 
 
+# Largest dimension (lw+1)(mw+1) of a k = 3 representation: the operator and
+# its six generators are dense complex matrices, 0.2 GB and 1.3 s at 1024.
+K3_DIM_MAX = 1024
+
+
 def so4_rep_generators(lw, mw):
     """Images rho(L_pair) on W_lw (x) W_mw, keyed by coordinate pair (i, j).
 
@@ -146,6 +151,9 @@ def so4_rep_generators(lw, mw):
     """
     if lw < 0 or mw < 0 or int(lw) != lw or int(mw) != mw:
         raise ValueError("representation labels must be nonnegative integers")
+    dim = (lw + 1) * (mw + 1)
+    if dim > K3_DIM_MAX:
+        raise ValueError(f"W_{lw} (x) W_{mw} has dimension {dim}; at most {K3_DIM_MAX} is built")
     ua = su2_generators(lw + 1)
     ub = su2_generators(mw + 1)
     eye_a = np.eye(lw + 1)

@@ -124,8 +124,8 @@ def random_loop(k, degree, radius, seed):
     from .prng import SplitMix64
 
     params = manifold.ModelParams(k=k, R=radius)
-    if degree < 0:
-        raise ValueError(f"loop degree must be >= 0, got {degree}")
+    if not 0 <= degree <= manifold.N_MAX:
+        raise ValueError(f"loop degree must lie in [0, {manifold.N_MAX}], got {degree}")
     rng = SplitMix64(seed)
     d = params.k + 1
     base = np.array(rng.gauss_vector(d))

@@ -29,6 +29,12 @@ tau_i = tr(H_i) - m_i (the tangential trace of the Hessians),
                - s^{kl} s^{qr} s^{ij} A_{qki} A_{lrj}.
 
 Both identities are verified against the tangent-basis contraction in tests.
+The last term's m^6 products (m = 4N + 1) are summed in np.einsum's order,
+bit for bit, because the frozen benchmark reference holds roundoff-dominated
+D2 scalars: numpy 2.4 visits k, l, q, i, r, j from outer to inner, multiplies
+left to right, and sums runs of whole blocks of the inner axes that fit its
+8192-element buffer (ending with the block of the next axis out), each from
++0.0 in order, adding each run's sum to the total in turn (_connection_sum).
 The Ricci route's tangent frame T is the null space of the gradients' Gram
 matrix, from numerics.eig_symmetric: cyclic Jacobi on one stack [a; V] that
 keeps a exactly symmetric, bitwise the textbook loop, because the frozen
@@ -143,6 +149,77 @@ def _hessians(degree, ambient_dim):
     diag = np.arange(ambient_dim)
     hess[:, :, diag, :, diag] = 2.0 * flat.transpose(1, 0, 2)
     return hess.reshape(m, nb * ambient_dim, nb * ambient_dim)
+
+
+def _connection_sum(s, a):
+    """sum_klqirj s_kl s_qr s_ij a_qki a_lrj, bit for bit as np.einsum sums it.
+
+    The module docstring gives np.einsum's order of products and sums.  For
+    m <= 6 the runs split k, and each is summed whole.  Otherwise the runs
+    are lanes laid out innermost and summed side by side: one per index of
+    the axes outside the run's axis c and, when those are few, per group of
+    c.  Many lanes take one `acc += row` per place in the run; fewer take
+    np.add.accumulate, two lanes per complex addition.  O(m^4) doubles are
+    held.
+    """
+    m = len(s)
+    c = next(c for c in range(6) if m ** (5 - c) <= 8192)  # 8192: numpy's buffer size
+    per_run = min(m, 8192 // m ** (5 - c))
+    # The five factors over the axes (k, l, q, i, r, j).
+    s_kl, s_qr = s[:, :, None, None, None, None], s[None, None, :, None, :, None]
+    s_ij, a_lrj = s[None, None, None, :, None, :], a[None, :, None, None, :, :]
+    a_qki = a.transpose(1, 0, 2)[:, None, :, :, None, None]
+    if c == 0:
+        terms = ((np.multiply(s_kl, s_qr) * s_ij) * a_qki * a_lrj).reshape(m, -1)
+        runs = [np.add.accumulate(terms[k : k + per_run].ravel())[-1] for k in range(0, m, per_run)]
+        return 0.0 + float(np.add.accumulate(runs)[-1])
+    groups = -(-m // per_run)
+    g_lane = m**c < 512  # few lanes outside c: c's groups join them
+    rows = m**c * groups**g_lane >= 512  # enough lanes for one numpy add per place
+    groups += g_lane and not rows and groups % 2  # an even count pairs up as complex
+    nl = m**c * groups**g_lane
+    # Axes 0..c-1, c split into (group, place in run), c+1..5; l first keeps inner loops long.
+    outer = sorted(range(c), key=lambda ax: ax != 1)
+    lanes = outer[:1] + [c] * g_lane + outer[1:]
+    places = [c] * (not g_lane) + list(range(c + 1, 7))
+    full = [groups if ax == c else per_run if ax == c + 1 else m for ax in places + lanes]
+    budget = max(m**4, 1 << 18)
+    factors = []
+    for f in (s_kl, s_qr, s_ij, a_qki, a_lrj):
+        head, tail = f.shape[:c], f.shape[c + 1 :]
+        if f.shape[c] > 1:  # zeros up to whole groups
+            f = np.concatenate([f, np.zeros(head + (groups * per_run - m,) + tail)], c)
+        split = (groups, per_run) if f.shape[c] > 1 else (1, 1)
+        f = f.reshape(head + split + tail).transpose(places + lanes)
+        wide = f.shape[: len(places)] + tuple(full[len(places) :])
+        if not rows and math.prod(wide) <= budget:
+            f = np.broadcast_to(f, wide)
+        factors.append(np.ascontiguousarray(f))
+    # The leading axes are looped over in Python: group and place when the groups are not lanes.
+    lead = max(2 - g_lane, next(d for d in range(7) if math.prod(full[d:]) <= budget))
+    buf = np.empty(full[lead:])
+    terms = buf.reshape(-1, nl)
+    sums = np.zeros((groups ** (not g_lane), nl))
+    for idx in np.ndindex(*full[:lead]):
+        if not g_lane and idx[0] * per_run + idx[1] >= m:
+            continue  # padding
+        x_kl, x_qr, x_ij, x_qki, x_lrj = (f[tuple(i % n for i, n in zip(idx, f.shape))]
+                                          for f in factors)
+        np.multiply(np.multiply(x_kl, x_qr, order="C"), x_ij, out=buf)
+        buf *= x_qki
+        buf *= x_lrj
+        acc = sums[0 if g_lane else idx[0]]
+        if rows:
+            for row in terms:
+                acc += row
+        else:
+            terms[0] += acc
+            acc[:] = np.add.accumulate(terms.view(np.complex128), axis=0)[-1].view(np.float64)
+    labels = [c] * (not g_lane) + lanes
+    runs = sums.reshape([groups if ax == c else m for ax in labels]).transpose(np.argsort(labels))
+    runs = runs.ravel()
+    # 0.0 + ...: a run of zeros summed by np.add.accumulate may read -0.0.
+    return 0.0 + float(np.add.accumulate(runs, out=runs)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +380,7 @@ class CurvatureContext:
         hg = np.einsum("iab,qb->iqa", h, g)
         hess_trace_term = -float(np.einsum("ij,iab,jba->", sinv, h, h))
         cross_term = 2.0 * float(np.einsum("qr,ij,iqa,jra->", sinv, sinv, hg, hg))
-        conn_term = -float(
-            np.einsum("kl,qr,ij,qki,lrj->", sinv, sinv, sinv, a_tensor, a_tensor)
-        )
+        conn_term = -_connection_sum(sinv, a_tensor)
         return {
             "tau": tau,
             "mean_sq": mean_sq,

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -91,6 +92,21 @@ def test_random_loop_seed_range_is_64_bits(capsys):
         code, out, err = run(capsys, argv + [f"--seed={seed}"])
         assert code == 2 and out == ""
         assert err == f"error: seed must be an integer in [0, 2^64), got {seed}\n"
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["random-loop", "--k", "2", "--N", str(10**20), "--seed", "1"], "[0, 1000]"),
+    (["random-loop", "--k", "3", "--N", str(manifold.N_MAX + 1), "--seed", "1"], "[0, 1000]"),
+    (["angular", "--k", "3", "--l", "80", "--s", "80", "--t", "0.5"], "at most 1024"),
+    (["angular", "--k", "3", "--l", "160", "--s", "160", "--t", "0.5"], "at most 1024"),
+    (["angular", "--k", "3", "--l", str(10**45), "--s", "1", "--t", "0.5"], "at most 1024"),
+])
+def test_oversized_requests_exit_2_naming_the_limit_before_any_work(capsys, argv, limit):
+    # Refused before any draw or matrix: unbounded, each takes minutes or gigabytes.
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "") and err.count("\n") == 1 and limit in err, err
 
 
 def test_check_rejects_off_sphere(tmp_path, capsys):
@@ -642,7 +658,8 @@ _FUZZ_FLOATS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(["random-loop", "check", "volume", "classify", "frobenius",
                                 "veff", "ricci", "angular"]),
-       k=st.sampled_from([2, 3]) | st.integers(-1, 12), degree=st.integers(-2, 5),
+       k=st.sampled_from([2, 3]) | st.integers(-1, 12),
+       degree=st.integers(-2, 5) | st.integers(manifold.N_MAX + 1, 10**30),
        radius=_FUZZ_FLOATS, t=_FUZZ_FLOATS, tau=st.none() | _FUZZ_FLOATS,
        l=st.none() | st.integers(-2, 4), s=st.none() | st.integers(-3, 4),
        seed=st.integers(0, 2**64 - 1) | st.integers(-2**70, 2**70))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,69 @@ def test_scalar_decomposition_consistency():
     rep = curvature.scalar_and_mean(n)
     assert rep.scalar_trace_residual < 1e-9
     assert rep.scalar == pytest.approx(sum(rep.scalar_terms.values()), rel=1e-12)
+
+
+def _connection_operands(n):
+    """s^{-1} and A_qri of the loop scaled to the unit sphere, as scalar_and_mean builds them."""
+    ctx = curvature.CurvatureContext(trigpoly.scale(n, 1.0 / curvature.infer_radius(n)), 1.0)
+    return ctx, ctx.s_inv, np.einsum("qa,iab,rb->qri", ctx.grads, ctx.hessians, ctx.grads)
+
+
+def _einsum_connection(s, a):
+    return float(np.einsum("kl,qr,ij,qki,lrj->", s, s, s, a, a))
+
+
+_DEGREE_ONE = trigpoly.trig_poly(np.array([math.sqrt(0.3), 0.0, 0.0]),
+                                 a=np.array([[0.0, math.sqrt(0.7), 0.0]]),
+                                 b=np.array([[0.0, 0.0, math.sqrt(0.7)]]))
+
+
+# m = 4N + 1 = 1, 5, 9, 13, 17, 21; k2-N3-s6, k3-N3-s9 and k3-N5-s0 are the
+# D2 loops, whose frozen scalar curvatures are roundoff.
+@pytest.mark.parametrize("loop", [
+    "round", "degree-one", (4, 1, 3), (3, 2, 1), (2, 2, 4), (2, 3, 6), (3, 3, 9), (4, 3, 0),
+    (3, 4, 0), (3, 5, 0),
+], ids=str)
+def test_connection_term_is_the_einsum_bit_for_bit(loop):
+    if loop == "round":
+        n = trigpoly.trig_poly(np.array([1.0, 0.0, 0.0, 0.0]))
+    else:
+        n = _DEGREE_ONE if loop == "degree-one" else random_loop(*loop[:2], 1.0, loop[2])
+    ctx, s, a = _connection_operands(n)
+    assert ctx.closed_contractions()["terms"]["connection"] == -_einsum_connection(s, a)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 5, 6, 7, 8, 9, 11, 13, 15, 17, 19, 21])
+def test_connection_sum_is_the_einsum_bit_for_bit_on_random_operands(m):
+    rng = np.random.default_rng(m)
+    s = rng.standard_normal((m, m))
+    a = rng.standard_normal((m, m, m))
+    assert curvature._connection_sum(s, a) == _einsum_connection(s, a)
+    # Columns l and m-1-l of s equal and slices l and m-1-l of a opposite:
+    # every term has its exact negative, so the sum is all roundoff and
+    # shows the order of every product and every addition.
+    s[:, (m + 1) // 2 :] = s[:, : m // 2][:, ::-1]
+    a[m // 2 :] = -a[: (m + 1) // 2][::-1]
+    a[m // 2] *= m % 2 == 0
+    assert curvature._connection_sum(s, a) == _einsum_connection(s, a)
+
+
+def test_connection_sum_is_the_einsum_bit_for_bit_at_degree_six():
+    _, s, a = _connection_operands(random_loop(3, 6, 1.0, 5))
+    assert len(s) == 25
+    assert curvature._connection_sum(s, a) == _einsum_connection(s, a)
+
+
+def test_connection_sum_holds_a_few_megabytes_at_degree_five():
+    # m^4 doubles are 1.6 MB at m = 21; an m^5 array would be 33 MB.
+    _, s, a = _connection_operands(random_loop(3, 5, 1.0, 0))
+    tracemalloc.start()
+    try:
+        curvature._connection_sum(s, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_near_singular_stratum_raises():
