@@ -72,9 +72,23 @@ def su2_generators(dim):
 # ---------------------------------------------------------------------------
 
 
+# Largest label l of a k = 2 representation W_{2l}, sized as K3_DIM_MAX: the
+# dense (2l+1)-square operator of h_omega_matrix_k2 peaks at 0.17 GB and takes
+# 0.5 s at 1023, and angular_spectrum_k2 loops over the l+1 weights.
+K2_L_MAX = 1023
+
+
 def _check_label(l):
     if l < 0 or int(l) != l:
         raise ValueError(f"label l must be a nonnegative integer, got {l}")
+
+
+def _check_k2_label(l):
+    """A label whose W_{2l} is small enough to build or enumerate."""
+    _check_label(l)
+    if l > K2_L_MAX:
+        raise ValueError(f"label l must be at most {K2_L_MAX} (W_{{2l}} of dimension at most "
+                         f"{2 * K2_L_MAX + 1}), got {l}")
 
 
 def casimir_scalar_k2(l):
@@ -112,6 +126,7 @@ def angular_eigenvalue_k2(l, s, t, radius):
 
 def h_omega_matrix_k2(l, t, radius):
     """The angular operator on W_{2l} as an explicit (2l+1) x (2l+1) matrix."""
+    _check_k2_label(l)
     if not (0.0 < t < 1.0):
         raise ValueError(f"t must lie in (0, 1), got {t}")
     dim = 2 * l + 1
@@ -125,7 +140,7 @@ def h_omega_matrix_k2(l, t, radius):
 
 def angular_spectrum_k2(l, t, radius):
     """Eigenvalues with multiplicities on W_{2l}: [(value, mult), ...] ascending."""
-    _check_label(l)
+    _check_k2_label(l)
     vals = {}
     for s in range(0, l + 1):
         lam = angular_eigenvalue_k2(l, s, t, radius)

@@ -17,7 +17,8 @@ Subcommands map one-to-one onto the library modules:
     random-loop  seeded random sphere-valued loop of prescribed degree
 
 `main` builds the parser of the invoked subcommand only; help and a missing
-or unknown command get the parser of all twelve.
+or unknown command get the parser of all twelve.  A process builds each of
+these parsers once and reuses it for every later call of `main`.
 
 Only numpy is imported at module level.  Each handler imports the library
 modules it runs, and `main` imports the error classes' modules only when a
@@ -34,6 +35,7 @@ token.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -453,8 +455,14 @@ def _add_common(sub, flags):
         sub.add_argument("--neigs", type=int, default=2, help="number of eigenvalues")
 
 
+@functools.cache
 def build_parser(command=None):
-    """The CLI parser, with every subcommand or only the one named `command`."""
+    """The CLI parser, with every subcommand or only the one named `command`.
+
+    Built once per `command` and process: the returned parser is shared by
+    every later call, so callers must not mutate it (add arguments, change
+    defaults).  `parse_args` keeps no state from one parse to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="loopsphere",
         description="Finite-dimensional loop spaces of round spheres.",

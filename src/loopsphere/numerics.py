@@ -4,6 +4,7 @@ Everything downstream funnels its heavy lifting through this module so that
 tolerances and failure modes live in one place.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,11 +46,17 @@ def _inside(x, lo, hi):
     return lo < x < hi
 
 
+@functools.lru_cache(typed=True)
 def gauss_legendre(order):
-    """Gauss-Legendre rule with `order` nodes (exact for degree 2*order-1)."""
+    """Gauss-Legendre rule with `order` nodes (exact for degree 2*order-1).
+
+    The rules are kept in an `lru_cache`, one per order, and shared by every
+    caller; their nodes and weights are read-only arrays.
+    """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights)
 
 

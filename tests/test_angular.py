@@ -61,6 +61,16 @@ def test_k2_spectrum_multiplicities():
         angular.angular_eigenvalue_k2(1, 0, 1.5, 1.0)
 
 
+def test_k2_labels_above_the_bound_are_refused():
+    top = angular.K2_L_MAX
+    levels = angular.angular_spectrum_k2(top, 0.5, 1.0)
+    assert sum(mult for _, mult in levels) == 2 * top + 1
+    for l in (top + 1, 10**12):
+        for build in (angular.angular_spectrum_k2, angular.h_omega_matrix_k2):
+            with pytest.raises(ValueError, match=f"at most {top} "):
+                build(l, 0.5, 1.0)
+
+
 def test_so4_structure_constants_match_defining_rep():
     # The representation images must satisfy the same commutators as the
     # defining matrices L_ij = E_ij - E_ji.

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import ODEintWarning, odeint
 
-from loopsphere import cli, manifold, radial, resolution, trigpoly
+from loopsphere import cli, manifold, numerics, radial, resolution, trigpoly
 
 
 def run(capsys, argv):
@@ -100,6 +100,8 @@ def test_random_loop_seed_range_is_64_bits(capsys):
     (["angular", "--k", "3", "--l", "80", "--s", "80", "--t", "0.5"], "at most 1024"),
     (["angular", "--k", "3", "--l", "160", "--s", "160", "--t", "0.5"], "at most 1024"),
     (["angular", "--k", "3", "--l", str(10**45), "--s", "1", "--t", "0.5"], "at most 1024"),
+    (["angular", "--k", "2", "--l", "1024", "--t", "0.5"], "at most 1023"),
+    (["angular", "--k", "2", "--l", str(10**12), "--t", "0.5"], "at most 1023"),
 ])
 def test_oversized_requests_exit_2_naming_the_limit_before_any_work(capsys, argv, limit):
     # Refused before any draw or matrix: unbounded, each takes minutes or gigabytes.
@@ -377,7 +379,7 @@ def test_cli_start_up_and_non_radial_commands_leave_scipy_unimported():
     (["factorize", "--input", "-"], ("random-loop", 3, 6, 9), 2, "basis must be orthogonal"),
     (["spectrum", "--k", "1"], None, 2, "k must be an integer >= 2, got 1"),
     (["check", "--input", "missing.json"], None, 2, "No such file or directory"),
-    (["angular", "--k", "2", "--l", str(10**400), "--t", "0.5"], None, 2,
+    (["angular", "--k", "2", "--l", str(10**400), "--s", "0", "--t", "0.5"], None, 2,
      "a value overflows a double"),
 ], ids=["near-singular", "truncated", "D1", "bad-k", "missing-file", "overflow"])
 def test_fresh_process_error_paths_exit_on_one_error_line(tmp_path, argv, stdin, code, message):
@@ -479,6 +481,45 @@ def test_main_builds_only_the_invoked_subcommands_parser(monkeypatch, capsys):
             cli.main(argv)
     assert built == ["ricci", "classify", None, None, None, None]
     capsys.readouterr()
+
+
+def test_main_builds_each_subcommands_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    argv = ["ricci", "--k", "2", "--t", "0.5"]
+    outs = [run(capsys, argv) for _ in range(2)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_a_parse_leaves_no_flags_for_the_next():
+    parser = cli.build_parser("spectrum")
+    assert cli.build_parser("spectrum") is parser
+    first = parser.parse_args(["spectrum", "--k", "3", "--neigs", "5", "--levels", "4"])
+    assert (first.neigs, first.levels) == (5, 4)
+    second = parser.parse_args(["spectrum", "--k", "3"])
+    assert (second.neigs, second.levels, second.tol, second.l) == (2, 7, 1e-6, None)
+
+
+def test_failed_parse_and_help_leave_the_next_output_as_a_fresh_process(capsys):
+    argv = ["angular", "--k", "2", "--l", "2", "--t", "0.25", "--format", "csv"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-m", "loopsphere.cli", *argv], capture_output=True,
+                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert fresh.returncode == 0 and fresh.stderr == ""
+    for bad, code in ((argv + ["--bogus", "3"], 2), (["angular", "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == code
+    capsys.readouterr()
+    assert run(capsys, argv) == (0, fresh.stdout, "")
+
+
+def test_volume_answers_alike_from_the_cached_rule(capsys):
+    numerics.gauss_legendre.cache_clear()  # the first call builds the rule, the second reuses it
+    argv = ["volume", "--k", "3", "--R", "2"]
+    first = run(capsys, argv)
+    assert first[0] == 0 and run(capsys, argv) == first
 
 
 _USAGE = """\

@@ -219,6 +219,74 @@ def test_scalar_decomposition_consistency():
     assert rep.scalar == pytest.approx(sum(rep.scalar_terms.values()), rel=1e-12)
 
 
+def _exact(value):
+    """pytest.approx at 1e-10 relative, or 1e-10 absolute for a value of 0."""
+    return pytest.approx(value, rel=1e-10, abs=1e-10)
+
+
+def _great_circle(k, degree, radius):
+    """The N-fold great circle R(cos N theta e_1 + sin N theta e_2) on S^k."""
+    a, b = np.zeros((degree, k + 1)), np.zeros((degree, k + 1))
+    a[-1, 0] = b[-1, 1] = radius
+    return trigpoly.trig_poly(np.zeros(k + 1), a, b)
+
+
+# Sc R^2 and Ric_min R^2 of the N-fold great circle on S^k.
+_GREAT_CIRCLE = {
+    2: (lambda N: -4 * N**2 + 2 * N + 2, lambda N: -(2 * N - 1)),
+    3: (lambda N: 12 * N + 6, lambda N: 2),
+    4: (lambda N: 12 * N**2 + 30 * N + 12, lambda N: 2 * N + 3),
+    5: (lambda N: 32 * N**2 + 56 * N + 20, lambda N: 4 * N + 4),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_GREAT_CIRCLE))
+def test_great_circle_curvatures_are_integers(k):
+    """Sc R^2, Ric_min R^2 and |H|^2 R^2 = dim^2 on the N-fold great circle, N = 1-4.
+
+    The formulas are measured, not derived: they fit this route's values at
+    N = 1-4, where its scalar trace residual is below 1e-15.
+    """
+    scalar, ricci_min = _GREAT_CIRCLE[k]
+    for degree, radius in zip((1, 2, 3, 4), (1.0, 0.37, 5.0, 1.0)):
+        rep = curvature.scalar_and_mean(_great_circle(k, degree, radius), radius=radius)
+        r2 = radius**2
+        assert rep.scalar * r2 == _exact(scalar(degree)), degree
+        assert rep.ricci_min * r2 == _exact(ricci_min(degree)), degree
+        assert rep.mean_sq * r2 == _exact(rep.dim**2), degree
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_torus_knot_curvatures_are_exact(degree):
+    """Sc R^2 = 28N - 34/9 and Ric_min R^2 = 10/3 on the (N, N-1) torus knot on S^3.
+
+    The knot is R(cos(pi/4) e^{i N theta} + sin(pi/4) e^{i (N-1) theta}) in
+    C^2 = R^4.  The formulas are measured, not derived.
+    """
+    for radius in (0.37, 1.0, 5.0):
+        a, b = np.zeros((degree, 4)), np.zeros((degree, 4))
+        a[-1, 0] = b[-1, 1] = a[-2, 2] = b[-2, 3] = radius * math.sqrt(0.5)
+        rep = curvature.scalar_and_mean(trigpoly.trig_poly(np.zeros(4), a, b), radius=radius)
+        r2 = radius**2
+        assert rep.scalar * r2 == _exact(28 * degree - 34 / 9), radius
+        assert rep.ricci_min * r2 == _exact(10 / 3), radius
+        assert rep.mean_sq * r2 == _exact(rep.dim**2), radius
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_mean_curvature_of_random_loops_is_dim_over_radius(k):
+    """|H|^2 R^2 = dim^2 on seeded random loops of degree 1-4.
+
+    Measured, not derived: the loop variety appears minimal in the L^2-sphere
+    of radius R that its constant constraint defines.
+    """
+    radii = (0.37, 1.0, 5.0)
+    for degree in (1, 2, 3, 4):
+        radius = radii[(k + degree) % 3]
+        rep = curvature.scalar_and_mean(random_loop(k, degree, radius, 0), radius=radius)
+        assert rep.mean_sq * radius**2 == _exact(rep.dim**2), degree
+
+
 def _connection_operands(n):
     """s^{-1} and A_qri of the loop scaled to the unit sphere, as scalar_and_mean builds them."""
     ctx = curvature.CurvatureContext(trigpoly.scale(n, 1.0 / curvature.infer_radius(n)), 1.0)

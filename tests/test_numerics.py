@@ -17,6 +17,18 @@ def test_gauss_legendre_exact_on_polynomials():
         assert abs(val - exact) < 1e-14
 
 
+def test_gauss_legendre_rules_are_shared_and_read_only():
+    rule = numerics.gauss_legendre(120)
+    assert numerics.gauss_legendre(120) is rule
+    nodes, weights = np.polynomial.legendre.leggauss(120)
+    assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+    for values in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        numerics.gauss_legendre(0)
+
+
 def test_integrate_interval_mapping():
     rule = numerics.gauss_legendre(20)
     val = numerics.integrate(math.sin, (0.0, math.pi), rule)
