@@ -112,7 +112,7 @@ def angular_eigenvalue_k2(l, s, t, radius):
     """Closed-form eigenvalue on W_{2l} at angular weight s; t a float or an ndarray."""
     if abs(s) > l:
         raise ValueError(f"weight |s| = {abs(s)} exceeds l = {l}")
-    if isinstance(t, np.ndarray):  # the powers go through pow either way, as numerics._power
+    if isinstance(t, np.ndarray):  # the powers go through the C library's pow either way
         inside, pw = numerics._inside(t, 0.0, 1.0), np.float_power
     else:
         inside, pw = 0.0 < t < 1.0, pow

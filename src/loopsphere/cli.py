@@ -244,8 +244,8 @@ def _cmd_veff(args):
             "pi_R_over_2": list(radial.veff_exponents(params, hi)),
         },
         "inverse_square_coefficients": {
-            "0": (params.k**2 - 6.0 * params.k + 8.0) / 4.0,
-            "pi_R_over_2": (4.0 * params.k**2 - 16.0 * params.k + 15.0) / 4.0,
+            "0": radial.veff_inverse_square(params, 0.0),
+            "pi_R_over_2": radial.veff_inverse_square(params, hi),
         },
     }
     if args.tau is not None:
@@ -374,8 +374,7 @@ def _cmd_check(args):
     from . import trigpoly
 
     n, radius = trigpoly.loop_from_json(_read_input(args.input))
-    residual = trigpoly.constraint_residual(n, radius).max_abs_coeff()
-    ok = residual <= trigpoly.SPHERE_RTOL * radius**2
+    residual, ok = trigpoly.sphere_residual(n, radius)
     if n.degree <= 1:
         from . import manifold
 

@@ -278,12 +278,7 @@ class CurvatureContext:
         self.degree = n.degree
         self.ambient_dim = n.ambient_dim
         deg = n.degree
-        res = trigpoly.constraint_residual(n, self.radius)
-        if res.max_abs_coeff() > trigpoly.SPHERE_RTOL * self.radius**2:
-            raise ValueError(
-                "loop is not sphere-valued: largest constraint-residual "
-                f"coefficient is {res.max_abs_coeff():.3e}"
-            )
+        trigpoly.require_on_sphere(n, self.radius)
         self.hessians = _hessians(deg, n.ambient_dim)
         self.nflat = flatten_vec(n, deg)
         self.grads = np.einsum("iab,b->ia", self.hessians, self.nflat)

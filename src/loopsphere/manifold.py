@@ -123,10 +123,7 @@ def classify_stratum(n, radius):
     term a great circle, anything else the smooth stratum.  Any ambient
     dimension is accepted, the circle (k = 1) included.
     """
-    res = trigpoly.constraint_residual(n, radius)
-    if res.max_abs_coeff() > trigpoly.SPHERE_RTOL * radius**2:
-        return Stratum.NOT_ON_VARIETY
-    if n.degree > 1:
+    if n.degree > 1 or not trigpoly.sphere_residual(n, radius)[1]:
         return Stratum.NOT_ON_VARIETY
     harm = 0.0 if n.degree == 0 else np.linalg.norm(n.a[0]) + np.linalg.norm(n.b[0])
     if harm <= trigpoly.TRIM_RTOL * radius:
@@ -200,7 +197,7 @@ def weight_alg(t, params):
     """Scalar radial volume weight in the coordinate t in (0, 1); t a float or an ndarray.
 
     The prefactor is `params.prefactor`; the powers go through the C
-    library's pow for either argument type (see numerics._power).
+    library's pow for either argument type (np.float_power for an ndarray).
     """
     array = isinstance(t, np.ndarray)
     if not (numerics._inside(t, 0.0, 1.0) if array else 0.0 < t < 1.0):
@@ -363,12 +360,11 @@ def radial_volume_closed_form(params):
 
 def radial_volume_quadrature(params):
     """The same radial integral by 120-point Gauss-Legendre in the arclength coordinate."""
-    rule = numerics.gauss_legendre(120)
     eps = 1e-13 * params.R
     return numerics.integrate(
         lambda tau: weight_trig(tau, params),
         (eps, math.pi * params.R / 2.0 - eps),
-        rule,
+        numerics.gauss_legendre(120),
     )
 
 

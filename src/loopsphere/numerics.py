@@ -1,84 +1,54 @@
-"""Shared numerical kernels: quadrature and symmetric eigensolves.
-
-Everything downstream funnels its heavy lifting through this module so that
-tolerances and failure modes live in one place.
+"""Shared numerical kernels: Gauss-Legendre quadrature (the radial volume),
+the symmetry check and the cyclic-Jacobi eigensolver of the curvature
+reports, and the open-interval test of the formulas' ndarray branches.
 """
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for integration on the reference interval [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-
-    @property
-    def order(self):
-        return len(self.nodes)
-
-
-def _power(x, e):
-    """x ** e for a float or an ndarray x, through the C library's pow.
-
-    numpy's own power kernels may differ from pow in the last bit, so an
-    array evaluation of a formula would not match its float evaluation;
-    float_power calls pow, keeping the two identical bit for bit.
-    """
-    if isinstance(x, np.ndarray):
-        return np.float_power(x, e)
-    return x ** e
-
-
 def _inside(x, lo, hi):
-    """lo < x < hi for a float x, or for every entry of an ndarray x."""
-    if isinstance(x, np.ndarray):
-        return bool(np.all((lo < x) & (x < hi)))
-    return lo < x < hi
+    """lo < x < hi for every entry of the ndarray x."""
+    return bool(np.all((lo < x) & (x < hi)))
 
 
 @functools.lru_cache(typed=True)
 def gauss_legendre(order):
-    """Gauss-Legendre rule with `order` nodes (exact for degree 2*order-1).
+    """Nodes and weights of the Gauss-Legendre rule with `order` nodes on [-1, 1].
 
-    The rules are kept in an `lru_cache`, one per order, and shared by every
-    caller; their nodes and weights are read-only arrays.
+    Exact for degree 2*order-1.  The rules are kept in an `lru_cache`, one per
+    order, and shared by every caller; their nodes and weights are read-only
+    arrays.
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return nodes, weights
 
 
 def integrate(f, interval, rule):
-    """Integrate a scalar callable over (lo, hi) with the given rule.
+    """Integrate a scalar callable over (lo, hi) with the (nodes, weights) rule.
 
     Raises ValueError naming the offending abscissa if the integrand returns a
     non-finite value (singular-endpoint integrands must be truncated by the
     caller).
     """
+    nodes, weights = rule
     lo, hi = interval
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"integration interval must be finite, got ({lo}, {hi})")
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    xs = mid + half * rule.nodes
+    xs = mid + half * nodes
     vals = np.array([f(x) for x in xs], dtype=float)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         x_bad = xs[bad][0]
         raise ValueError(f"integrand returned a non-finite value at abscissa {x_bad!r}")
-    return half * float(np.dot(rule.weights, vals))
+    return half * float(np.dot(weights, vals))
 
 
 def check_symmetric(matrix, rtol=1e-13):

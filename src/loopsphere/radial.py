@@ -187,7 +187,7 @@ def coefficients_with_harmonics(params, l, s):
     def coeffs(t):
         p, q, w, dp, dq, dw = base(t)
         ang = angular.angular_eigenvalue_k2(l, s, t, R)
-        pw = np.float_power if isinstance(t, np.ndarray) else pow  # as numerics._power
+        pw = np.float_power if isinstance(t, np.ndarray) else pow  # C pow either way
         t2 = pw(t, 2)
         dang = (
             casimir / (casimir_scale * pw(1.0 + t, 2))
@@ -218,6 +218,11 @@ class EndpointReport:
     log_case: bool
 
 
+def _richardson(v0, v1, v2):
+    """Limit d -> 0 of estimates at d, 2 d, 4 d whose error is c1 d + c2 d^2."""
+    return (4.0 * (2.0 * v0 - v1) - (2.0 * v1 - v2)) / 3.0
+
+
 def _local_exponent(f, endpoint, side, eps):
     """Power-law exponent of f near the endpoint.
 
@@ -232,9 +237,7 @@ def _local_exponent(f, endpoint, side, eps):
             raise ValueError("exponent probe requires positive coefficient values")
         return math.log(v2 / v1) / math.log(2.0)
 
-    e = [ratio(j) for j in range(3)]
-    a = [2.0 * e[j] - e[j + 1] for j in range(2)]
-    return (4.0 * a[0] - a[1]) / 3.0
+    return _richardson(*(ratio(j) for j in range(3)))
 
 
 def frobenius_exponents(prob, endpoint):
@@ -255,18 +258,11 @@ def frobenius_exponents(prob, endpoint):
     # r0 = lim (t - t0) p'/p is the local power-law exponent of p itself.
     r0 = _local_exponent(lambda t: prob.coeffs(t)[0], endpoint, side, eps=eps)
 
-    def limit(g):
-        # Richardson extrapolation in the distance d = eps * 2^j.
-        vals = [g(endpoint + side * eps * 2.0**j) for j in range(3)]
-        a0 = 2.0 * vals[0] - vals[1]
-        a1 = 2.0 * vals[1] - vals[2]
-        return (4.0 * a0 - a1) / 3.0
-
     def q0_probe(t):
         p, q = prob.coeffs(t)[:2]
         return (t - endpoint) ** 2 * (-q) / p
 
-    q0 = limit(q0_probe)
+    q0 = _richardson(*(q0_probe(endpoint + side * eps * 2.0**j) for j in range(3)))
     disc = (r0 - 1.0) ** 2 - 4.0 * q0
     if disc < 0.0:
         if disc < -1e-6:
@@ -332,7 +328,7 @@ def expected_endpoint_kinds(k):
 _MXSTEP = 10**6
 
 
-def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
+def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11):
     """Integrate the scaled Prufer angle phi from t_from to t_to.
 
     Scaled transformation f = rho sin(phi), p f' = sigma rho cos(phi) with the
@@ -356,6 +352,7 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
     evaluates the coefficients once per LSODA abscissa: a call at the last
     abscissa reuses its phi-free factors, with the same arithmetic.
     """
+    atol = 1e-2 * rtol
     lo_int, hi_int = prob.interval
     coeffs = prob.coeffs
     cos, sin, sqrt, exp = math.cos, math.sin, math.sqrt, math.exp
@@ -414,7 +411,7 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
     return phi
 
 
-def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), rtol=1e-11, atol=1e-13):
+def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), rtol=1e-11):
     """Two-sided Prufer matching function D(lam) = phi_L(m) - phi_R(m).
 
     phi_L is integrated forward from a with the left boundary angle (0 for
@@ -428,8 +425,8 @@ def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), rtol=1e-11, 
     bc_left, bc_right = bc
     phi_a = 0.0 if bc_left == "dirichlet" else 0.5 * math.pi
     phi_b = math.pi if bc_right == "dirichlet" else 0.5 * math.pi
-    left = _prufer_integrate(prob, a, match, lam, phi_a, rtol=rtol, atol=atol)
-    right = _prufer_integrate(prob, b, match, lam, phi_b, rtol=rtol, atol=atol)
+    left = _prufer_integrate(prob, a, match, lam, phi_a, rtol=rtol)
+    right = _prufer_integrate(prob, b, match, lam, phi_b, rtol=rtol)
     return left - right
 
 
@@ -467,8 +464,7 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), ode_rtol
 
         def miss(lam):
             if lam not in shots:
-                shots[lam] = prufer_mismatch(prob, a, b, lam, bc=bc, rtol=ode_rtol,
-                                             atol=1e-2 * ode_rtol) - target
+                shots[lam] = prufer_mismatch(prob, a, b, lam, bc=bc, rtol=ode_rtol) - target
             return shots[lam]
 
         lo = hi = None
@@ -738,12 +734,12 @@ def hardy_constant_check(params, npoints=2000):
     p_left, q_left, w_left, _, _, _ = prob.coeffs(left)
     p_right, q_right, w_right, _, _, _ = prob.coeffs(right)
     margins = {
-        "p_lower_left": np.min(p_left - k1 * numerics._power(left, (k - 1) / 2.0)),
-        "q_upper_left": np.min(k2 * numerics._power(left, (k - 3) / 2.0) - q_left),
-        "w_upper_left": np.min(k3 * numerics._power(left, (k - 3) / 2.0) - w_left),
-        "p_lower_right": np.min(p_right - l1 * numerics._power(1.0 - right, k - 1.0)),
-        "q_upper_right": np.min(l2 * numerics._power(1.0 - right, k - 1.0) - q_right),
-        "w_upper_right": np.min(l3 * numerics._power(1.0 - right, k - 2.0) - w_right),
+        "p_lower_left": np.min(p_left - k1 * np.float_power(left, (k - 1) / 2.0)),
+        "q_upper_left": np.min(k2 * np.float_power(left, (k - 3) / 2.0) - q_left),
+        "w_upper_left": np.min(k3 * np.float_power(left, (k - 3) / 2.0) - w_left),
+        "p_lower_right": np.min(p_right - l1 * np.float_power(1.0 - right, k - 1.0)),
+        "q_upper_right": np.min(l2 * np.float_power(1.0 - right, k - 1.0) - q_right),
+        "w_upper_right": np.min(l3 * np.float_power(1.0 - right, k - 2.0) - w_right),
     }
     constants = {"k1": k1, "k2": k2, "k3": k3, "l1": l1, "l2": l2, "l3": l3}
     ok = all(v >= -1e-12 * max(1.0, ck) for v in margins.values())
@@ -768,7 +764,7 @@ def _veff_poly_coeffs(k, R, lam=0.0):
 
 
 # (sin, tan, pow) for a float and for an ndarray argument; float_power calls
-# the C library's pow, as the float ** operator does (see numerics._power).
+# the C library's pow, as the float ** operator does, bit for bit.
 _FLOAT_OPS = (math.sin, math.tan, pow)
 _ARRAY_OPS = (np.sin, np.tan, np.float_power)
 
@@ -892,31 +888,33 @@ def liouville_problem(params):
                      name=f"liouville-k{params.k}", params=params)
 
 
-def veff_exponents(params, endpoint):
-    """Indicial data of -F'' + V F at an interval endpoint.
+def veff_inverse_square(params, endpoint):
+    """c of V ~ c / (tau - tau0)^2 at an endpoint tau0 of (0, pi R / 2).
 
-    V ~ c / (tau - tau0)^2 with c = (k^2-6k+8)/4 at tau = 0 and
-    c = (4k^2-16k+15)/4 at tau = pi R / 2; exponents mu(mu-1) = c.
+    c = (k^2-6k+8)/4 at tau = 0 and c = (4k^2-16k+15)/4 at tau = pi R / 2.
     """
     k = params.k
     hi = math.pi * params.R / 2.0
     if endpoint == 0.0:
-        c = (k**2 - 6.0 * k + 8.0) / 4.0
-    elif abs(endpoint - hi) < 1e-12 * max(hi, 1.0):
-        c = (4.0 * k**2 - 16.0 * k + 15.0) / 4.0
-    else:
-        raise ValueError(f"endpoint must be 0 or {hi}, got {endpoint}")
-    root = math.sqrt(1.0 + 4.0 * c)
+        return (k**2 - 6.0 * k + 8.0) / 4.0
+    if abs(endpoint - hi) < 1e-12 * max(hi, 1.0):
+        return (4.0 * k**2 - 16.0 * k + 15.0) / 4.0
+    raise ValueError(f"endpoint must be 0 or {hi}, got {endpoint}")
+
+
+def veff_exponents(params, endpoint):
+    """Indicial exponents mu(mu-1) = c of -F'' + V F, c = `veff_inverse_square`."""
+    root = math.sqrt(1.0 + 4.0 * veff_inverse_square(params, endpoint))
     return (0.5 * (1.0 + root), 0.5 * (1.0 - root))
 
 
-def convexity_check(params, grid_size=2000):
-    """Discrete convexity probe of V_eff on the open interval.
+def convexity_check(params):
+    """Discrete convexity probe of V_eff on 2000 interior points of the interval.
 
     Returns the minimum second difference (scaled by h^2) and a boolean; the
     potential blows up convexly at both ends, so the interior grid decides.
     """
-    hi = math.pi * params.R / 2.0
+    hi, grid_size = math.pi * params.R / 2.0, 2000
     taus = np.linspace(hi / (grid_size + 1), hi - hi / (grid_size + 1), grid_size)
     vals = liouville_problem(params).coeffs(taus)[1]
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]

@@ -160,12 +160,7 @@ class Factorization:
 
 def factorize(n, radius):
     """Full peeling of a sphere-valued loop into plane rotations and a base point."""
-    res = trigpoly.constraint_residual(n, radius)
-    if res.max_abs_coeff() > trigpoly.SPHERE_RTOL * radius**2:
-        raise ValueError(
-            f"loop does not map into the sphere of radius {radius}: "
-            f"largest constraint-residual coefficient is {res.max_abs_coeff():.3e}"
-        )
+    trigpoly.require_on_sphere(n, radius)
     rotations = []
     current = n
     while current.degree >= 1:
@@ -293,7 +288,7 @@ def rotations_to_dict(factorization):
 
 def rotations_from_dict(data):
     try:
-        k = int(data["k"])
+        k = trigpoly.nonnegative_int("k", data["k"])
         radius = float(data["R"])
         base = np.asarray(data["base"], dtype=float)
         pairs = [(np.asarray(item["P"], dtype=float), np.asarray(item["W"], dtype=float))
@@ -310,4 +305,5 @@ def rotations_from_dict(data):
         raise trigpoly.LoopFormatError(
             f"base point has shape {base.shape}, expected ({k + 1},)"
         )
+    trigpoly.require_on_sphere(trigpoly.trig_poly(base), radius)
     return Factorization(rotations=tuple(rots), base=base, radius=radius)

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TRIM_RTOL = 1e-12
-# A loop is on the sphere when no constraint-residual coefficient exceeds
-# SPHERE_RTOL R^2.
+# The test of `sphere_residual`: no constraint-residual coefficient above SPHERE_RTOL R^2.
 SPHERE_RTOL = 1e-9
 # The largest magnitude of an entry or radius a serialized loop may hold, so
 # that the squares and products of entries the constraint sums are doubles.
@@ -256,6 +255,20 @@ def constraint_residual(n, radius):
     )
 
 
+def sphere_residual(n, radius):
+    """(largest constraint-residual coefficient, whether n is on the sphere)."""
+    residual = constraint_residual(n, radius).max_abs_coeff()
+    return residual, bool(residual <= SPHERE_RTOL * radius**2)
+
+
+def require_on_sphere(n, radius):
+    """Raise ValueError unless n maps into the sphere of the given radius."""
+    residual, on_sphere = sphere_residual(n, radius)
+    if not on_sphere:
+        raise ValueError(f"loop does not map into the sphere of radius {radius}: largest "
+                         f"constraint-residual coefficient is {residual:.3e}")
+
+
 def loop_to_dict(n, radius):
     """Serialize a sphere-valued loop with its sphere dimension and radius."""
     return {
@@ -279,6 +292,13 @@ def check_entries(record, *values):
             )
 
 
+def nonnegative_int(name, value):
+    """value if it is a nonnegative JSON integer; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} = {value!r} is not a nonnegative integer")
+    return value
+
+
 def check_radius(record, radius):
     """Raise LoopFormatError unless the radius is at least MIN_RADIUS."""
     if radius <= 0:
@@ -293,8 +313,8 @@ def check_radius(record, radius):
 def loop_from_dict(data):
     """Deserialize; returns (TrigPolyVec, radius).  Validates shapes and types."""
     try:
-        k = int(data["k"])
-        deg = int(data["N"])
+        k = nonnegative_int("k", data["k"])
+        deg = nonnegative_int("N", data["N"])
         radius = float(data["R"])
         v = np.asarray(data["v"], dtype=float)
         a = np.asarray(data["a"], dtype=float)

@@ -280,14 +280,76 @@ def test_curvature_report_scales_as_inverse_radius_squared(tmp_path, capsys, k, 
 
 
 def test_check_and_stratum_share_one_on_sphere_tolerance(tmp_path, capsys):
-    # Residual 6.0e-10 R^2: on the sphere, so on the smooth degree-one stratum too.
-    loop = trigpoly.scale(cli.random_loop(3, 1, 1.0, 4), 1.0 + 3e-10)
+    # Loops stretched to residual 6.0e-10 R^2 (on the sphere, so on the smooth
+    # degree-one stratum too) and 1.2e-9 R^2 (off it), and the rotations
+    # records of their stretched base points: every command that tests sphere
+    # membership gives the one verdict.
     path = tmp_path / "loop.json"
-    path.write_text(trigpoly.loop_to_json(loop, 1.0))
-    code, out, _ = run(capsys, ["check", "--input", str(path)])
+    for radius in (1.0, 3.0):
+        unit = cli.random_loop(3, 1, radius, 4)
+        rotations = resolution.rotations_to_dict(resolution.factorize(unit, radius))
+        for stretch, on_sphere in ((1.0 + 3e-10, True), (1.0 + 6e-10, False)):
+            loop = trigpoly.scale(unit, stretch)
+            path.write_text(trigpoly.loop_to_json(loop, radius))
+            code, out, _ = run(capsys, ["check", "--input", str(path)])
+            rec = json.loads(out)
+            if on_sphere:
+                assert 5e-10 < rec["constraint_residual"] / radius**2 < 1e-9
+                assert (code, rec["on_sphere"], rec["stratum"]) == (0, True, "smooth")
+            else:
+                assert 1e-9 < rec["constraint_residual"] / radius**2 < 1.5e-9
+                assert (code, rec["on_sphere"], rec["stratum"]) == (3, False, "not-on-variety")
+            stratum = manifold.classify_stratum(loop, radius)
+            assert (stratum == manifold.Stratum.SMOOTH) == on_sphere
+            expect = 0 if on_sphere else 2
+            for command in ("factorize", "curvature"):
+                code, out, err = run(capsys, [command, "--input", str(path)])
+                assert code == expect, (radius, stretch, command, err)
+            record = dict(rotations, base=[stretch * x for x in rotations["base"]])
+            path.write_text(json.dumps(record))
+            code, out, err = run(capsys, ["factorize", "--input", str(path)])
+            assert code == expect, (radius, stretch, err)
+
+
+def test_check_csv_spells_the_verdict_as_json_does(tmp_path, capsys):
+    # The largest residual coefficient of this loop is a numpy scalar.
+    path = tmp_path / "loop.json"
+    path.write_text(trigpoly.loop_to_json(cli.random_loop(3, 4, 1.0, 11), 1.0))
+    code, out, _ = run(capsys, ["check", "--input", str(path), "--format", "csv"])
+    assert code == 0 and "\non_sphere,true\n" in out
+
+
+def test_compose_refuses_an_off_sphere_base_point(tmp_path, capsys):
+    path = tmp_path / "rotations.json"
+    path.write_text('{"k": 2, "R": 1.0, "base": [5, 0, 0], "rotations": []}')
+    code, out, err = run(capsys, ["factorize", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: loop does not map into the sphere of radius 1.0: largest "
+                   "constraint-residual coefficient is 2.400e+01\n")
+
+
+@pytest.mark.parametrize("k", [-1, 2.7])
+def test_rotations_records_need_a_nonnegative_integer_k(tmp_path, capsys, k):
+    path = tmp_path / "rotations.json"
+    base = [1.0] + [0.0] * int(k)
+    path.write_text(json.dumps({"k": k, "R": 1.0, "base": base, "rotations": []}))
+    code, out, err = run(capsys, ["factorize", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed rotations record: k = {k} is not a nonnegative integer\n"
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+@pytest.mark.parametrize("radius", ["0.5", "1.0", "3.0"])
+def test_veff_inverse_square_coefficients_fix_the_endpoint_exponents(capsys, k, radius):
+    code, out, _ = run(capsys, ["veff", "--k", str(k), "--R", radius])
+    assert code == 0
     rec = json.loads(out)
-    assert 5e-10 < rec["constraint_residual"] < 1e-9
-    assert (code, rec["on_sphere"], rec["stratum"]) == (0, True, "smooth")
+    params = manifold.ModelParams(k=k, R=float(radius))
+    for key, endpoint in (("0", 0.0), ("pi_R_over_2", math.pi * params.R / 2.0)):
+        c = radial.veff_inverse_square(params, endpoint)
+        assert rec["inverse_square_coefficients"][key] == c
+        for mu in rec["endpoint_exponents"][key]:
+            assert mu * (mu - 1.0) == pytest.approx(c, rel=1e-14, abs=1e-14)
 
 
 @pytest.mark.parametrize("k", ["50", "410"])

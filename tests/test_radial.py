@@ -308,9 +308,10 @@ def test_matching_function_equals_reference_arithmetic_bitwise():
         assert got.hex() == radial.prufer_mismatch(twin, a, b, lam).hex(), prob.name
 
 
-def reference_prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11, atol=1e-13):
+def reference_prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11):
     """The Prufer integrator with every coefficient evaluated on every call."""
     lo, hi = prob.interval
+    atol = 1e-2 * rtol
 
     def slope(t, y):
         c, s = math.cos(y[0]), math.sin(y[0])
@@ -390,6 +391,22 @@ def test_prufer_integrate_equals_per_call_coefficient_reference_bitwise(monkeypa
         assert got.hex() == want.hex(), (prob.name, t_from, t_to, lam)
     # Both the one-leg (t or shallow log) and the two-leg (deep log) paths ran.
     assert set(legs_per_call) == {1, 2}
+
+
+def test_solve_truncated_and_a_direct_mismatch_share_one_atol(monkeypatch):
+    tolerances = []
+    real = radial.odeint
+
+    def spy(*args, **kwargs):
+        tolerances.append((kwargs["rtol"], kwargs["atol"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "odeint", spy)
+    radial.solve_truncated(const_problem(), 0.0, 1.0, count=1)
+    solved = set(tolerances)
+    tolerances.clear()
+    radial.prufer_mismatch(const_problem(), 0.0, 1.0, 5.0)
+    assert set(tolerances) == solved == {(1e-11, 1e-2 * 1e-11)}
 
 
 def test_coefficients_are_evaluated_once_per_abscissa(monkeypatch):
@@ -590,7 +607,7 @@ def test_leading_veff_coefficient_vanishes_at_k2_and_k4():
 
 
 def test_convexity_k5():
-    rep = radial.convexity_check(manifold.ModelParams(k=5, R=0.5), grid_size=500)
+    rep = radial.convexity_check(manifold.ModelParams(k=5, R=0.5))
     assert rep["convex"]
 
 
@@ -653,7 +670,7 @@ def chained_seed_solve(prob, a, b, count, bc, seeds):
     out = []
     for index in range(count):
         def miss(lam, target=index * math.pi):
-            return radial.prufer_mismatch(prob, a, b, lam, bc=bc, rtol=1e-11, atol=1e-13) - target
+            return radial.prufer_mismatch(prob, a, b, lam, bc=bc, rtol=1e-11) - target
 
         guess = float(seeds[index])
         delta = 1e-4 * (1.0 + abs(guess))

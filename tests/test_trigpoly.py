@@ -114,6 +114,9 @@ def test_json_roundtrip():
         (lambda d: d.update(R=-1.0), "radius"),
         (lambda d: d.update(v=[1.0]), "constant term"),
         (lambda d: d.update(N=7), "harmonic stacks"),
+        (lambda d: d.update(k=2.7), "k = 2.7 is not a nonnegative integer"),
+        (lambda d: d.update(N=1.5), "N = 1.5 is not a nonnegative integer"),
+        (lambda d: d.update(k=-1, N=0, v=[], a=[], b=[]), "k = -1 is not a nonnegative integer"),
     ],
 )
 def test_malformed_loop_errors_name_field(mutation, field):
