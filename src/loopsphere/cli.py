@@ -23,8 +23,8 @@ these parsers once and reuses it for every later call of `main`.
 Only numpy is imported at module level.  Each handler imports the library
 modules it runs, and `main` imports the error classes' modules only when a
 command fails, so `import loopsphere.cli` with `build_parser()` loads no
-other library module, a command compiles only its own modules, and only the
-radial subcommands load scipy.
+other library module, a command compiles only its own modules, and only
+`spectrum` and `gap`, which shoot and run FD solves, load scipy.
 
 Exit codes: 0 success, 2 validation error (bad flags, malformed input, or a
 result that a double cannot represent), 3 numeric diagnostic failure.
@@ -375,12 +375,14 @@ def _cmd_check(args):
 
     n, radius = trigpoly.loop_from_json(_read_input(args.input))
     residual, ok = trigpoly.sphere_residual(n, radius)
-    if n.degree <= 1:
+    if not ok:
+        stratum = "not-on-variety"
+    elif n.degree <= 1:
         from . import manifold
 
-        stratum = manifold.classify_stratum(n, radius).value
+        stratum = manifold._stratum_on_variety(n, radius).value
     else:
-        stratum = "smooth" if ok else "not-on-variety"
+        stratum = "smooth"
     record = {
         "k": n.ambient_dim - 1,
         "N": n.degree,

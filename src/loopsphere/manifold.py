@@ -125,6 +125,11 @@ def classify_stratum(n, radius):
     """
     if n.degree > 1 or not trigpoly.sphere_residual(n, radius)[1]:
         return Stratum.NOT_ON_VARIETY
+    return _stratum_on_variety(n, radius)
+
+
+def _stratum_on_variety(n, radius):
+    """`classify_stratum` of a degree <= 1 loop already known to lie on the sphere."""
     harm = 0.0 if n.degree == 0 else np.linalg.norm(n.a[0]) + np.linalg.norm(n.b[0])
     if harm <= trigpoly.TRIM_RTOL * radius:
         return Stratum.POINT_LOOPS

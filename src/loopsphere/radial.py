@@ -53,6 +53,15 @@ port of ODEPACK writes to no file descriptor: a failed leg comes back in
 `infodict["message"]`, which the integrator raises as a RuntimeError, and
 odeint's ODEintWarning reaches the caller's warning filters untouched.
 
+scipy is loaded by the shooting and FD engines alone.  `odeint`, `brentq`
+and `eigh_tridiagonal` are module attributes that import scipy.integrate,
+scipy.optimize and scipy.linalg the first time a shot or an FD solve reads
+them (importing scipy.integrate loads the other two).  Endpoint
+classification, Frobenius exponents, V_eff, the Hardy constants and the
+other tables run without scipy, and a process that never solves never loads
+it.  A solve reads each name through the module at call time, so a
+monkeypatched `radial.odeint` is the function that runs.
+
 Eigenvalue normalization: `SpectrumResult.eigenvalues` stores Lambda / R^2
 (the coupling-normalized values); `raw` stores the Sturm-Liouville
 eigenvalues Lambda themselves.  Upper/lower bound comparisons in this module
@@ -62,15 +71,31 @@ use the raw values.
 import math
 from dataclasses import dataclass, field
 import enum
+import importlib
+import sys
 import warnings
 
 import numpy as np
-from scipy.integrate import odeint
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from . import manifold, numerics
 from .manifold import ModelParams
+
+# The solvers `__getattr__` imports on first access, by their scipy module.
+# Call sites read them through `_module`, so a patched name is the one that runs.
+_SCIPY_SOLVERS = {
+    "odeint": "scipy.integrate",
+    "brentq": "scipy.optimize",
+    "eigh_tridiagonal": "scipy.linalg",
+}
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _SCIPY_SOLVERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    solver = getattr(importlib.import_module(_SCIPY_SOLVERS[name]), name)
+    globals()[name] = solver
+    return solver
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +424,7 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11):
 
     phi = phi0
     for leg_from, leg_to, leg_rtol, leg_atol in legs:
-        y, info = odeint(
+        y, info = _module.odeint(
             rhs, [phi], [leg_from, leg_to], tfirst=True, tcrit=[leg_to],
             rtol=leg_rtol, atol=leg_atol, mxstep=_MXSTEP, full_output=True,
         )
@@ -495,7 +520,7 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), ode_rtol
                 hi = hi + 2.0 * (abs(hi) + 1.0)
             else:
                 raise RuntimeError("failed to bracket eigenvalue from above")
-        lam = float(brentq(miss, lo, hi, xtol=1e-10, rtol=4.0 * np.finfo(float).eps))
+        lam = float(_module.brentq(miss, lo, hi, xtol=1e-10, rtol=4.0 * np.finfo(float).eps))
         out.append(lam)
     return np.array(out)
 
@@ -518,7 +543,7 @@ def solve_truncated_fd(prob, a, b, count=2, bc=("dirichlet", "dirichlet"),
         dinv = 1.0 / np.sqrt(mass)
         sym_diag = diag * dinv**2
         sym_off = off * dinv[:-1] * dinv[1:]
-        return eigh_tridiagonal(
+        return _module.eigh_tridiagonal(
             sym_diag, sym_off, eigvals_only=True, select="i", select_range=(0, count - 1)
         )
 

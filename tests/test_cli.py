@@ -311,6 +311,32 @@ def test_check_and_stratum_share_one_on_sphere_tolerance(tmp_path, capsys):
             assert code == expect, (radius, stretch, err)
 
 
+@pytest.mark.parametrize("record, code, stratum", [
+    ({"k": 3, "N": 0, "R": 1.0, "v": [1, 0, 0, 0], "a": [], "b": []}, 0, "point-loops"),
+    ({"k": 3, "N": 0, "R": 1.0, "v": [1.5, 0, 0, 0], "a": [], "b": []}, 3, "not-on-variety"),
+    ({"k": 1, "N": 1, "R": 1.0, "v": [0, 0], "a": [[1, 0]], "b": [[0, 1]]}, 0, "great-circles"),
+    ({"k": 2, "N": 1, "R": 1.0, "v": [0, 0, 0], "a": [[1, 0, 0]], "b": [[0, 2, 0]]}, 3,
+     "not-on-variety"),
+])
+def test_check_computes_the_sphere_residual_once(tmp_path, capsys, monkeypatch, record, code,
+                                                 stratum):
+    calls = []
+    real = trigpoly.sphere_residual
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trigpoly, "sphere_residual", counted)
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(record))
+    got, out, _ = run(capsys, ["check", "--input", str(path)])
+    assert (got, len(calls), json.loads(out)["stratum"]) == (code, 1, stratum)
+    calls.clear()
+    got, out, _ = run(capsys, ["check", "--input", str(path), "--format", "csv"])
+    assert (got, len(calls)) == (code, 1) and out.endswith(f"\nstratum,{stratum}\n")
+
+
 def test_check_csv_spells_the_verdict_as_json_does(tmp_path, capsys):
     # The largest residual coefficient of this loop is a numpy scalar.
     path = tmp_path / "loop.json"
@@ -429,6 +455,40 @@ def test_cli_start_up_and_non_radial_commands_leave_scipy_unimported():
     unused = {f"loopsphere.{name}" for name in ("resolution", "angular", "prng", "radial")}
     assert not unused & set(after_ricci), after_ricci
     assert scipy == []
+
+
+_SOLVER_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import loopsphere.cli as cli, loopsphere.radial
+
+def solvers():
+    return sorted({"scipy.integrate", "scipy.linalg", "scipy.optimize"} & set(sys.modules))
+
+steps = [[None, None, solvers()]]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([argv, code, solvers()])
+print(json.dumps(steps))
+"""
+
+
+def test_only_commands_that_solve_load_scipy():
+    # scipy.integrate (which loads scipy.linalg and scipy.optimize) costs about
+    # 50 MB and half a second of start-up; only a shot or an FD solve needs it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argvs = [["classify", "--k", "3"], ["frobenius", "--k", "5"],
+             ["veff", "--k", "3", "--tau", "0.5"], ["volume", "--k", "4", "--R", "1.5"],
+             ["angular", "--k", "3", "--l", "3", "--s", "1", "--t", "0.3"],
+             ["gap", "--k", "5", "--R", "0.5", "--levels", "3", "--tol", "1e-3"]]
+    proc = subprocess.run([sys.executable, "-c", _SOLVER_SCRIPT, src, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    steps = json.loads(proc.stdout)
+    assert steps[0] == [None, None, []]  # after `import loopsphere.radial`
+    for argv, code, loaded in steps[1:-1]:
+        assert (code, loaded) == (0, []), argv
+    assert steps[-1] == [argvs[-1], 0, ["scipy.integrate", "scipy.linalg", "scipy.optimize"]]
 
 
 # One fresh-process input per `except` branch of `cli.main` but RuntimeError's,

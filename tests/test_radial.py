@@ -473,6 +473,26 @@ def test_fd_eigenvalues_equal_the_eigenvector_solve_bitwise(monkeypatch):
     assert solve_all() == eigenvalues_only
 
 
+def test_scipy_solvers_are_patchable_module_attributes(monkeypatch):
+    # A solve runs whatever `radial.<name>` holds, as the spies above and the
+    # benchmark's tracer rely on; the names import scipy on first access.
+    assert radial.odeint is odeint and radial.brentq is brentq
+    assert radial.eigh_tridiagonal is eigh_tridiagonal
+    assert not hasattr(radial, "no_such_name")
+    calls = {"brentq": 0, "eigh_tridiagonal": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(radial, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(radial, name, counted)
+    vals = radial.solve_truncated(const_problem(), 0.0, 1.0, count=2)
+    assert calls == {"brentq": 2, "eigh_tridiagonal": 1}
+    assert np.allclose(vals, [math.pi**2, (2 * math.pi)**2], rtol=1e-8)
+    radial.solve_truncated_fd(const_problem(), 0.0, 1.0, count=2)  # two meshes
+    assert calls == {"brentq": 2, "eigh_tridiagonal": 3}
+
+
 # ---------------------------------------------------------------------------
 # Endpoint classification and Frobenius exponents
 # ---------------------------------------------------------------------------
