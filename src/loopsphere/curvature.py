@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold, numerics, trigpoly
-from .trigpoly import ScalarTrigPoly, TrigPolyVec
+from .trigpoly import TrigPolyVec
 
 
 class NearSingularStratumError(ValueError):
@@ -95,25 +95,16 @@ def unflatten_vec(x, degree, ambient_dim):
 
 
 def scalar_basis_element(i, order):
-    """The i-th orthonormal scalar basis polynomial: 1, sqrt2 cos s, sqrt2 sin s."""
-    if i == 0:
-        return ScalarTrigPoly(c0=1.0)
-    s = (i + 1) // 2
-    cos_c = np.zeros(order)
-    sin_c = np.zeros(order)
-    if i % 2 == 1:
-        cos_c[s - 1] = math.sqrt(2.0)
-    else:
-        sin_c[s - 1] = math.sqrt(2.0)
-    return ScalarTrigPoly(c0=0.0, cos_coeffs=cos_c, sin_coeffs=sin_c)
+    """The i-th orthonormal scalar basis polynomial, a loop in R^1: 1, sqrt2 cos s, sqrt2 sin s."""
+    return unflatten_vec(np.eye(scalar_dim(order))[i], order, 1)
 
 
 def infer_radius(n):
     """Sphere radius from the constant coefficient of n.n."""
-    sq = trigpoly.pointwise_dot(n, n)
-    if sq.c0 <= 0.0:
+    mean_sq = trigpoly.pointwise_dot(n, n).v[0]
+    if mean_sq <= 0.0:
         raise ValueError("loop has nonpositive mean square; not sphere-valued")
-    return math.sqrt(sq.c0)
+    return math.sqrt(mean_sq)
 
 
 def _hessians(degree, ambient_dim):

@@ -468,13 +468,17 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), ode_rtol
     evaluated, and gets those values back instead of two more shots.  If the
     finite-difference seed fails, a RuntimeWarning names the error and the
     brackets come from outward doubling.  Each root is located to 1e-10
-    absolute in lambda.
+    absolute in lambda.  `count` may not exceed the seed's unknowns: its
+    1500 nodes less one per Dirichlet end.
     """
-    if count < 1:
-        raise ValueError(f"eigenvalue count must be >= 1, got {count}")
+    nodes = 1500
+    unknowns = nodes - bc.count("dirichlet")
+    if not 1 <= count <= unknowns:
+        raise ValueError(f"eigenvalue count must lie in [1, {unknowns}] for boundary "
+                         f"conditions {bc}, got {count}")
     seeds = None
     try:
-        seeds = solve_truncated_fd(prob, a, b, count=count, bc=bc, npoints=1500, richardson=False)
+        seeds = solve_truncated_fd(prob, a, b, count=count, bc=bc, npoints=nodes, richardson=False)
     except Exception as exc:
         warnings.warn(
             f"finite-difference seed failed ({type(exc).__name__}: {exc}); "
@@ -700,13 +704,18 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
         raise ValueError(f"convergence tolerance must be finite and > 0, got {tol}")
     if levels < 2:
         raise ValueError(f"need at least two truncation levels to accelerate, got {levels}")
+    schedule = default_schedule(prob, levels)
+    lo, hi = prob.interval
+    inside = [lo < a and b < hi for a, b in schedule]
+    if not all(inside):
+        raise ValueError(f"{levels} truncation levels reach an endpoint of ({lo}, {hi}) in "
+                         f"floating point; the interval allows at most {inside.index(False)}")
     kinds = _endpoint_kinds(prob)
     if bc is None:
         bc = _bc_for(kinds)
     # Every level seeds its brackets from its own coarse finite-difference
     # solve, far closer to its roots than the previous level's eigenvalues.
-    history = [solve_truncated(prob, a, b, count=count, bc=bc)
-               for a, b in default_schedule(prob, levels)]
+    history = [solve_truncated(prob, a, b, count=count, bc=bc) for a, b in schedule]
     final, residual = accelerate(history)
     converged = bool(np.max(residual) <= tol)
     lp_only = EndpointKind.LIMIT_CIRCLE not in kinds

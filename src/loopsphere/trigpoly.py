@@ -1,4 +1,4 @@
-"""Vector- and scalar-valued trigonometric polynomials on the circle.
+"""Trigonometric polynomials on the circle with values in R^d.
 
 A vector trig polynomial of degree N in ambient dimension d is
 
@@ -7,18 +7,17 @@ A vector trig polynomial of degree N in ambient dimension d is
 stored as the constant v (shape (d,)) and harmonic stacks a, b (shape (N, d)).
 Products are computed exactly through complex exponential coefficients
 c_s = (a_s - i b_s)/2, c_{-s} = conj(c_s), c_0 = v, for which the pointwise
-product is a convolution.  The one layout, `_exponential`, serves scalar,
-vector and degree-one matrix loops alike.
+product is a convolution.  A scalar polynomial, such as n.n or a component
+index phi of the constraint, is a loop in R^1.  The one layout,
+`_exponential`, serves scalar, vector and degree-one matrix loops alike.
 
 The L2 pairing used throughout is the average over the circle,
 
-    <m, n> = v_m . v_n + (1/2) sum_s (a_m[s] . a_n[s] + b_m[s] . b_n[s]),
-
-and similarly for scalar polynomials.
+    <m, n> = v_m . v_n + (1/2) sum_s (a_m[s] . a_n[s] + b_m[s] . b_n[s]).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,46 +86,6 @@ class TrigPolyVec:
         return np.sqrt(l2_inner(self, self))
 
 
-@dataclass(frozen=True)
-class ScalarTrigPoly:
-    """Scalar trig polynomial c0 + sum_s (cos_coeffs[s-1] cos + sin_coeffs[s-1] sin)."""
-
-    c0: float
-    cos_coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    sin_coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        cos_c = np.atleast_1d(np.asarray(self.cos_coeffs, dtype=float))
-        sin_c = np.atleast_1d(np.asarray(self.sin_coeffs, dtype=float))
-        if cos_c.ndim != 1 or cos_c.shape != sin_c.shape:
-            raise ValueError("cosine and sine coefficient sequences must match in length")
-        object.__setattr__(self, "c0", float(self.c0))
-        object.__setattr__(self, "cos_coeffs", cos_c)
-        object.__setattr__(self, "sin_coeffs", sin_c)
-
-    @property
-    def degree(self):
-        return self.cos_coeffs.shape[0]
-
-    def eval(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = np.full(th.shape, self.c0)
-        for s in range(1, self.degree + 1):
-            out = out + self.cos_coeffs[s - 1] * np.cos(s * th)
-            out = out + self.sin_coeffs[s - 1] * np.sin(s * th)
-        return out
-
-    def max_abs_coeff(self):
-        vals = [abs(self.c0)]
-        if self.degree:
-            vals.append(np.max(np.abs(self.cos_coeffs)))
-            vals.append(np.max(np.abs(self.sin_coeffs)))
-        return max(vals)
-
-    def norm(self):
-        return np.sqrt(scalar_l2_inner(self, self))
-
-
 def trig_poly(v, a=None, b=None):
     """Build a TrigPolyVec from the constant term and optional harmonic stacks."""
     v = np.asarray(v, dtype=float)
@@ -142,8 +101,8 @@ def _exponential(v, a, b):
     """Complex coefficients c[m+N], m = -N..N, of v + sum_s a[s] cos + b[s] sin.
 
     c_0 = v and c_{+-s} = (a[s] -+ i b[s])/2; a and b stack the N harmonics on
-    their first axis and have the shape of v after it: () for a scalar, (d,)
-    for a vector and (d, d) for a matrix loop.
+    their first axis and have the shape of v after it: (d,) for a loop in R^d
+    and (d, d) for a matrix loop.
     """
     half = 0.5 * (a - 1j * b)
     return np.concatenate([np.conj(half[::-1]), [v], half])
@@ -169,19 +128,23 @@ def _convolve(c1, c2):
     return out
 
 
-def pointwise_dot(m, n):
-    """Exact scalar polynomial theta -> m(theta) . n(theta), degree deg m + deg n."""
+def _dot_exponential(m, n):
+    """Exponential coefficients, untrimmed, of theta -> m(theta) . n(theta)."""
     if m.ambient_dim != n.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    c = _convolve(_exponential(m.v, m.a, m.b), _exponential(n.v, n.a, n.b)).sum(axis=-1)
-    order = m.degree + n.degree
-    return ScalarTrigPoly(c0=c[order].real, cos_coeffs=2.0 * c[order + 1 :].real,
-                          sin_coeffs=-2.0 * c[order + 1 :].imag)
+    return _convolve(_exponential(m.v, m.a, m.b), _exponential(n.v, n.a, n.b)).sum(axis=-1)
+
+
+def pointwise_dot(m, n):
+    """Exact loop in R^1 theta -> m(theta) . n(theta), degree at most deg m + deg n."""
+    return from_exponential(_dot_exponential(m, n)[:, None])
 
 
 def scalar_mul(n, phi):
-    """Exact vector polynomial theta -> phi(theta) * n(theta)."""
-    cphi = _exponential(phi.c0, phi.cos_coeffs, phi.sin_coeffs)[:, None]
+    """Exact vector polynomial theta -> phi(theta) n(theta) for a loop phi in R^1."""
+    if phi.ambient_dim != 1:
+        raise ValueError(f"scalar factor must be a loop in R^1, got one in R^{phi.ambient_dim}")
+    cphi = _exponential(phi.v, phi.a, phi.b)
     return from_exponential(_convolve(cphi, _exponential(n.v, n.a, n.b)))
 
 
@@ -236,28 +199,16 @@ def l2_inner(m, n):
     return out
 
 
-def scalar_l2_inner(phi, psi):
-    deg = min(phi.degree, psi.degree)
-    out = phi.c0 * psi.c0
-    if deg:
-        out += 0.5 * float(
-            phi.cos_coeffs[:deg] @ psi.cos_coeffs[:deg]
-            + phi.sin_coeffs[:deg] @ psi.sin_coeffs[:deg]
-        )
-    return out
-
-
-def constraint_residual(n, radius):
-    """Scalar polynomial n.n - radius^2; identically zero iff n maps into the sphere."""
-    sq = pointwise_dot(n, n)
-    return ScalarTrigPoly(
-        c0=sq.c0 - radius**2, cos_coeffs=sq.cos_coeffs, sin_coeffs=sq.sin_coeffs
-    )
-
-
 def sphere_residual(n, radius):
-    """(largest constraint-residual coefficient, whether n is on the sphere)."""
-    residual = constraint_residual(n, radius).max_abs_coeff()
+    """(largest coefficient of n.n - radius^2, whether n is on the sphere).
+
+    The coefficients are c_0 - radius^2, 2 Re c_s and -2 Im c_s, read from the
+    product before the harmonic trim of TrigPolyVec could drop any of them.
+    """
+    c = _dot_exponential(n, n)
+    order = c.shape[0] // 2
+    harmonics = 2.0 * np.abs(c[order + 1 :].view(float))  # Re c_s, Im c_s interleaved
+    residual = float(max(abs(c[order].real - radius**2), harmonics.max(initial=0.0)))
     return residual, bool(residual <= SPHERE_RTOL * radius**2)
 
 

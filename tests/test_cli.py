@@ -34,7 +34,7 @@ def test_random_loop_deterministic_and_on_sphere(tmp_path, capsys):
     assert out1 == out2  # byte-identical given identical flags and seed
     n, radius = trigpoly.loop_from_json(out1)
     assert n.degree == 2 and radius == 1.0
-    assert trigpoly.constraint_residual(n, radius).max_abs_coeff() < 1e-12
+    assert trigpoly.sphere_residual(n, radius)[0] < 1e-12
     code3, out3, _ = run(capsys, ["random-loop", "--k", "3", "--N", "2", "--seed", "8"])
     assert out3 != out1
 
@@ -43,7 +43,7 @@ def test_random_loop_degree_statistics():
     hits = 0
     for seed in range(40):
         n = cli.random_loop(2, 3, 1.0, seed)
-        assert trigpoly.constraint_residual(n, 1.0).max_abs_coeff() < 1e-12
+        assert trigpoly.sphere_residual(n, 1.0)[0] < 1e-12
         hits += n.degree == 3
     assert hits >= 38  # degenerations are measure-zero
 
@@ -417,15 +417,18 @@ def test_validation_errors(tmp_path, capsys, monkeypatch):
             code, out, err = run(capsys, argv.split())
         assert code == 2 and out == "" and caught == [], (argv, err)
         assert value in err, (argv, err)
-    # Fewer than two truncation levels are refused before any endpoint is
-    # classified or any truncation solved.
+    # Fewer than two truncation levels, and levels whose deepest truncation
+    # (1e-17 of the width from each end at 16) rounds onto an endpoint, are
+    # refused before any endpoint is classified or any truncation solved.
     def no_work(*args, **kwargs):
         raise AssertionError("solver work started")
 
     monkeypatch.setattr(radial, "classify_endpoint", no_work)
     monkeypatch.setattr(radial, "solve_truncated", no_work)
     for argv, value in (("spectrum --k 3 --levels 1 --tol 1e-3", "got 1"),
-                        ("gap --k 5 --levels 0 --tol 1e-3", "got 0")):
+                        ("gap --k 5 --levels 0 --tol 1e-3", "got 0"),
+                        ("spectrum --k 5 --levels 16 --tol 1e-3", "16 truncation levels"),
+                        ("gap --k 5 --levels 16 --tol 1e-3", "allows at most 15")):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(capsys, argv.split())
@@ -721,6 +724,16 @@ def test_non_finite_radius_exits_2_without_output(capsys):
         assert "radius" in err
     code, out, err = run(capsys, ["classify", "--k", "3", "--R", "inf"])
     assert code == 2 and out == ""
+
+
+def test_more_eigenvalues_than_the_fd_seed_holds_exit_2_at_once(capsys):
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["spectrum", "--k", "5", "--neigs", str(10**6), "--levels", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, caught) == (2, "", [])
+    assert "[1, 1498]" in err and "got 1000000" in err
 
 
 def test_non_finite_output_value_exits_2(monkeypatch, capsys):

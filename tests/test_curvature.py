@@ -142,8 +142,8 @@ def test_grad_f_is_constraint_gradient():
         eps = 1e-6
         plus = trigpoly.add(n, trigpoly.scale(x, eps))
         minus = trigpoly.add(n, trigpoly.scale(x, -eps))
-        f_plus = trigpoly.scalar_l2_inner(trigpoly.pointwise_dot(plus, plus), phi)
-        f_minus = trigpoly.scalar_l2_inner(trigpoly.pointwise_dot(minus, minus), phi)
+        f_plus = trigpoly.l2_inner(trigpoly.pointwise_dot(plus, plus), phi)
+        f_minus = trigpoly.l2_inner(trigpoly.pointwise_dot(minus, minus), phi)
         directional = (f_plus - f_minus) / (2.0 * eps)
         assert directional == pytest.approx(trigpoly.l2_inner(grad, x), abs=1e-8)
     with pytest.raises(ValueError, match="exceeds 2N"):

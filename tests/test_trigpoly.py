@@ -7,8 +7,8 @@ from loopsphere.prng import SplitMix64
 
 def random_poly(rng, degree, dim):
     v = np.array(rng.gauss_vector(dim))
-    a = np.array([rng.gauss_vector(dim) for _ in range(degree)])
-    b = np.array([rng.gauss_vector(dim) for _ in range(degree)])
+    a = np.array([rng.gauss_vector(dim) for _ in range(degree)]).reshape(degree, dim)
+    b = np.array([rng.gauss_vector(dim) for _ in range(degree)]).reshape(degree, dim)
     return trigpoly.TrigPolyVec(v=v, a=a, b=b)
 
 
@@ -28,7 +28,7 @@ def test_pointwise_dot_exact():
     n = random_poly(rng, 3, 3)
     phi = trigpoly.pointwise_dot(m, n)
     thetas = np.linspace(0.0, 2 * np.pi, 23, endpoint=False)
-    lhs = phi.eval(thetas)
+    lhs = phi.eval(thetas)[:, 0]
     rhs = np.einsum("td,td->t", m.eval(thetas), n.eval(thetas))
     assert np.allclose(lhs, rhs, atol=1e-12)
     assert phi.degree <= m.degree + n.degree
@@ -37,13 +37,18 @@ def test_pointwise_dot_exact():
 def test_scalar_mul_exact():
     rng = SplitMix64(3)
     n = random_poly(rng, 2, 3)
-    phi = trigpoly.ScalarTrigPoly(c0=0.5, cos_coeffs=np.array([1.0, -0.3]),
-                                  sin_coeffs=np.array([0.2, 0.7]))
+    phi = trigpoly.TrigPolyVec(v=np.array([0.5]), a=np.array([[1.0], [-0.3]]),
+                               b=np.array([[0.2], [0.7]]))
     prod = trigpoly.scalar_mul(n, phi)
     thetas = np.linspace(0.0, 2 * np.pi, 31, endpoint=False)
-    assert np.allclose(
-        prod.eval(thetas), phi.eval(thetas)[:, None] * n.eval(thetas), atol=1e-12
-    )
+    assert np.allclose(prod.eval(thetas), phi.eval(thetas) * n.eval(thetas), atol=1e-12)
+
+
+def test_scalar_mul_refuses_a_factor_outside_r1():
+    rng = SplitMix64(3)
+    n = random_poly(rng, 2, 3)
+    with pytest.raises(ValueError, match="R\\^1"):
+        trigpoly.scalar_mul(n, random_poly(rng, 1, 3))
 
 
 def test_exponential_roundtrip():
@@ -92,8 +97,44 @@ def test_constraint_residual_zero_on_circle():
         a=np.array([[2.0, 0.0, 0.0]]),
         b=np.array([[0.0, 2.0, 0.0]]),
     )
-    res = trigpoly.constraint_residual(n, 2.0)
-    assert res.max_abs_coeff() < 1e-14
+    assert trigpoly.sphere_residual(n, 2.0)[0] < 1e-14
+
+
+def sphere_loop(rng, degree, dim, radius):
+    """A point of the sphere of the given radius turned by `degree` random plane rotations."""
+    base = np.array(rng.gauss_vector(dim))
+    n = trigpoly.trig_poly(base * (radius / np.linalg.norm(base)))
+    for _ in range(degree):
+        a, b = np.linalg.qr(np.array([rng.gauss_vector(dim), rng.gauss_vector(dim)]).T)[0].T
+        n = resolution.apply_rotation(resolution.rotation_from_basis(a, b), n)
+    return n
+
+
+def max_coefficient_of_square_minus_r2(n, radius):
+    """The largest |coefficient| of n.n - radius^2, from its constant, cosine and sine terms."""
+    c = trigpoly._exponential(n.v, n.a, n.b)
+    c = trigpoly._convolve(c, c).sum(axis=-1)
+    order = 2 * n.degree
+    c0 = float(c[order].real) - radius**2
+    cos_coeffs, sin_coeffs = 2.0 * c[order + 1 :].real, -2.0 * c[order + 1 :].imag
+    vals = [abs(c0)]
+    if order:
+        vals.append(np.max(np.abs(cos_coeffs)))
+        vals.append(np.max(np.abs(sin_coeffs)))
+    return max(vals)
+
+
+@pytest.mark.parametrize("radius", [1.1, 0.37, 3e5])
+def test_sphere_residual_is_the_max_coefficient_formula_bitwise(radius):
+    rng = SplitMix64(12)
+    for k in range(1, 7):
+        for degree in range(9):
+            on = sphere_loop(rng, degree, k + 1, radius)
+            off = trigpoly.scale(random_poly(rng, degree, k + 1), radius)
+            for n in (on, off, trigpoly.scale(on, 1.0 + 7e-10)):
+                expect = max_coefficient_of_square_minus_r2(n, radius)
+                assert trigpoly.sphere_residual(n, radius) == (
+                    expect, bool(expect <= trigpoly.SPHERE_RTOL * radius**2)), (k, degree)
 
 
 def test_json_roundtrip():
