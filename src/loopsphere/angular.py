@@ -20,10 +20,10 @@ operator on the representation W_l (x) W_m is built explicitly as
 
     (1/2) sum_{pairs} c_pair(t) rho(L_pair)^2,
 
-with L_pair = E_ij - E_ji and the inverse-metric coefficients c computed
-from the frame metric: c_va = c_vb = 1/(1+t), c_ab = 1/(2(1-t)),
-c_vi = 1/(2t), c_ai = c_bi = 1/(1-t).  Closed-form spectra are provided for
-W_1 (x) W_1 and W_3 (x) W_1 and are matched by the matrix construction.
+with L_pair = E_ij - E_ji and c_pair = 1/g_pair the inverse of the frame
+metric coefficient that `manifold.metric_omega` gives the pair.  Closed-form
+spectra are provided for W_1 (x) W_1 and W_3 (x) W_1 and are matched by the
+matrix construction.
 
 Weight multiplicities for branching along the flag of subgroups are given by
 the Gelbart dimension formula.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import manifold, numerics
 
 # ---------------------------------------------------------------------------
 # su(2) ladder operators
@@ -188,26 +188,16 @@ def so4_rep_generators(lw, mw):
     return rho
 
 
-_K3_COEFFS = {
-    (0, 1): lambda t: 1.0 / (1.0 + t),  # v-a
-    (0, 2): lambda t: 1.0 / (1.0 + t),  # v-b
-    (1, 2): lambda t: 1.0 / (2.0 * (1.0 - t)),  # a-b
-    (0, 3): lambda t: 1.0 / (2.0 * t),  # v-i
-    (1, 3): lambda t: 1.0 / (1.0 - t),  # a-i
-    (2, 3): lambda t: 1.0 / (1.0 - t),  # b-i
-}
-
-
 def angular_operator_k3(lw, mw, t):
     """The fiber Laplacian image on W_lw (x) W_mw at radial coordinate t."""
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"t must lie in (0, 1), got {t}")
+    metric = manifold.metric_omega(t, manifold.ModelParams(k=3)).coefficients
     rho = so4_rep_generators(lw, mw)
     dim = (lw + 1) * (mw + 1)
     out = np.zeros((dim, dim), dtype=complex)
-    for pair, cf in _K3_COEFFS.items():
+    # The in-frame pairs first: the sum's order fixes the roundoff of the output.
+    for pair in ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)):
         g = rho[pair]
-        out += 0.5 * cf(t) * (g @ g)
+        out += 0.5 * (1.0 / metric[manifold.frame_pair_label(*pair)]) * (g @ g)
     herm = np.linalg.norm(out - out.conj().T)
     if herm > 1e-10 * max(np.linalg.norm(out), 1.0):
         raise RuntimeError(f"angular operator lost hermiticity: {herm:.3e}")

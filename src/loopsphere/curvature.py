@@ -525,129 +525,57 @@ def fiber_ricci_closed(k, t):
 # ---------------------------------------------------------------------------
 
 
-def _skew_basis(dim):
-    """Frobenius-orthonormal basis (E_ij - E_ji)/sqrt(2), keyed by (i, j), i<j."""
-    basis = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim))
-            m[i, j] = 1.0 / math.sqrt(2.0)
-            m[j, i] = -1.0 / math.sqrt(2.0)
-            basis[(i, j)] = m
-    return basis
-
-
-def _pair_label(pair):
-    i, j = pair
-    if (i, j) == (0, 1):
-        return "va"
-    if (i, j) == (0, 2):
-        return "vb"
-    if (i, j) == (1, 2):
-        return "ab"
-    if i == 0:
-        return "vi"
-    if i == 1:
-        return "ai"
-    return "bi"
-
-
-FIBER_METRIC_COEFFS = {
-    "va": lambda t: 1.0 + t,
-    "vb": lambda t: 1.0 + t,
-    "ab": lambda t: 2.0 * (1.0 - t),
-    "vi": lambda t: 2.0 * t,
-    "ai": lambda t: 1.0 - t,
-    "bi": lambda t: 1.0 - t,
-}
-
-
 def besse_ricci(k, t):
     """Ricci of the Stiefel fiber computed from Lie brackets alone.
 
     The fiber is the quotient of the rotation group of R^{k+1} by the
-    stabilizer of the 3-frame; its tangent space identifies with the span of
-    the skew generators that move the frame legs, carrying the diagonal
-    metric with the frame-direction coefficients.  The Ricci tensor of such a
-    reductive quotient is the universal bracket sum
+    stabilizer of the 3-frame; its tangent space identifies with the span p
+    of the skew generators that move the frame legs, carrying the diagonal
+    metric g of `manifold.metric_omega`.  The Ricci tensor of such a
+    reductive quotient is the universal bracket sum (Besse, Einstein
+    Manifolds, 7.38)
 
       Ric(X,X) = -1/2 sum_j |[X,X_j]_p|^2
                  -1/2 sum_j ([X,[X,X_j]_p]_p, X_j)
                  -    sum_j ([X,[X,X_j]_f]_p, X_j)
                  +1/4 sum_{ij} ([X_i,X_j]_p, X)^2
 
-    over a metric-orthonormal basis {X_j} of the moving span p, with f the
-    stabilizer algebra.  Off-diagonal entries come from polarization.
+    over a metric-orthonormal basis X_j = E_j / sqrt(g_j) of p, with f the
+    stabilizer algebra.  In the Frobenius-orthonormal generators
+    E_ij = (e_i e_j^T - e_j e_i^T)/sqrt(2), i < j, every bracket is read from
+    the structure constants c_abe = <[E_a, E_b], E_e>, and each term is a
+    quadratic form x^T Q x in the coordinates of X = sum_a x_a E_a:
 
-    Reported values are Ric(X, X) for the unnormalized skew generators
-    X = E_ij - E_ji (matching the closed-form convention), while the metric
-    coefficients attach to the Frobenius-normalized generators; the two
-    conventions differ by a factor of two in the reported values.
+      Q = -1/2 sum_{j,e in p} c_aje c_bje g_e / g_j
+          -1/2 sum_{j,e in p} c_aje c_bej
+          -    sum_{j in p, h in f} c_ajh c_bhj
+          +1/4 sum_{i,j in p} c_ija c_ijb g_a g_b / (g_i g_j).
 
-    Returns {"labels", "matrix", "diagonal"}.
+    Reported values are Ric for the unnormalized skew generators
+    E_ij - E_ji (matching the closed-form convention), twice those of the
+    normalized ones: the matrix is Q + Q^T.
+
+    Returns {"labels", "matrix", "diagonal"}, the moving pairs (i, j) in
+    lexicographic order.
     """
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"t must lie in (0, 1), got {t}")
+    metric = manifold.metric_omega(t, manifold.ModelParams(k=k)).coefficients
     dim = k + 1
-    basis = _skew_basis(dim)
-    pairs = sorted(basis.keys())
-    moving = [pq for pq in pairs if pq[0] <= 2]
-    fixing = [pq for pq in pairs if pq[0] > 2]
-    labels = [_pair_label(pq) for pq in moving]
-    diag = np.array([FIBER_METRIC_COEFFS[lab](t) for lab in labels])
-    mats = np.array([basis[pq] for pq in moving])
-    fix_mats = np.array([basis[pq] for pq in fixing]) if fixing else np.zeros((0, dim, dim))
-
-    def decompose(mat):
-        mv = np.einsum("kab,ab->k", mats, mat)
-        fx = np.einsum("kab,ab->k", fix_mats, mat) if len(fix_mats) else np.zeros(0)
-        return mv, fx
-
-    def from_moving(comp):
-        return np.einsum("k,kab->ab", comp, mats)
-
-    def from_fixing(comp):
-        if not len(fix_mats):
-            return np.zeros((dim, dim))
-        return np.einsum("k,kab->ab", comp, fix_mats)
-
-    def inner(c1, c2):
-        return float(np.sum(c1 * diag * c2))
-
-    nmove = len(moving)
-    ortho = [from_moving(np.eye(nmove)[j] / math.sqrt(diag[j])) for j in range(nmove)]
-    ortho_mv = [np.eye(nmove)[j] / math.sqrt(diag[j]) for j in range(nmove)]
-
-    def ricci_value(x, x_mv):
-        total = 0.0
-        for xj, xj_mv in zip(ortho, ortho_mv):
-            br = x @ xj - xj @ x
-            br_mv, br_fx = decompose(br)
-            total -= 0.5 * inner(br_mv, br_mv)
-            inner_br = from_moving(br_mv)
-            br2 = x @ inner_br - inner_br @ x
-            br2_mv, _ = decompose(br2)
-            total -= 0.5 * inner(br2_mv, xj_mv)
-            fix_br = from_fixing(br_fx)
-            br3 = x @ fix_br - fix_br @ x
-            br3_mv, _ = decompose(br3)
-            total -= inner(br3_mv, xj_mv)
-        for xi in ortho:
-            for xj in ortho:
-                br = xi @ xj - xj @ xi
-                br_mv, _ = decompose(br)
-                total += 0.25 * inner(br_mv, x_mv) ** 2
-        return total
-
-    full = np.zeros((nmove, nmove))
-    diag_cache = [ricci_value(mats[j], np.eye(nmove)[j]) for j in range(nmove)]
-    for i in range(nmove):
-        full[i, i] = diag_cache[i]
-        for j in range(i + 1, nmove):
-            plus = ricci_value(mats[i] + mats[j], np.eye(nmove)[i] + np.eye(nmove)[j])
-            full[i, j] = full[j, i] = 0.5 * (plus - diag_cache[i] - diag_cache[j])
-    # Report in the unnormalized-generator convention (factor 2, see docstring).
-    full *= 2.0
+    # Lexicographic pairs: the nm moving ones (i <= 2) come first.
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    gens = np.zeros((len(pairs), dim, dim))
+    for gen, (i, j) in zip(gens, pairs):
+        gen[i, j], gen[j, i] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
+    prod = np.einsum("aij,bjk->abik", gens, gens)
+    c = np.einsum("abik,eik->abe", prod - prod.transpose(1, 0, 2, 3), gens)
+    labels = [manifold.frame_pair_label(i, j) for i, j in pairs if i <= 2]
+    g = np.array([metric[lab] for lab in labels])
+    nm = len(labels)
+    cm = c[:nm, :nm, :nm]
+    q = (-0.5 * np.einsum("aje,bje,e,j->ab", cm, cm, g, 1.0 / g)
+         - 0.5 * np.einsum("aje,bej->ab", cm, cm)
+         - np.einsum("ajh,bhj->ab", c[:nm, :nm, nm:], c[:nm, nm:, :nm])
+         + 0.25 * np.einsum("ija,ijb,i,j->ab", cm, cm, 1.0 / g, 1.0 / g) * np.outer(g, g))
+    full = q + q.T
     diagonal = {}
     for j, lab in enumerate(labels):
         diagonal.setdefault(lab, full[j, j])

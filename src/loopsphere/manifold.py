@@ -257,6 +257,18 @@ def metric_omega(t, params):
     return MetricBlock(coefficients=coeff, multiplicities=mult, scale=R**2 / 4.0)
 
 
+def frame_pair_label(i, j):
+    """`metric_omega` key of the rotation E_ij - E_ji of R^{k+1}, 0 <= i < j.
+
+    Coordinates 0, 1, 2 are the frame legs e_v, e_a, e_b and every j >= 3 is
+    a direction 'i' of their orthogonal complement: (0, 1) is 'va', (1, 4) is
+    'ai'.  A pair with i >= 3 fixes the frame and has no key.
+    """
+    if not 0 <= i < j or i > 2:
+        raise ValueError(f"pair ({i}, {j}) does not move a frame leg")
+    return "vab"[i] + ("vab"[j] if j <= 2 else "i")
+
+
 def sqrt_det_omega(t, params):
     """sqrt(det) of the frame-direction metric block (without the R^2/4 scale),
     computed directly from the diagonal coefficients."""

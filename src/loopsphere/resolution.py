@@ -91,8 +91,13 @@ def rotation_from_basis(a, b):
             f"basis must be orthogonal with equal lengths: |a|^2={na2:.6e}, "
             f"|b|^2={nb2:.6e}, a.b={float(a @ b):.3e}"
         )
-    p = (np.outer(a, a) + np.outer(b, b)) / na2
-    w = (np.outer(a, b) - np.outer(b, a)) / na2  # w @ v = ((b.v) a - (a.v) b)/|a|^2
+    # From an orthonormal frame (u, v) of the plane, P is a projection to
+    # roundoff, so the pair's own error cannot build up from peel to peel.
+    u = a / np.linalg.norm(a)
+    v = b - (u @ b) * u
+    v /= np.linalg.norm(v)
+    p = np.outer(u, u) + np.outer(v, v)
+    w = np.outer(u, v) - np.outer(v, u)  # w @ x = (v.x) u - (u.x) v
     return PlaneRotation(projection=p, rotation=w)
 
 

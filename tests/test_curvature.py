@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -287,6 +288,55 @@ def test_mean_curvature_of_random_loops_is_dim_over_radius(k):
         assert rep.mean_sq * radius**2 == _exact(rep.dim**2), degree
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_hessians(degree):
+    return curvature._hessians(degree, 1)
+
+
+def _normal_kernel_diagonal(n):
+    """K_N(theta) = sum_a |nu_a(theta)|^2 at 4N+5 angles, nu_a an orthonormal basis of span{grad f_i}.
+
+    The basis is the Q factor of a QR of the constraint gradients
+    H_i n = 2 Pr_N(n phi_i); H_i = h_i (x) I_d, so the scalar Hessians h_i act
+    on the (2N+1, d) block of n's flat coordinates.  The 4N+1 columns of Q,
+    side by side, unflatten to one loop in R^(d(4N+1)) whose squared length
+    is K_N.
+    """
+    degree, d = n.degree, n.ambient_dim
+    blocks = curvature.flatten_vec(n, degree).reshape(-1, d)
+    grads = (_scalar_hessians(degree) @ blocks).reshape(4 * degree + 1, -1)
+    q, _ = np.linalg.qr(grads.T)
+    basis = curvature.unflatten_vec(q.ravel(), degree, q.size // (2 * degree + 1))
+    thetas = np.linspace(0.0, 2 * np.pi, 4 * degree + 5, endpoint=False)
+    return np.sum(basis.eval(thetas) ** 2, axis=1)
+
+
+def test_normal_kernel_diagonal_is_4N_plus_1():
+    """K_N(theta) = 4N+1, the dimension of the normal space, at every angle.
+
+    Measured, not derived: a constant K_N makes the tangential trace of every
+    zero-mean constraint Hessian vanish, which is the minimality in the
+    L^2-sphere that |H|^2 R^2 = dim^2 shows.  Off the sphere it varies.
+    """
+    loops = [random_loop(k, degree, 1.0, seed) for k in range(2, 7)
+             for degree in range(1, 7) for seed in (0, 1)]
+    for degree in range(1, 25):
+        loops += [_great_circle(k, degree, 1.0) for k in (2, 3, 5)]
+        if degree >= 2:
+            a, b = np.zeros((degree, 4)), np.zeros((degree, 4))
+            a[-1, 0] = b[-1, 1] = a[-2, 2] = b[-2, 3] = math.sqrt(0.5)
+            loops.append(trigpoly.trig_poly(np.zeros(4), a, b))
+    for n in loops:
+        dim = 4 * n.degree + 1
+        assert np.max(np.abs(_normal_kernel_diagonal(n) - dim)) <= 1e-10 * dim, n
+    rng = SplitMix64(41)
+    for k, degree in ((2, 1), (3, 2)):
+        coeffs = np.array([rng.gauss_vector(k + 1) for _ in range(2 * degree + 1)])
+        off = trigpoly.trig_poly(coeffs[0], coeffs[1::2], coeffs[2::2])
+        diagonal = _normal_kernel_diagonal(off)
+        assert np.ptp(diagonal) > 0.1 * (4 * degree + 1), (k, degree, diagonal)
+
+
 def _connection_operands(n):
     """s^{-1} and A_qri of the loop scaled to the unit sphere, as scalar_and_mean builds them."""
     ctx = curvature.CurvatureContext(trigpoly.scale(n, 1.0 / curvature.infer_radius(n)), 1.0)
@@ -363,12 +413,15 @@ def test_near_singular_stratum_raises():
 
 
 def test_besse_matches_fiber_closed_form():
-    for k in (2, 3, 4):
-        for t in (0.25, 0.5, 0.75):
-            engine = curvature.besse_ricci(k, t)["diagonal"]
+    # The whole bracket matrix: diagonal, with the closed form on its diagonal.
+    for k in range(2, 7):
+        for t in np.arange(1, 10) / 10:
+            rep = curvature.besse_ricci(k, t)
+            matrix = rep["matrix"]
+            assert np.max(np.abs(matrix - np.diag(np.diag(matrix)))) <= 1e-12, (k, t)
             closed = curvature.fiber_ricci_closed(k, t)
-            for label, val in closed.items():
-                assert engine[label] == pytest.approx(val, abs=1e-9), (k, t, label)
+            expected = [closed[label] for label in rep["labels"]]
+            assert np.max(np.abs(np.diag(matrix) - expected)) <= 1e-12, (k, t)
 
 
 def test_fiber_ricci_nonnegative_k3():

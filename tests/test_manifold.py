@@ -142,6 +142,11 @@ def test_metric_omega_structure():
     assert block.coefficients["vi"] == pytest.approx(0.6)
     k2 = manifold.metric_omega(0.3, manifold.ModelParams(k=2))
     assert set(k2.coefficients) == {"va", "vb", "ab"}
+    # The pairs that move a frame leg carry each key as often as it counts.
+    labels = [manifold.frame_pair_label(i, j) for i in range(3) for j in range(i + 1, 6)]
+    assert {lab: labels.count(lab) for lab in labels} == block.multiplicities
+    with pytest.raises(ValueError, match="does not move a frame leg"):
+        manifold.frame_pair_label(3, 4)
 
 
 def test_sphere_and_stiefel_volumes():
