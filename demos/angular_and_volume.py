@@ -16,8 +16,8 @@ def main():
     t = 0.5
     print(f"k = 2 angular levels at t = {t} (value, multiplicity):")
     for l in range(3):
-        levels = angular.angular_levels_k2(l, t, 1.0)
-        pretty = ", ".join(f"({lv.value:.6f}, x{lv.multiplicity})" for lv in levels)
+        levels = angular.angular_spectrum_k2(l, t, 1.0)
+        pretty = ", ".join(f"({value:.6f}, x{mult})" for value, mult in levels)
         print(f"  l={l}: {pretty}")
     print()
 

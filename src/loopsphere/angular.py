@@ -30,7 +30,6 @@ the Gelbart dimension formula.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,22 +255,3 @@ def gelbart_multiplicity(m1, m2, m3):
         )
     return (m1 - m2 + 1) * (m2 - m3 + 1) * (m1 - m3 + 2) // 2
 
-
-@dataclass(frozen=True)
-class AngularEigenvalue:
-    """One angular level: representation labels, weight, value, multiplicity."""
-
-    labels: tuple
-    weight: int | None
-    value: float
-    multiplicity: int
-
-
-def angular_levels_k2(l, t, radius):
-    """AngularEigenvalue records for W_{2l} at (t, R)."""
-    out = []
-    for value, mult in angular_spectrum_k2(l, t, radius):
-        out.append(
-            AngularEigenvalue(labels=(2 * l,), weight=None, value=value, multiplicity=mult)
-        )
-    return out

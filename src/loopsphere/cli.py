@@ -28,8 +28,10 @@ other library module, a command compiles only its own modules, and only
 
 Exit codes: 0 success, 2 validation error (bad flags, malformed input, or a
 result that a double cannot represent), 3 numeric diagnostic failure.
-Output is JSON (default) or CSV with floats at 17 significant digits;
-identical flags and seed give byte-identical output.  JSON output is strict
+The table and record commands write JSON (default) or, with --format csv,
+CSV with floats at 17 significant digits; loop and rotation records
+(random-loop, factorize) are JSON only.  Identical flags and seed give
+byte-identical output.  JSON output is strict
 RFC 8259: a non-finite value is a validation error, never a NaN or Infinity
 token.
 """
@@ -152,12 +154,14 @@ def random_loop(k, degree, radius, seed):
 def _params(args):
     from . import manifold
 
-    return manifold.ModelParams(k=args.k, R=args.R, L=args.L)
+    return manifold.ModelParams(k=args.k, R=args.R)
 
 
 def _cmd_spectrum(args):
     from . import radial
 
+    if args.s is not None and args.l is None:
+        raise ValueError("--s needs --l: the weight s labels a state of the representation l")
     params = _params(args)
     if args.l is not None:
         prob = radial.coefficients_with_harmonics(params, args.l, args.s or 0)
@@ -302,9 +306,9 @@ def _cmd_curvature(args):
 
 
 def _cmd_ricci(args):
-    from . import curvature, manifold
+    from . import curvature
 
-    params = manifold.ModelParams(k=args.k, R=args.R)
+    params = _params(args)
     if not (0.0 < args.t < 1.0):
         raise ValueError(f"--t must lie in (0, 1), got {args.t}")
     header = ["quantity", "value"]
@@ -322,9 +326,9 @@ def _cmd_ricci(args):
 
 
 def _cmd_angular(args):
-    from . import angular, manifold
+    from . import angular
 
-    params = manifold.ModelParams(k=args.k, R=args.R)
+    params = _params(args)
     if not (0.0 < args.t < 1.0):
         raise ValueError(f"--t must lie in (0, 1), got {args.t}")
     header = ["eigenvalue", "multiplicity"]
@@ -341,7 +345,8 @@ def _cmd_angular(args):
         # of the commuting su(2) factors, passed as --l and --s.
         if args.l is None or args.s is None:
             raise ValueError("k = 3 angular spectra require both --l and --s (the two highest weights)")
-        vals = angular.angular_spectrum_k3(args.l, args.s, args.t)
+        # The fiber metric is (R^2/4) g with g free of R, so its Laplacian scales as 1/R^2.
+        vals = angular.angular_spectrum_k3(args.l, args.s, args.t) / params.R**2
         grouped = []
         for v in vals:
             if grouped and abs(v - grouped[-1][0]) <= 1e-10 * (1.0 + abs(v)):
@@ -410,18 +415,18 @@ def _cmd_random_loop(args):
 
 # name, help, `_add_common` flags, handler
 _COMMANDS = (
-    ("spectrum", "radial eigenvalues by shrinking truncations", "k R L ls eigs neigs",
+    ("spectrum", "radial eigenvalues by shrinking truncations", "k R ls eigs format neigs",
      _cmd_spectrum),
-    ("gap", "spectral-gap report", "k R L eigs", _cmd_gap),
-    ("classify", "endpoint classification", "k R L", _cmd_classify),
-    ("frobenius", "indicial exponents at both endpoints", "k R L", _cmd_frobenius),
-    ("veff", "Liouville-form effective potential", "k R L tau", _cmd_veff),
-    ("volume", "Riemannian volume, quadrature vs closed form", "k R L", _cmd_volume),
-    ("curvature", "curvature report at a loop", "input", _cmd_curvature),
-    ("ricci", "closed-form Ricci tables", "k R t", _cmd_ricci),
-    ("angular", "angular eigenvalues and multiplicities", "k R t ls", _cmd_angular),
+    ("gap", "spectral-gap report", "k R eigs format", _cmd_gap),
+    ("classify", "endpoint classification", "k R format", _cmd_classify),
+    ("frobenius", "indicial exponents at both endpoints", "k R format", _cmd_frobenius),
+    ("veff", "Liouville-form effective potential", "k R tau format", _cmd_veff),
+    ("volume", "Riemannian volume, quadrature vs closed form", "k R format", _cmd_volume),
+    ("curvature", "curvature report at a loop", "input format", _cmd_curvature),
+    ("ricci", "closed-form Ricci tables", "k R t format", _cmd_ricci),
+    ("angular", "angular eigenvalues and multiplicities", "k R t ls format", _cmd_angular),
     ("factorize", "loop <-> plane-rotation factorization", "input", _cmd_factorize),
-    ("check", "constraint residual and stratum of a loop", "input", _cmd_check),
+    ("check", "constraint residual and stratum of a loop", "input format", _cmd_check),
     ("random-loop", "seeded random sphere-valued loop", "k R seed N", _cmd_random_loop),
 )
 _NAMES = tuple(row[0] for row in _COMMANDS)
@@ -432,8 +437,6 @@ def _add_common(sub, flags):
         sub.add_argument("--k", type=int, required=True, help="sphere dimension (>= 2)")
     if "R" in flags:
         sub.add_argument("--R", type=float, default=1.0, help="sphere radius (> 0)")
-    if "L" in flags:
-        sub.add_argument("--L", type=float, default=1.0, help="coupling scale (> 0)")
     if "t" in flags:
         sub.add_argument("--t", type=float, required=True, help="radial coordinate in (0, 1)")
     if "tau" in flags:
@@ -451,7 +454,8 @@ def _add_common(sub, flags):
     if "N" in flags:
         sub.add_argument("--N", type=int, required=True, help="harmonic degree (>= 0)")
     sub.add_argument("--output", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    if "format" in flags:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
     if "neigs" in flags:  # after --format, where spectrum's help has always listed it
         sub.add_argument("--neigs", type=int, default=2, help="number of eigenvalues")
 

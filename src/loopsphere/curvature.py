@@ -222,7 +222,6 @@ def _connection_sum(s, a):
 class KernelOperator:
     """Symmetric operator on degree <= 2N scalars, in the orthonormal basis."""
 
-    N: int
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -233,7 +232,6 @@ class KernelOperator:
 class TangentBasis:
     """Orthonormal basis of the tangent space at a loop."""
 
-    base: TrigPolyVec
     vectors: tuple
     gram: np.ndarray
 
@@ -288,7 +286,7 @@ class CurvatureContext:
 
     def gram_operator(self):
         """Constraint metric g(phi, psi) = <grad f_phi, grad f_psi> / 4."""
-        return KernelOperator(N=self.degree, matrix=self.s_full / 4.0)
+        return KernelOperator(matrix=self.s_full / 4.0)
 
     def green_operator(self):
         """Inverse of the constraint metric as an operator on scalars.
@@ -298,7 +296,7 @@ class CurvatureContext:
         the inverse of s is not to 1e-12 once cond(s) reaches about 1e7.
         """
         r_inv = np.linalg.inv(np.linalg.qr(self.grads.T, mode="r"))
-        return KernelOperator(N=self.degree, matrix=4.0 * (r_inv @ r_inv.T))
+        return KernelOperator(matrix=4.0 * (r_inv @ r_inv.T))
 
     def pair_coords(self, x, y):
         """u(X,Y)_i = <X, H_i Y> -- coordinates of the scalar 2 X.Y."""
@@ -405,7 +403,7 @@ def tangent_basis(n, radius=None):
     cols = ctx.tangent_matrix()
     vecs = tuple(unflatten_vec(col, ctx.degree, ctx.ambient_dim) for col in cols.T)
     gram = np.array([[trigpoly.l2_inner(x, y) for y in vecs] for x in vecs])
-    return TangentBasis(base=n, vectors=vecs, gram=gram)
+    return TangentBasis(vectors=vecs, gram=gram)
 
 
 def scalar_and_mean(n, radius=None):

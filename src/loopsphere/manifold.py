@@ -41,16 +41,15 @@ class StratumError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Sphere dimension 2 <= k <= K_MAX, finite radius R > 0, finite coupling scale L > 0.
+    """Sphere dimension 2 <= k <= K_MAX and finite radius R > 0.
 
     The largest powers the model takes, 2^((5k-3)/2) and R^(3k-2) (both in
-    the weight prefactor; R^4 is the next) and L itself, must be normal
-    doubles; the check on R and L runs in log space.
+    the weight prefactor; R^4 is the next), must be normal doubles; the
+    check on R runs in log space.
     """
 
     k: int
     R: float = 1.0
-    L: float = 1.0
     # c_k of `weight_prefactor`, computed once at construction; not part of
     # the identity.
     prefactor: float = field(init=False, repr=False, compare=False)
@@ -65,19 +64,15 @@ class ModelParams:
             )
         if not (0 < self.R < math.inf):
             raise ValueError(f"radius R must be positive and finite, got {self.R}")
-        if not (0 < self.L < math.inf):
-            raise ValueError(f"coupling scale L must be positive and finite, got {self.L}")
-        for name, symbol, power in (("radius", "R", 3 * self.k - 2), ("coupling scale", "L", 1)):
-            value = getattr(self, symbol)
-            log_power = power * math.log(value)
-            if not (_LOG_MIN_NORMAL <= log_power <= _LOG_MAX):
-                raise ValueError(
-                    f"{name} {symbol} = {value!r} is out of range: {symbol}^{power} = "
-                    f"exp({log_power:.10g}) cannot be represented as a normal double"
-                )
+        power = 3 * self.k - 2
+        log_power = power * math.log(self.R)
+        if not (_LOG_MIN_NORMAL <= log_power <= _LOG_MAX):
+            raise ValueError(
+                f"radius R = {self.R!r} is out of range: R^{power} = "
+                f"exp({log_power:.10g}) cannot be represented as a normal double"
+            )
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "R", float(self.R))
-        object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "prefactor", weight_prefactor(self))
 
 

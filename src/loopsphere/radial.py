@@ -61,11 +61,6 @@ classification, Frobenius exponents, V_eff, the Hardy constants and the
 other tables run without scipy, and a process that never solves never loads
 it.  A solve reads each name through the module at call time, so a
 monkeypatched `radial.odeint` is the function that runs.
-
-Eigenvalue normalization: `SpectrumResult.eigenvalues` stores Lambda / R^2
-(the coupling-normalized values); `raw` stores the Sturm-Liouville
-eigenvalues Lambda themselves.  Upper/lower bound comparisons in this module
-use the raw values.
 """
 
 import math
@@ -123,8 +118,6 @@ class SLProblem:
     """
 
     interval: tuple
-    name: str = "sl-problem"
-    params: ModelParams | None = None
     coeffs: object = None
     p: object = None
     q: object = None
@@ -189,7 +182,7 @@ def coefficients(params):
         dq = q * (dlogw - inv_u)
         return p, q, w, dp, dq, w * dlogw
 
-    return SLProblem(coeffs=coeffs, interval=(0.0, 1.0), name=f"radial-k{k}", params=params)
+    return SLProblem(coeffs=coeffs, interval=(0.0, 1.0))
 
 
 def coefficients_with_harmonics(params, l, s):
@@ -220,8 +213,7 @@ def coefficients_with_harmonics(params, l, s):
         )
         return p, q + ang * w, w, dp, dq + dang * w + ang * dw, dw
 
-    return SLProblem(coeffs=coeffs, interval=(0.0, 1.0), name=f"radial-k2-l{l}-s{s}",
-                     params=params)
+    return SLProblem(coeffs=coeffs, interval=(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +229,6 @@ class EndpointKind(enum.Enum):
 
 @dataclass(frozen=True)
 class EndpointReport:
-    endpoint: float
     kind: EndpointKind
     exponents: tuple
     log_case: bool
@@ -323,7 +314,7 @@ def classify_endpoint(prob, endpoint):
         kind = EndpointKind.LIMIT_CIRCLE
     else:
         kind = EndpointKind.LIMIT_POINT
-    return EndpointReport(endpoint=endpoint, kind=kind, exponents=exps, log_case=log_case)
+    return EndpointReport(kind=kind, exponents=exps, log_case=log_case)
 
 
 def classify_endpoints(params):
@@ -608,12 +599,11 @@ def oracle_comparison(params, a=1e-3, count=5):
 class SpectrumResult:
     """Converged eigenvalues with the truncation history.
 
-    eigenvalues: Lambda / R^2 (coupling-normalized); raw: Lambda.
+    raw: the Sturm-Liouville eigenvalues Lambda.
     residual: per eigenvalue, the relative change between the last two
     accelerated rows; converged is max(residual) <= tol.
     """
 
-    eigenvalues: np.ndarray
     raw: np.ndarray
     residual: np.ndarray
     history: list
@@ -719,9 +709,7 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
     final, residual = accelerate(history)
     converged = bool(np.max(residual) <= tol)
     lp_only = EndpointKind.LIMIT_CIRCLE not in kinds
-    scale = prob.params.R**2 if prob.params is not None else 1.0
     return SpectrumResult(
-        eigenvalues=final / scale,
         raw=final,
         residual=residual,
         history=history,
@@ -918,8 +906,7 @@ def liouville_problem(params):
         value, slope = veff.value_and_derivative(tau)
         return one, value, one, zero, slope, zero
 
-    return SLProblem(coeffs=coeffs, interval=(0.0, math.pi * params.R / 2.0),
-                     name=f"liouville-k{params.k}", params=params)
+    return SLProblem(coeffs=coeffs, interval=(0.0, math.pi * params.R / 2.0))
 
 
 def veff_inverse_square(params, endpoint):
@@ -967,12 +954,12 @@ def heun_coefficient_map(params, lam):
 
     The algebraic-coordinate equation maps onto a confluent Heun shape with
     singular points {0, 1, -1}; only the coefficient dictionary is provided
-    (no Heun solver is used anywhere).  eta = R^2 / L; the local exponents
+    (no Heun solver is used anywhere).  eta = R^2; the local exponents
     mu0, mu1 agree with the Frobenius exponents at t = 0 and t = 1, and the
     accessory parameters satisfy beta1 = beta0 + beta2 identically in lam.
     """
-    k, R, L = params.k, params.R, params.L
-    eta = R**2 / L
+    k = params.k
+    eta = params.R**2
     return {
         "a": -1.0,
         "alpha": 0.0,

@@ -53,8 +53,8 @@ def test_k2_matrix_matches_closed_form():
 
 
 def test_k2_spectrum_multiplicities():
-    levels = angular.angular_levels_k2(2, 0.3, 1.0)
-    assert sum(item.multiplicity for item in levels) == 5
+    levels = angular.angular_spectrum_k2(2, 0.3, 1.0)
+    assert sum(mult for _, mult in levels) == 5
     with pytest.raises(ValueError, match="exceeds"):
         angular.angular_eigenvalue_k2(1, 2, 0.3, 1.0)
     with pytest.raises(ValueError, match="t must lie"):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import copy
@@ -230,6 +231,18 @@ def test_veff_volume_ricci_angular(capsys):
     assert sum(r["multiplicity"] for r in rows) == 5
 
 
+def test_k3_angular_values_scale_as_inverse_radius_squared(capsys):
+    # The fiber metric is (R^2/4) times an R-free metric, as at k = 2.
+    tables = {}
+    for radius in (1, 2):
+        code, out, err = run(capsys, ["angular", "--k", "3", "--l", "3", "--s", "1", "--t", "0.3",
+                                      "--R", str(radius)])
+        assert (code, err) == (0, "")
+        tables[radius] = [(row["eigenvalue"] * radius**2, row["multiplicity"])
+                          for row in json.loads(out)]
+    assert tables[2] == tables[1]
+
+
 def test_curvature_report(tmp_path, capsys):
     loop_path = tmp_path / "loop.json"
     run(capsys, ["random-loop", "--k", "2", "--N", "1", "--seed", "5",
@@ -428,7 +441,8 @@ def test_validation_errors(tmp_path, capsys, monkeypatch):
     for argv, value in (("spectrum --k 3 --levels 1 --tol 1e-3", "got 1"),
                         ("gap --k 5 --levels 0 --tol 1e-3", "got 0"),
                         ("spectrum --k 5 --levels 16 --tol 1e-3", "16 truncation levels"),
-                        ("gap --k 5 --levels 16 --tol 1e-3", "allows at most 15")):
+                        ("gap --k 5 --levels 16 --tol 1e-3", "allows at most 15"),
+                        ("spectrum --k 3 --s 4 --levels 2 --tol 1e-3", "--s needs --l")):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(capsys, argv.split())
@@ -537,7 +551,7 @@ _VALID_ARGV = {
     "spectrum": ["--k", "3", "--neigs", "3", "--levels", "4", "--format", "csv"],
     "gap": ["--k", "5", "--R", "0.5", "--tol", "1e-3"],
     "classify": ["--k", "4"],
-    "frobenius": ["--k", "4", "--L", "2"],
+    "frobenius": ["--k", "4"],
     "veff": ["--k", "3", "--tau", "0.5"],
     "volume": ["--k", "3", "--R", "2", "--output", "vol.json"],
     "curvature": ["--input", "loop.json"],
@@ -562,6 +576,7 @@ def _parse(parser, argv):
 
 def test_every_subcommand_has_a_valid_argv_here():
     assert list(_VALID_ARGV) == list(cli._NAMES)
+    assert list(_RUNNABLE_ARGV) == list(cli._NAMES)
 
 
 @pytest.mark.parametrize("name", list(_VALID_ARGV))
@@ -586,6 +601,56 @@ def test_one_subcommand_parser_parses_as_the_full_parser(name):
     other = "ricci" if name != "ricci" else "check"
     code, _, err = _parse(one, [other] + _VALID_ARGV[other])
     assert code == 2 and f"invalid choice: '{other}'" in err
+
+
+# A runnable argv per subcommand that takes well under a second (gap in
+# _VALID_ARGV solves seven levels); {loop} and {rotations} name files.
+_RUNNABLE_ARGV = {
+    "spectrum": "--k 3 --R 2 --neigs 1 --levels 2 --tol 1e-3 --format csv",
+    "gap": "--k 5 --R 0.5 --levels 2 --tol 1e-3 --format csv",
+    "classify": "--k 4 --R 2 --format csv",
+    "frobenius": "--k 4 --R 2 --format csv",
+    "veff": "--k 3 --R 2 --tau 0.5 --format csv",
+    "volume": "--k 3 --R 2 --format csv",
+    "curvature": "--input {loop} --format csv",
+    "ricci": "--k 2 --R 2 --t 0.5 --format csv",
+    "angular": "--k 2 --R 2 --l 2 --s 1 --t 0.25 --format csv",
+    "factorize": "--input {loop} --output {rotations}",
+    "check": "--input {loop} --format csv",
+    "random-loop": "--k 3 --R 2 --N 2 --seed 7 --output {loop}",
+}
+
+
+@pytest.mark.parametrize("name", list(_RUNNABLE_ARGV))
+def test_every_parsed_flag_is_read_by_its_handler(tmp_path, name):
+    loop, rotations = tmp_path / "loop.json", tmp_path / "rotations.json"
+    loop.write_text(json.dumps(trigpoly.loop_to_dict(cli.random_loop(3, 2, 2.0, 7), 2.0)))
+    argv = [name] + _RUNNABLE_ARGV[name].format(loop=loop, rotations=rotations).split()
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, attr):
+            reads.add(attr)
+            return super().__getattribute__(attr)
+
+    args = cli.build_parser(name).parse_args(argv, namespace=Recording())
+    flags = set(vars(args)) - {"command", "handler"}
+    reads.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert args.handler(args) in (cli.EXIT_OK, cli.EXIT_NUMERIC)
+    assert flags - reads == set()
+
+
+_REMOVED_FLAGS = [[name, "--k", "3", "--L", "2"]
+                  for name in ("spectrum", "gap", "classify", "frobenius", "veff", "volume")]
+_REMOVED_FLAGS += [["random-loop", "--k", "2", "--N", "1", "--seed", "1", "--format", "csv"],
+                   ["factorize", "--input", "-", "--format", "csv"]]
+
+
+@pytest.mark.parametrize("argv", _REMOVED_FLAGS, ids=" ".join)
+def test_removed_flags_are_unrecognized(argv):
+    code, out, err = _parse(cli.build_parser(argv[0]), argv)
+    assert (code, out) == (2, "") and "unrecognized arguments: " + " ".join(argv[-2:]) in err
 
 
 def test_main_builds_only_the_invoked_subcommands_parser(monkeypatch, capsys):

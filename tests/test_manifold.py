@@ -19,13 +19,9 @@ def test_model_params_validation():
         manifold.ModelParams(k=1)
     with pytest.raises(ValueError, match="radius"):
         manifold.ModelParams(k=2, R=0.0)
-    with pytest.raises(ValueError, match="coupling"):
-        manifold.ModelParams(k=2, L=-1.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="radius"):
             manifold.ModelParams(k=2, R=bad)
-        with pytest.raises(ValueError, match="coupling"):
-            manifold.ModelParams(k=2, L=bad)
 
 
 def test_chart_loops_satisfy_constraint():
@@ -112,7 +108,7 @@ def test_weight_prefactor_value():
 def test_stored_prefactor_leaves_the_parameters_identity_alone():
     params = manifold.ModelParams(k=3, R=2.0)
     assert params.prefactor == manifold.weight_prefactor(params)
-    assert repr(params) == "ModelParams(k=3, R=2.0, L=1.0)"
+    assert repr(params) == "ModelParams(k=3, R=2.0)"
     twin = manifold.ModelParams(k=3.0, R=2)
     assert twin == params and hash(twin) == hash(params)
     assert manifold.ModelParams(k=3, R=2.5) != params

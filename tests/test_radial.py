@@ -122,15 +122,17 @@ def scalar_coeffs(prob, xs):
 
 
 def test_array_coefficients_equal_scalar_evaluation_bitwise():
-    problems = [radial.coefficients(manifold.ModelParams(k=k, R=0.75)) for k in range(2, 8)]
-    problems += [radial.coefficients_with_harmonics(manifold.ModelParams(k=2), l, s)
+    problems = [(f"radial-k{k}", radial.coefficients(manifold.ModelParams(k=k, R=0.75)))
+                for k in range(2, 8)]
+    problems += [(f"radial-k2-l{l}-s{s}",
+                  radial.coefficients_with_harmonics(manifold.ModelParams(k=2), l, s))
                  for l, s in ((1, 0), (2, 1))]
-    problems.append(const_problem())
-    for prob in problems:
+    problems.append(("constant", const_problem()))
+    for label, prob in problems:
         xs = graded_points(*prob.interval)
         arrays = np.array(prob.coeffs(xs), dtype=float)
         assert arrays.shape == (6, len(xs))
-        assert np.array_equal(arrays, scalar_coeffs(prob, xs)), prob.name
+        assert np.array_equal(arrays, scalar_coeffs(prob, xs)), label
 
 
 def test_liouville_array_coefficients_match_scalar_evaluation():
@@ -271,41 +273,45 @@ CALLABLES = (lambda t: 1.0 + t * t, lambda t: 3.0 * t - 1.0, lambda t: 2.0 - t)
 
 
 def problems_with_references():
-    """(problem, reference coeffs, truncation (a, b)) for each problem kind."""
+    """(label, radius, problem, reference coeffs, truncation (a, b)) for each problem kind."""
     out = []
     for k, R in ((2, 0.75), (3, 1.25), (5, 0.6), (7, 0.9)):
         params = manifold.ModelParams(k=k, R=R)
-        out.append((radial.coefficients(params), reference_algebraic(params), (1e-4, 1.0 - 1e-3)))
+        out.append((f"radial-k{k}", R, radial.coefficients(params), reference_algebraic(params),
+                    (1e-4, 1.0 - 1e-3)))
         lp = radial.liouville_problem(params)
         hi = lp.interval[1]
-        out.append((lp, reference_liouville(params), (1e-3 * hi, hi - 1e-3 * hi)))
+        out.append((f"liouville-k{k}", R, lp, reference_liouville(params),
+                    (1e-3 * hi, hi - 1e-3 * hi)))
     for l, s in ((1, 0), (2, 1)):
         params = manifold.ModelParams(k=2, R=0.75)
-        out.append((radial.coefficients_with_harmonics(params, l, s),
+        out.append((f"radial-k2-l{l}-s{s}", params.R,
+                    radial.coefficients_with_harmonics(params, l, s),
                     reference_harmonic(params, l, s), (1e-3, 1.0 - 1e-3)))
-    for funcs in (CALLABLES, (lambda t: 1.0, lambda t: 0.0, lambda t: 1.0)):
+    for label, funcs in (("callables", CALLABLES),
+                         ("constant", (lambda t: 1.0, lambda t: 0.0, lambda t: 1.0))):
         prob = radial.SLProblem(p=funcs[0], q=funcs[1], w=funcs[2], interval=(0.0, 1.0))
-        out.append((prob, reference_composed(funcs, 0.0, 1.0), (0.0, 1.0)))
+        out.append((label, 1.0, prob, reference_composed(funcs, 0.0, 1.0), (0.0, 1.0)))
     return out
 
 
 def test_float_coefficients_equal_reference_arithmetic_bitwise():
-    for prob, reference, _ in problems_with_references():
+    for label, _, prob, reference, _ in problems_with_references():
         lo, hi = prob.interval
         xs = [float(x) for x in graded_points(lo, hi)]
         if prob.p is not None:  # bare callables are also evaluated at the ends
             xs += [lo, hi]
         for x in xs:
-            assert bits(prob.coeffs(x)) == bits(reference(x)), (prob.name, x)
+            assert bits(prob.coeffs(x)) == bits(reference(x)), (label, x)
 
 
 def test_matching_function_equals_reference_arithmetic_bitwise():
     # The algebraic truncation starts at 1e-4, inside the log-distance legs.
-    for prob, reference, (a, b) in problems_with_references():
+    for label, radius, prob, reference, (a, b) in problems_with_references():
         twin = radial.SLProblem(coeffs=reference, interval=prob.interval)
-        lam = 2.0 + 3.0 * (prob.params.R if prob.params else 1.0)
+        lam = 2.0 + 3.0 * radius
         got = radial.prufer_mismatch(prob, a, b, lam)
-        assert got.hex() == radial.prufer_mismatch(twin, a, b, lam).hex(), prob.name
+        assert got.hex() == radial.prufer_mismatch(twin, a, b, lam).hex(), label
 
 
 def reference_prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11):
@@ -346,32 +352,34 @@ def reference_prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11):
 
 
 def prufer_legs():
-    """(problem, t_from, t_to, lam, phi0): forward and backward legs of each kind."""
+    """(label, problem, t_from, t_to, lam, phi0): forward and backward legs of each kind."""
     cases = []
 
-    def both_ways(prob, a, b, bc, lams):
+    def both_ways(label, prob, a, b, bc, lams):
         phi_a = 0.0 if bc[0] == "dirichlet" else 0.5 * math.pi
         phi_b = math.pi if bc[1] == "dirichlet" else 0.5 * math.pi
         for lam in lams:
-            cases.append((prob, a, 0.5 * (a + b), lam, phi_a))
-            cases.append((prob, b, 0.5 * (a + b), lam, phi_b))
+            cases.append((label, prob, a, 0.5 * (a + b), lam, phi_a))
+            cases.append((label, prob, b, 0.5 * (a + b), lam, phi_b))
 
     # The deep-cut log legs of gap --k 5 --R 0.5 at the three bench levels.
     gap = radial.liouville_problem(manifold.ModelParams(k=5, R=0.5))
     for a, b in radial.default_schedule(gap, levels=3):
-        both_ways(gap, a, b, ("dirichlet", "dirichlet"), (0.16, 2.5))
+        both_ways("liouville-k5", gap, a, b, ("dirichlet", "dirichlet"), (0.16, 2.5))
     # Flux conditions toward the limit-circle and regular ends.
-    for prob in (radial.coefficients(manifold.ModelParams(k=3)),
-                 radial.coefficients(manifold.ModelParams(k=4)),
-                 radial.coefficients_with_harmonics(manifold.ModelParams(k=2), 1, 0)):
+    harmonic = radial.coefficients_with_harmonics(manifold.ModelParams(k=2), 1, 0)
+    for label, prob in (("radial-k3", radial.coefficients(manifold.ModelParams(k=3))),
+                        ("radial-k4", radial.coefficients(manifold.ModelParams(k=4))),
+                        ("radial-k2-l1-s0", harmonic)):
         for a, b in radial.default_schedule(prob, levels=3):
-            both_ways(prob, a, b, radial.default_bc(prob), (0.3, 4.0))
+            both_ways(label, prob, a, b, radial.default_bc(prob), (0.3, 4.0))
     # Bare callables on the whole interval (criterion 01), and a start
     # rounded onto the deep cut, which leaves a single log-distance leg.
-    both_ways(const_problem(), 0.0, 1.0, ("dirichlet", "dirichlet"), (math.pi**2, 30.0))
+    both_ways("constant", const_problem(), 0.0, 1.0, ("dirichlet", "dirichlet"),
+              (math.pi**2, 30.0))
     shallow = radial.liouville_problem(manifold.ModelParams(k=4, R=0.29780402771124387))
     (a, b), = radial.default_schedule(shallow, levels=2)[1:]
-    both_ways(shallow, a, b, ("dirichlet", "dirichlet"), (1.0,))
+    both_ways("liouville-k4-shallow", shallow, a, b, ("dirichlet", "dirichlet"), (1.0,))
     return cases
 
 
@@ -384,11 +392,11 @@ def test_prufer_integrate_equals_per_call_coefficient_reference_bitwise(monkeypa
         return real(*args, **kwargs)
 
     monkeypatch.setattr(radial, "odeint", counting_odeint)
-    for prob, t_from, t_to, lam, phi0 in prufer_legs():
+    for label, prob, t_from, t_to, lam, phi0 in prufer_legs():
         legs_per_call.append(0)
         got = radial._prufer_integrate(prob, t_from, t_to, lam, phi0)
         want = reference_prufer_integrate(prob, t_from, t_to, lam, phi0)
-        assert got.hex() == want.hex(), (prob.name, t_from, t_to, lam)
+        assert got.hex() == want.hex(), (label, t_from, t_to, lam)
     # Both the one-leg (t or shallow log) and the two-leg (deep log) paths ran.
     assert set(legs_per_call) == {1, 2}
 
@@ -632,7 +640,7 @@ def test_convexity_k5():
 
 
 def test_heun_coefficient_map():
-    params = manifold.ModelParams(k=5, R=2.0, L=0.5)
+    params = manifold.ModelParams(k=5, R=2.0)
     lam = 3.0
     coeffs = radial.heun_coefficient_map(params, lam)
     assert coeffs["a"] == -1.0 and coeffs["alpha"] == 0.0 and coeffs["mu2"] == 0.0
@@ -644,7 +652,7 @@ def test_heun_coefficient_map():
     assert coeffs["mu1"] == pytest.approx(min(nu1, nu2), abs=1e-6)
     # Accessory parameters are linear in lam with beta1 = beta0 + beta2.
     assert coeffs["beta1"] == pytest.approx(coeffs["beta0"] + coeffs["beta2"], rel=1e-14)
-    eta = params.R**2 / params.L
+    eta = params.R**2
     assert coeffs["beta2"] == pytest.approx(-eta / 4.0)
 
 
