@@ -208,13 +208,9 @@ def _cmd_gap(args):
 def _cmd_classify(args):
     from . import radial
 
-    params = _params(args)
-    reports = radial.classify_endpoints(params)
+    reports = sorted(radial.classify_endpoints(_params(args)).items())
     header = ["endpoint", "kind", "mu1", "mu2", "log_case"]
-    rows = [
-        [ep, rep.kind.value, rep.exponents[0], rep.exponents[1], rep.log_case]
-        for ep, rep in sorted(reports.items())
-    ]
+    rows = [[ep, rep.kind.value, *rep.exponents, rep.log_case] for ep, rep in reports]
     _emit_rows(header, rows, args.format, args.output)
     return EXIT_OK
 
@@ -222,14 +218,9 @@ def _cmd_classify(args):
 def _cmd_frobenius(args):
     from . import radial
 
-    params = _params(args)
-    prob = radial.coefficients(params)
-    header = ["endpoint", "mu1", "mu2", "log_case"]
-    rows = []
-    for ep in prob.interval:
-        (mu1, mu2), log_case = radial.frobenius_exponents(prob, ep)
-        rows.append([ep, mu1, mu2, log_case])
-    _emit_rows(header, rows, args.format, args.output)
+    reports = sorted(radial.classify_endpoints(_params(args)).items())
+    rows = [[ep, *rep.exponents, rep.log_case] for ep, rep in reports]
+    _emit_rows(["endpoint", "mu1", "mu2", "log_case"], rows, args.format, args.output)
     return EXIT_OK
 
 

@@ -9,10 +9,12 @@ Sturm-Liouville problem on t in (0, 1)
     w(t) = c_k t^{(k-3)/2} (1 - t)^{k-2} (1 + t),
 
 with c_k the radial weight prefactor.  Both endpoints are singular for most
-k; their Weyl classification is
+k; their Weyl classification and Frobenius exponents, which every problem
+built here carries in closed form in `SLProblem.endpoints`, are
 
-    t = 0:  regular for k = 2, limit-circle for k in {3, 4}, limit-point k >= 5,
-    t = 1:  limit-circle for k = 2, limit-point for k >= 3.
+    t = 0:  regular for k = 2, limit-circle for k in {3, 4}, limit-point k >= 5;
+            exponents {0, (3 - k)/2},
+    t = 1:  limit-circle for k = 2, limit-point for k >= 3; exponents {0, 2 - k}.
 
 Eigenvalues are computed by Prufer-angle shooting on a shrinking sequence of
 truncated intervals, cross-checked against a dense finite-difference
@@ -22,9 +24,9 @@ equivalent Liouville normal form
     -F'' + V_eff(tau) F = Lambda F   on (0, pi R / 2),
 
 whose potential is an explicit rational function of csc(tau/R).  The module
-also provides Frobenius endpoint exponents, the k = 2 angular-harmonic
-radial equations, Hardy-inequality constants for the weight envelope, the
-Rayleigh upper bound for the ground state, and the spectral-gap report.
+also provides the k = 2 angular-harmonic radial equations, Hardy-inequality
+constants for the weight envelope, the Rayleigh upper bound for the ground
+state, and the spectral-gap report.
 
 Engine.  Every coefficient evaluation goes through `SLProblem.coeffs`, which
 returns (p, q, w, p', q', w') at a float or an ndarray t.  The shooting
@@ -104,8 +106,8 @@ class SLProblem:
 
     `coeffs(t)` is the one evaluation entry point: it returns
     (p, q, w, p', q', w') at a float or an ndarray t, and the shooting
-    integrator, the finite-difference oracle, the convexity probe and the
-    endpoint classification read nothing else.  The analytic derivatives let
+    integrator, the finite-difference oracle, the convexity probe and
+    `spectrum`'s range check read nothing else.  The analytic derivatives let
     the integrator compute the logarithmic derivative of its scaling function
     exactly; near singular endpoints a finite-difference step amplifies
     coefficient roundoff by orders of magnitude.
@@ -115,9 +117,13 @@ class SLProblem:
     t; a scalar result for an ndarray t is broadcast (a constant
     coefficient).  Each derivative is a central difference with step 1e-6
     times the distance to the nearer endpoint, and 0 at an endpoint.
+
+    `endpoints` holds the `EndpointReport`s of the two ends of `interval`, in
+    its order; `spectrum` reads them and refuses a problem without them.
     """
 
     interval: tuple
+    endpoints: tuple = None
     coeffs: object = None
     p: object = None
     q: object = None
@@ -182,14 +188,17 @@ def coefficients(params):
         dq = q * (dlogw - inv_u)
         return p, q, w, dp, dq, w * dlogw
 
-    return SLProblem(coeffs=coeffs, interval=(0.0, 1.0))
+    kinds = expected_endpoint_kinds(k)
+    endpoints = (_report(kinds[0.0], 0.0, (3.0 - k) / 2.0), _report(kinds[1.0], 0.0, 2.0 - k))
+    return SLProblem(coeffs=coeffs, interval=(0.0, 1.0), endpoints=endpoints)
 
 
 def coefficients_with_harmonics(params, l, s):
     """k = 2 radial problem including the angular eigenvalue potential.
 
     The angular operator contributes the closed-form eigenvalue on W_{2l} at
-    weight s as an additional multiplicative potential.
+    weight s as an additional multiplicative potential, which adds
+    s^2 / (4 (1 - t)^2) to -q/p: the exponents at t = 1 are +-|s|/2.
     """
     if params.k != 2:
         raise ValueError("angular-harmonic radial equations are specific to k = 2")
@@ -197,7 +206,8 @@ def coefficients_with_harmonics(params, l, s):
         raise ValueError(f"weight |s| = {abs(s)} exceeds l = {l}")
     from . import angular
 
-    base = coefficients(params).coeffs
+    base_problem = coefficients(params)
+    base = base_problem.coeffs
     R = params.R
     # The constant left-hand factors of d(ang)/dt, computed once.
     casimir, casimir_scale, weight2, r2 = -4.0 * l * (2 * l + 1), 3.0 * R**2, s**2, R**2
@@ -213,7 +223,10 @@ def coefficients_with_harmonics(params, l, s):
         )
         return p, q + ang * w, w, dp, dq + dang * w + ang * dw, dw
 
-    return SLProblem(coeffs=coeffs, interval=(0.0, 1.0))
+    at1 = _report(EndpointKind.LIMIT_POINT if s else EndpointKind.LIMIT_CIRCLE,
+                  0.5 * abs(s), -0.5 * abs(s))
+    return SLProblem(coeffs=coeffs, interval=(0.0, 1.0),
+                     endpoints=(base_problem.endpoints[0], at1))
 
 
 # ---------------------------------------------------------------------------
@@ -234,93 +247,35 @@ class EndpointReport:
     log_case: bool
 
 
-def _richardson(v0, v1, v2):
-    """Limit d -> 0 of estimates at d, 2 d, 4 d whose error is c1 d + c2 d^2."""
-    return (4.0 * (2.0 * v0 - v1) - (2.0 * v1 - v2)) / 3.0
-
-
-def _local_exponent(f, endpoint, side, eps):
-    """Power-law exponent of f near the endpoint.
-
-    Log-ratio estimates at nested scales eps, 2 eps, 4 eps, 8 eps are
-    Richardson-extrapolated (f ~ C d^a (1 + c1 d + ...) makes the estimate
-    linear-plus-quadratic in d).
-    """
-    def ratio(j):
-        d1 = eps * 2.0**j
-        v1, v2 = f(endpoint + side * d1), f(endpoint + side * 2.0 * d1)
-        if v1 <= 0.0 or v2 <= 0.0:
-            raise ValueError("exponent probe requires positive coefficient values")
-        return math.log(v2 / v1) / math.log(2.0)
-
-    return _richardson(*(ratio(j) for j in range(3)))
-
-
-def frobenius_exponents(prob, endpoint):
-    """Indicial exponents of the equation at a regular singular endpoint.
-
-    Works numerically: the equation in normal form is
-    f'' + (p'/p) f' + ((lambda w - q)/p) f = 0; the indicial polynomial at t0
-    is mu(mu-1) + r0 mu + q0 = 0 with r0 = lim (t-t0) p'/p and
-    q0 = lim (t-t0)^2 (lambda w - q)/p (independent of lambda when w/p has at
-    most a simple pole, as here).  Returns (exponents, log_case); log_case is
-    True when the exponents differ by an integer (including zero).  The
-    probes start 1e-7 interval widths from the endpoint.
-    """
-    lo, hi = prob.interval
-    side = 1.0 if abs(endpoint - lo) < abs(endpoint - hi) else -1.0
-    eps = 1e-7 * (hi - lo)
-
-    # r0 = lim (t - t0) p'/p is the local power-law exponent of p itself.
-    r0 = _local_exponent(lambda t: prob.coeffs(t)[0], endpoint, side, eps=eps)
-
-    def q0_probe(t):
-        p, q = prob.coeffs(t)[:2]
-        return (t - endpoint) ** 2 * (-q) / p
-
-    q0 = _richardson(*(q0_probe(endpoint + side * eps * 2.0**j) for j in range(3)))
-    disc = (r0 - 1.0) ** 2 - 4.0 * q0
-    if disc < 0.0:
-        if disc < -1e-6:
-            raise ValueError(f"complex indicial exponents at {endpoint} (disc={disc:.3e})")
-        disc = 0.0
-    root = math.sqrt(disc)
-    mu1 = 0.5 * (1.0 - r0 + root)
-    mu2 = 0.5 * (1.0 - r0 - root)
-    diff = mu1 - mu2
-    log_case = abs(diff - round(diff)) < 1e-6
-    return (mu1, mu2), log_case
+def _report(kind, mu_a, mu_b):
+    """An endpoint's report: exponents larger first, log case iff they differ by an integer."""
+    mu1, mu2 = max(mu_a, mu_b), min(mu_a, mu_b)
+    return EndpointReport(kind=kind, exponents=(mu1, mu2), log_case=float(mu1 - mu2).is_integer())
 
 
 def classify_endpoint(prob, endpoint):
-    """Weyl classification by quadrature-free integrability probes.
+    """The Weyl class and Frobenius exponents at an end of `prob.interval`.
 
-    Regular: 1/p, q, w all integrable at the endpoint (local power-law
-    exponents > -1).  Limit circle: both Frobenius solutions square-integrable
-    against w, i.e. 2 mu_min + alpha_w > -1 strictly.  Otherwise limit point.
-    The probes start 1e-6 interval widths from the endpoint.
+    Reads `prob.endpoints`; a problem without them, or a point that is not
+    one of the two values of `prob.interval`, is refused.
     """
-    lo, hi = prob.interval
-    side = 1.0 if abs(endpoint - lo) < abs(endpoint - hi) else -1.0
-    eps = 1e-6 * (hi - lo)
-    alpha_invp = -_local_exponent(lambda t: prob.coeffs(t)[0], endpoint, side, eps)
-    alpha_q = _local_exponent(lambda t: abs(prob.coeffs(t)[1]) + 1e-300, endpoint, side, eps)
-    alpha_w = _local_exponent(lambda t: prob.coeffs(t)[2], endpoint, side, eps)
-    exps, log_case = frobenius_exponents(prob, endpoint)
-    tol = 1e-3
-    if alpha_invp > -1.0 + tol and alpha_q > -1.0 + tol and alpha_w > -1.0 + tol:
-        kind = EndpointKind.REGULAR
-    elif 2.0 * min(exps) + alpha_w > -1.0 + tol:
-        kind = EndpointKind.LIMIT_CIRCLE
-    else:
-        kind = EndpointKind.LIMIT_POINT
-    return EndpointReport(kind=kind, exponents=exps, log_case=log_case)
+    if prob.endpoints is None:
+        raise ValueError("the problem carries no endpoint classification (SLProblem.endpoints)")
+    if endpoint not in prob.interval:
+        raise ValueError(f"endpoint must be one of {prob.interval}, got {endpoint}")
+    return prob.endpoints[prob.interval.index(endpoint)]
+
+
+def frobenius_exponents(prob, endpoint):
+    """Indicial exponents (larger first) and log-case flag at an end of `prob.interval`."""
+    report = classify_endpoint(prob, endpoint)
+    return report.exponents, report.log_case
 
 
 def classify_endpoints(params):
     """Both endpoint reports for the radial problem at the given parameters."""
     prob = coefficients(params)
-    return {0.0: classify_endpoint(prob, 0.0), 1.0: classify_endpoint(prob, 1.0)}
+    return dict(zip(prob.interval, prob.endpoints))
 
 
 def expected_endpoint_kinds(k):
@@ -342,6 +297,9 @@ def expected_endpoint_kinds(k):
 # LSODA's step budget per integration leg; the legs of the truncated problems
 # take far fewer steps, so the budget only stops a runaway integration.
 _MXSTEP = 10**6
+
+# Nodes of the coarse finite-difference solve that seeds each truncation.
+_SEED_NODES = 1500
 
 
 def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11):
@@ -462,14 +420,14 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), ode_rtol
     absolute in lambda.  `count` may not exceed the seed's unknowns: its
     1500 nodes less one per Dirichlet end.
     """
-    nodes = 1500
-    unknowns = nodes - bc.count("dirichlet")
+    unknowns = _SEED_NODES - bc.count("dirichlet")
     if not 1 <= count <= unknowns:
         raise ValueError(f"eigenvalue count must lie in [1, {unknowns}] for boundary "
                          f"conditions {bc}, got {count}")
     seeds = None
     try:
-        seeds = solve_truncated_fd(prob, a, b, count=count, bc=bc, npoints=nodes, richardson=False)
+        seeds = solve_truncated_fd(prob, a, b, count=count, bc=bc, npoints=_SEED_NODES,
+                                   richardson=False)
     except Exception as exc:
         warnings.warn(
             f"finite-difference seed failed ({type(exc).__name__}: {exc}); "
@@ -610,7 +568,6 @@ class SpectrumResult:
     converged: bool
     convergence_proven: bool
     bc: tuple
-    tol: float
 
 
 def _aitken(seq):
@@ -678,11 +635,12 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
     The truncations are `default_schedule(prob, levels)`.  Convergence is
     declared when the last two Aitken-accelerated rows agree to `tol`
     relative (the per-eigenvalue `residual`); `tol` must be finite and
-    positive, and `levels` at least 2.  For problems whose endpoint
-    classification makes the flux condition a genuine boundary-condition
-    choice (limit circle at both ends reachable by several extensions),
-    convergence to the intended extension is flagged as proven only in the
-    regular/limit-point cases.
+    positive, and `levels` at least 2.  A level that rounds onto an endpoint,
+    or takes p (w + |q|) to 0 or inf on its seed mesh, is refused before any
+    solve.  For problems whose endpoint classification makes the flux
+    condition a genuine boundary-condition choice (limit circle at both ends
+    reachable by several extensions), convergence to the intended extension
+    is flagged as proven only in the regular/limit-point cases.
 
     Each level is an independent `solve_truncated`, seeded by its own coarse
     finite-difference solve: on the benchmark's three-level spectra those
@@ -700,6 +658,21 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
     if not all(inside):
         raise ValueError(f"{levels} truncation levels reach an endpoint of ({lo}, {hi}) in "
                          f"floating point; the interval allows at most {inside.index(False)}")
+
+    def held(a, b):  # the shots divide by sigma = sqrt(p (w + |q|)) on [a, b]
+        try:
+            p, q, w = prob.coeffs(a + (b - a) * np.linspace(0.0, 1.0, _SEED_NODES))[:3]
+        except ValueError:  # a pole of the coefficients, such as V_eff's at pi R / 2
+            return False
+        with np.errstate(over="ignore"):
+            sigma2 = p * (w + np.abs(q))
+        return bool(np.all((0.0 < sigma2) & (sigma2 < math.inf)))
+
+    # The deepest truncation spans the others, so its mesh decides.
+    if not held(*schedule[-1]):
+        fit = next(level for level, (a, b) in enumerate(schedule) if not held(a, b))
+        raise ValueError(f"{levels} truncation levels take p (w + |q|) outside the doubles "
+                         f"at level {fit + 1}; the coefficients allow at most {fit}")
     kinds = _endpoint_kinds(prob)
     if bc is None:
         bc = _bc_for(kinds)
@@ -716,7 +689,6 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
         converged=converged,
         convergence_proven=converged and lp_only,
         bc=bc,
-        tol=tol,
     )
 
 
@@ -895,7 +867,11 @@ class EffectivePotential:
 
 
 def liouville_problem(params):
-    """The Liouville normal form as an SLProblem with p = w = 1."""
+    """The Liouville normal form as an SLProblem with p = w = 1.
+
+    Weyl's alternative for V ~ c / (tau - tau0)^2 classifies each end: regular
+    iff c = 0 (the rest of V is bounded), limit circle iff c < 3/4.
+    """
     veff = EffectivePotential(params)
 
     def coeffs(tau):
@@ -906,7 +882,14 @@ def liouville_problem(params):
         value, slope = veff.value_and_derivative(tau)
         return one, value, one, zero, slope, zero
 
-    return SLProblem(coeffs=coeffs, interval=(0.0, math.pi * params.R / 2.0))
+    def report(endpoint):
+        c = veff_inverse_square(params, endpoint)
+        kind = (EndpointKind.REGULAR if c == 0.0
+                else EndpointKind.LIMIT_CIRCLE if c < 0.75 else EndpointKind.LIMIT_POINT)
+        return _report(kind, *veff_exponents(params, endpoint))
+
+    return SLProblem(coeffs=coeffs, interval=(0.0, veff.hi),
+                     endpoints=(report(0.0), report(veff.hi)))
 
 
 def veff_inverse_square(params, endpoint):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import ODEintWarning, odeint
 
@@ -178,9 +178,9 @@ def test_spectrum_est_error_is_the_residual_that_decides_convergence(capsys, arg
 
 
 def test_gap_classifies_the_right_end_at_large_and_small_R(capsys):
-    # The endpoint probes scale with the Liouville interval: R = 10 and 100
-    # no longer meet a "potential pole", and k = 2 at R = 0.5 reads a real
-    # double exponent instead of a complex pair.
+    # The Liouville ends are classified in closed form: R = 10 and 100 meet no
+    # "potential pole", and k = 2 at R = 0.5 has the real double exponent 1/2
+    # at pi R / 2.
     for argv, expected in (("gap --k 5 --R 10 --levels 2 --tol 1e-3", 0),
                            ("gap --k 5 --R 100 --levels 3 --tol 1e-3", 0),
                            ("gap --k 2 --R 0.5 --levels 2 --tol 1e-3", 3)):
@@ -391,12 +391,38 @@ def test_veff_inverse_square_coefficients_fix_the_endpoint_exponents(capsys, k, 
             assert mu * (mu - 1.0) == pytest.approx(c, rel=1e-14, abs=1e-14)
 
 
-@pytest.mark.parametrize("k", ["50", "410"])
-@pytest.mark.parametrize("command", [["classify"], ["spectrum", "--levels", "2", "--tol", "1e-3"]])
-def test_underflowing_coefficient_probe_exits_2_on_one_line(capsys, command, k):
-    code, out, err = run(capsys, [command[0], "--k", k, *command[1:]])
-    assert (code, out) == (2, "")
-    assert err == "error: exponent probe requires positive coefficient values\n"
+def test_classify_and_frobenius_answer_every_k_in_closed_form(capsys):
+    # p underflows near t = 1 from k = 43 on; the exponents do not depend on it.
+    for k in range(2, manifold.K_MAX + 1):
+        at0, at1 = sorted([0.0, (3.0 - k) / 2.0], reverse=True), [0.0, 2.0 - k]
+        for command in ("classify", "frobenius"):
+            code, out, err = run(capsys, [command, "--k", str(k)])
+            assert (code, err) == (0, ""), (command, k, err)
+            rows = json.loads(out)
+            assert [[row["mu1"], row["mu2"]] for row in rows] == [at0, at1], (command, k)
+            assert [row["log_case"] for row in rows] == [k % 2 == 1, True], (command, k)
+
+
+@pytest.mark.parametrize("argv, fit", [
+    ("spectrum --k 20", 6),
+    ("spectrum --k 30 --levels 4 --tol 1e-3", 3),
+    ("spectrum --k 3 --R 1e-30 --levels 2 --tol 1e-3", 0),
+    ("spectrum --k 10 --R 1e10 --levels 2 --tol 1e-3", 0),
+    ("spectrum --k 50 --levels 2 --tol 1e-3", 1),
+    ("spectrum --k 410 --levels 2 --tol 1e-3", 0),
+    ("gap --k 5 --levels 8 --tol 1e-3", 7),
+])
+def test_coefficients_outside_the_doubles_exit_2_before_any_solve(monkeypatch, capsys, argv, fit):
+    # sigma^2 = p (w + |q|) rounds to 0 (or inf at R = 1e10, or meets V_eff's
+    # pole at level 8 of gap) on a seed mesh: the shots would divide by zero,
+    # fail to bracket, or meet the pole after solving every shallower level.
+    def no_work(*args, **kwargs):
+        raise AssertionError("solver work started")
+
+    monkeypatch.setattr(radial, "solve_truncated", no_work)
+    code, out, err = run(capsys, argv.split())
+    assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1, err
+    assert f"allow at most {fit}" in err, err
 
 
 def test_validation_errors(tmp_path, capsys, monkeypatch):
@@ -944,8 +970,9 @@ def test_fast_subcommands_exit_documented_codes_with_strict_json(command, k, deg
 
 @pytest.mark.parametrize("command", ["spectrum", "gap"])
 @settings(max_examples=8, deadline=None)
-@given(k=st.integers(2, 6), radius=st.floats(math.log(0.25), math.log(4.0)).map(math.exp),
-       neigs=st.integers(1, 2))
+@given(k=st.integers(2, manifold.K_MAX),
+       radius=st.floats(math.log(0.1), math.log(100.0)).map(math.exp), neigs=st.integers(1, 2))
+@example(k=3, radius=1e-30, neigs=2)  # spectrum: p (w + |q|) underflows on every seed mesh
 def test_solver_subcommands_exit_documented_codes_with_strict_json(command, k, radius, neigs):
     argv = [command, f"--k={k}", f"--R={radius!r}", "--levels=2", "--tol=1e-3"]
     if command == "spectrum":

@@ -506,6 +506,118 @@ def test_scipy_solvers_are_patchable_module_attributes(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _richardson(v0, v1, v2):
+    """Limit d -> 0 of estimates at d, 2 d, 4 d whose error is c1 d + c2 d^2."""
+    return (4.0 * (2.0 * v0 - v1) - (2.0 * v1 - v2)) / 3.0
+
+
+def _local_exponent(f, endpoint, side, eps):
+    """Power-law exponent of f near the endpoint.
+
+    Log-ratio estimates at nested scales eps, 2 eps, 4 eps, 8 eps are
+    Richardson-extrapolated (f ~ C d^a (1 + c1 d + ...) makes the estimate
+    linear-plus-quadratic in d).
+    """
+    def ratio(j):
+        d1 = eps * 2.0**j
+        v1, v2 = f(endpoint + side * d1), f(endpoint + side * 2.0 * d1)
+        assert v1 > 0.0 and v2 > 0.0, "exponent probe requires positive coefficient values"
+        return math.log(v2 / v1) / math.log(2.0)
+
+    return _richardson(*(ratio(j) for j in range(3)))
+
+
+def probe_exponents(prob, endpoint):
+    """Indicial exponents and log case, probed numerically from `prob.coeffs`.
+
+    The indicial polynomial at t0 is mu (mu - 1) + r0 mu + q0 = 0 with
+    r0 = lim (t - t0) p'/p, the local power-law exponent of p, and
+    q0 = lim (t - t0)^2 (-q)/p.  The probes start 1e-7 interval widths from
+    the endpoint.
+    """
+    lo, hi = prob.interval
+    side = 1.0 if abs(endpoint - lo) < abs(endpoint - hi) else -1.0
+    eps = 1e-7 * (hi - lo)
+    r0 = _local_exponent(lambda t: prob.coeffs(t)[0], endpoint, side, eps=eps)
+
+    def q0_probe(t):
+        p, q = prob.coeffs(t)[:2]
+        return (t - endpoint) ** 2 * (-q) / p
+
+    q0 = _richardson(*(q0_probe(endpoint + side * eps * 2.0**j) for j in range(3)))
+    disc = (r0 - 1.0) ** 2 - 4.0 * q0
+    assert disc > -1e-6, f"complex indicial exponents at {endpoint} (disc={disc:.3e})"
+    root = math.sqrt(max(disc, 0.0))
+    mu1, mu2 = 0.5 * (1.0 - r0 + root), 0.5 * (1.0 - r0 - root)
+    return (mu1, mu2), abs(mu1 - mu2 - round(mu1 - mu2)) < 1e-6
+
+
+def probe_endpoint(prob, endpoint):
+    """Weyl classification by quadrature-free integrability probes.
+
+    Regular: 1/p, q, w all integrable at the endpoint (local power-law
+    exponents > -1).  Limit circle: both Frobenius solutions square-integrable
+    against w, i.e. 2 mu_min + alpha_w > -1 strictly.  Otherwise limit point.
+    The probes start 1e-6 interval widths from the endpoint.
+    """
+    lo, hi = prob.interval
+    side = 1.0 if abs(endpoint - lo) < abs(endpoint - hi) else -1.0
+    eps = 1e-6 * (hi - lo)
+    alpha_invp = -_local_exponent(lambda t: prob.coeffs(t)[0], endpoint, side, eps)
+    alpha_q = _local_exponent(lambda t: abs(prob.coeffs(t)[1]) + 1e-300, endpoint, side, eps)
+    alpha_w = _local_exponent(lambda t: prob.coeffs(t)[2], endpoint, side, eps)
+    exps, log_case = probe_exponents(prob, endpoint)
+    tol = 1e-3
+    if alpha_invp > -1.0 + tol and alpha_q > -1.0 + tol and alpha_w > -1.0 + tol:
+        kind = radial.EndpointKind.REGULAR
+    elif 2.0 * min(exps) + alpha_w > -1.0 + tol:
+        kind = radial.EndpointKind.LIMIT_CIRCLE
+    else:
+        kind = radial.EndpointKind.LIMIT_POINT
+    return radial.EndpointReport(kind=kind, exponents=exps, log_case=log_case)
+
+
+def test_closed_form_endpoints_match_the_exponent_probe():
+    # The probe is exact enough wherever the potential does not cancel: not at
+    # the Liouville form's right end, which the next test pins instead.
+    cases = [(f"k={k} R={R}", radial.coefficients(manifold.ModelParams(k=k, R=R)), (0, 1))
+             for k in range(2, 9) for R in (0.5, 1.0, 2.0)]
+    cases += [(f"l={l} s={s}", radial.coefficients_with_harmonics(manifold.ModelParams(k=2), l, s),
+               (0, 1)) for l, s in ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 3))]
+    cases += [(f"liouville k={k}", radial.liouville_problem(manifold.ModelParams(k=k)), (0,))
+              for k in range(2, 9)]
+    for label, prob, ends in cases:
+        for end in ends:
+            endpoint = prob.interval[end]
+            exact = radial.classify_endpoint(prob, endpoint)
+            probed = probe_endpoint(prob, endpoint)
+            assert exact is prob.endpoints[end], (label, endpoint)
+            assert exact.kind is probed.kind, (label, endpoint)
+            assert exact.log_case == probed.log_case, (label, endpoint)
+            assert exact.exponents == pytest.approx(probed.exponents, abs=1e-6), (label, endpoint)
+            assert radial.frobenius_exponents(prob, endpoint) == (exact.exponents, exact.log_case)
+    prob = radial.coefficients(manifold.ModelParams(k=3))
+    with pytest.raises(ValueError, match=r"endpoint must be one of \(0.0, 1.0\), got 0.5"):
+        radial.classify_endpoint(prob, 0.5)
+
+
+def test_liouville_inverse_square_coefficients_match_the_potential():
+    # delta^2 V_eff(tau0 +- delta) = c + O(delta^2); one Richardson step in
+    # delta^2 leaves ~1e-9, the cancellation of V_eff near pi R / 2.
+    for k in range(2, 12):
+        for R in (0.25, 0.5, 1.0, 2.0, 10.0):
+            params = manifold.ModelParams(k=k, R=R)
+            veff = radial.EffectivePotential(params)
+            delta = 3e-4 * veff.hi
+            for endpoint, side in ((0.0, 1.0), (veff.hi, -1.0)):
+                def scaled(d):
+                    return d * d * veff.value(endpoint + side * d)
+
+                estimate = (4.0 * scaled(delta) - scaled(2.0 * delta)) / 3.0
+                c = radial.veff_inverse_square(params, endpoint)
+                assert abs(estimate - c) <= 1e-8 * max(1.0, abs(c)), (k, R, endpoint, estimate, c)
+
+
 def test_endpoint_table():
     for k in range(2, 7):
         params = manifold.ModelParams(k=k)
@@ -516,14 +628,17 @@ def test_endpoint_table():
 
 
 def test_liouville_endpoint_kinds_do_not_depend_on_R():
-    # The probes scale with the interval pi R / 2; at a fixed absolute
-    # distance, sin(tau / R) rounds to 1 at the right end once R >= 10.
+    # k = 3 sits on the LP/LC threshold c = 3/4 and k = 2 on the double
+    # exponent c = -1/4 at the right end.
     for k in range(2, 7):
         kinds = {R: radial._endpoint_kinds(radial.liouville_problem(manifold.ModelParams(k=k, R=R)))
                  for R in (0.25, 0.5, 1.0, 10.0, 100.0)}
         assert len(set(kinds.values())) == 1, (k, kinds)
-        if k != 3:  # k = 3 sits on the LP/LC threshold, where the probe reads LC
-            assert kinds[1.0][1] is radial.expected_endpoint_kinds(k)[1.0], k
+        assert kinds[1.0][1] is radial.expected_endpoint_kinds(k)[1.0], k
+    for R in (0.25, 0.5, 1.0, 10.0, 100.0):
+        prob = radial.liouville_problem(manifold.ModelParams(k=2, R=R))
+        assert radial.classify_endpoint(prob, prob.interval[1]) == radial.EndpointReport(
+            kind=radial.EndpointKind.LIMIT_CIRCLE, exponents=(0.5, 0.5), log_case=True)
 
 
 def test_frobenius_exponents_closed_form():
@@ -684,7 +799,13 @@ def test_default_schedule_and_bc():
 
 
 def test_spectrum_regular_problem_neumann():
-    res = radial.spectrum(const_problem(), count=2, tol=1e-8)
+    with pytest.raises(ValueError, match="no endpoint classification"):
+        radial.spectrum(const_problem(), count=2, tol=1e-8)
+    regular = radial.EndpointReport(kind=radial.EndpointKind.REGULAR, exponents=(1.0, 0.0),
+                                    log_case=True)
+    prob = radial.SLProblem(p=lambda t: 1.0, q=lambda t: 0.0, w=lambda t: 1.0,
+                            interval=(0.0, 1.0), endpoints=(regular, regular))
+    res = radial.spectrum(prob, count=2, tol=1e-8)
     # Default boundary conditions at regular endpoints are the flux condition.
     assert res.bc == ("flux", "flux")
     assert res.converged and res.convergence_proven
