@@ -197,8 +197,10 @@ def angular_operator_k3(lw, mw, t):
     for pair in ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)):
         g = rho[pair]
         out += 0.5 * (1.0 / metric[manifold.frame_pair_label(*pair)]) * (g @ g)
-    herm = np.linalg.norm(out - out.conj().T)
-    if herm > 1e-10 * max(np.linalg.norm(out), 1.0):
+    # Largest absolute entries: unlike the Frobenius norm, they cannot
+    # overflow while every entry is finite.
+    herm = np.max(np.abs(out - out.conj().T))
+    if herm > 1e-10 * max(np.max(np.abs(out)), 1.0):
         raise RuntimeError(f"angular operator lost hermiticity: {herm:.3e}")
     return out
 

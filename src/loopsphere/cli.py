@@ -337,7 +337,10 @@ def _cmd_angular(args):
         if args.l is None or args.s is None:
             raise ValueError("k = 3 angular spectra require both --l and --s (the two highest weights)")
         # The fiber metric is (R^2/4) g with g free of R, so its Laplacian scales as 1/R^2.
-        vals = angular.angular_spectrum_k3(args.l, args.s, args.t) / params.R**2
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            vals = angular.angular_spectrum_k3(args.l, args.s, args.t) / params.R**2
+        if not np.all(np.isfinite(vals)):
+            raise OverflowError(f"k = 3 angular eigenvalues at t = {args.t!r}, R = {params.R!r}")
         grouped = []
         for v in vals:
             if grouped and abs(v - grouped[-1][0]) <= 1e-10 * (1.0 + abs(v)):

@@ -70,7 +70,6 @@ from dataclasses import dataclass, field
 import enum
 import importlib
 import sys
-import warnings
 
 import numpy as np
 
@@ -298,11 +297,14 @@ def expected_endpoint_kinds(k):
 # take far fewer steps, so the budget only stops a runaway integration.
 _MXSTEP = 10**6
 
+# LSODA's relative tolerance on every shot; its absolute tolerance is 1e-2 of it.
+_ODE_RTOL = 1e-11
+
 # Nodes of the coarse finite-difference solve that seeds each truncation.
 _SEED_NODES = 1500
 
 
-def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11):
+def _prufer_integrate(prob, t_from, t_to, lam, phi0):
     """Integrate the scaled Prufer angle phi from t_from to t_to.
 
     Scaled transformation f = rho sin(phi), p f' = sigma rho cos(phi) with the
@@ -326,7 +328,7 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11):
     evaluates the coefficients once per LSODA abscissa: a call at the last
     abscissa reuses its phi-free factors, with the same arithmetic.
     """
-    atol = 1e-2 * rtol
+    rtol, atol = _ODE_RTOL, 1e-2 * _ODE_RTOL
     lo_int, hi_int = prob.interval
     coeffs = prob.coeffs
     cos, sin, sqrt, exp = math.cos, math.sin, math.sqrt, math.exp
@@ -385,7 +387,7 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0, rtol=1e-11):
     return phi
 
 
-def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), rtol=1e-11):
+def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet")):
     """Two-sided Prufer matching function D(lam) = phi_L(m) - phi_R(m).
 
     phi_L is integrated forward from a with the left boundary angle (0 for
@@ -399,42 +401,32 @@ def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), rtol=1e-11):
     bc_left, bc_right = bc
     phi_a = 0.0 if bc_left == "dirichlet" else 0.5 * math.pi
     phi_b = math.pi if bc_right == "dirichlet" else 0.5 * math.pi
-    left = _prufer_integrate(prob, a, match, lam, phi_a, rtol=rtol)
-    right = _prufer_integrate(prob, b, match, lam, phi_b, rtol=rtol)
+    left = _prufer_integrate(prob, a, match, lam, phi_a)
+    right = _prufer_integrate(prob, b, match, lam, phi_b)
     return left - right
 
 
-def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), ode_rtol=1e-11):
+def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet")):
     """First `count` eigenvalues on [a, b] by two-sided Prufer shooting.
 
     The matching defect D(lambda) of `prufer_mismatch` is increasing in
     lambda, so the index-th eigenvalue is the unique root of
-    D(lambda) - index*pi.  A coarse finite-difference solve seeds the search
-    brackets (the root itself is determined entirely by the shooting
-    function); a sign-change check widens or rebuilds the bracket if a seed
-    is off.  Each eigenvalue search integrates every distinct lambda once:
-    brentq opens on the two bracket ends the sign-change check has just
-    evaluated, and gets those values back instead of two more shots.  If the
-    finite-difference seed fails, a RuntimeWarning names the error and the
-    brackets come from outward doubling.  Each root is located to 1e-10
-    absolute in lambda.  `count` may not exceed the seed's unknowns: its
-    1500 nodes less one per Dirichlet end.
+    D(lambda) - index*pi.  A coarse finite-difference solve seeds each search
+    (the root itself is determined entirely by the shooting function): a
+    bracket around the seed widens by 4x, at most 40 times, until D - index*pi
+    changes sign across it, and brentq opens on its two ends, getting their
+    values back instead of two more shots.  Each eigenvalue search thus
+    integrates every distinct lambda once.  A failed seed, a shot whose D is
+    not finite and a seed that brackets no root each raise.  Each root is
+    located to 1e-10 absolute in lambda.  `count` may not exceed the seed's
+    unknowns: its 1500 nodes less one per Dirichlet end.
     """
     unknowns = _SEED_NODES - bc.count("dirichlet")
     if not 1 <= count <= unknowns:
         raise ValueError(f"eigenvalue count must lie in [1, {unknowns}] for boundary "
                          f"conditions {bc}, got {count}")
-    seeds = None
-    try:
-        seeds = solve_truncated_fd(prob, a, b, count=count, bc=bc, npoints=_SEED_NODES,
-                                   richardson=False)
-    except Exception as exc:
-        warnings.warn(
-            f"finite-difference seed failed ({type(exc).__name__}: {exc}); "
-            "bracketing by outward doubling",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    seeds = solve_truncated_fd(prob, a, b, count=count, bc=bc, npoints=_SEED_NODES,
+                               richardson=False)
     out = []
     for index in range(count):
         target = index * math.pi
@@ -442,37 +434,25 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet"), ode_rtol
 
         def miss(lam):
             if lam not in shots:
-                shots[lam] = prufer_mismatch(prob, a, b, lam, bc=bc, rtol=ode_rtol) - target
+                shot = prufer_mismatch(prob, a, b, lam, bc=bc)
+                if not math.isfinite(shot):
+                    raise RuntimeError(f"Prufer matching value {shot} at lambda={lam} "
+                                       f"on [{a}, {b}] is not finite")
+                shots[lam] = shot - target
             return shots[lam]
 
-        lo = hi = None
-        if seeds is not None:
-            guess = float(seeds[index])
-            delta = 1e-4 * (1.0 + abs(guess))
-            for _ in range(40):
-                cand_lo, cand_hi = guess - delta, guess + delta
-                if out and cand_lo <= out[-1]:
-                    cand_lo = 0.5 * (out[-1] + guess)
-                if miss(cand_lo) < 0.0 < miss(cand_hi):
-                    lo, hi = cand_lo, cand_hi
-                    break
-                delta *= 4.0
-        if lo is None:
-            # fall back to outward doubling from the previous eigenvalue
-            lo = out[-1] if out else -1.0
-            hi = abs(lo) + 1.0
-            for _ in range(200):
-                if miss(lo) < 0.0:
-                    break
-                lo = lo - 2.0 * (abs(lo) + 1.0)
-            else:
-                raise RuntimeError("failed to bracket eigenvalue from below")
-            for _ in range(200):
-                if miss(hi) > 0.0:
-                    break
-                hi = hi + 2.0 * (abs(hi) + 1.0)
-            else:
-                raise RuntimeError("failed to bracket eigenvalue from above")
+        guess = float(seeds[index])
+        delta = 1e-4 * (1.0 + abs(guess))
+        for _ in range(40):
+            lo, hi = guess - delta, guess + delta
+            if out and lo <= out[-1]:
+                lo = 0.5 * (out[-1] + guess)
+            if miss(lo) < 0.0 < miss(hi):
+                break
+            delta *= 4.0
+        else:
+            raise RuntimeError(f"no bracket of eigenvalue {index} around its "
+                               f"finite-difference seed {guess}")
         lam = float(_module.brentq(miss, lo, hi, xtol=1e-10, rtol=4.0 * np.finfo(float).eps))
         out.append(lam)
     return np.array(out)
@@ -515,8 +495,11 @@ def _fd_assemble(prob, x, bc):
     keeps it.
     """
     hseg = np.diff(x)
-    pm = prob.coeffs(0.5 * (x[:-1] + x[1:]))[0]
-    _, qv, wv, _, _, _ = prob.coeffs(x)
+    # The derivatives, unread here, may overflow where p, q, w do not; a
+    # non-finite p, q or w is refused by eigh_tridiagonal.
+    with np.errstate(all="ignore"):
+        pm = prob.coeffs(0.5 * (x[:-1] + x[1:]))[0]
+        _, qv, wv, _, _, _ = prob.coeffs(x)
     flux = pm / hseg
     left = np.concatenate(([0.0], flux))
     right = np.concatenate((flux, [0.0]))
@@ -660,11 +643,12 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
                          f"floating point; the interval allows at most {inside.index(False)}")
 
     def held(a, b):  # the shots divide by sigma = sqrt(p (w + |q|)) on [a, b]
-        try:
-            p, q, w = prob.coeffs(a + (b - a) * np.linspace(0.0, 1.0, _SEED_NODES))[:3]
-        except ValueError:  # a pole of the coefficients, such as V_eff's at pi R / 2
-            return False
-        with np.errstate(over="ignore"):
+        # A non-finite p, q or w makes sigma2 non-finite, and is refused.
+        with np.errstate(all="ignore"):
+            try:
+                p, q, w = prob.coeffs(a + (b - a) * np.linspace(0.0, 1.0, _SEED_NODES))[:3]
+            except ValueError:  # a pole of the coefficients, such as V_eff's at pi R / 2
+                return False
             sigma2 = p * (w + np.abs(q))
         return bool(np.all((0.0 < sigma2) & (sigma2 < math.inf)))
 

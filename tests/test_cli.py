@@ -546,7 +546,9 @@ def test_only_commands_that_solve_load_scipy():
     (["check", "--input", "missing.json"], None, 2, "No such file or directory"),
     (["angular", "--k", "2", "--l", str(10**400), "--s", "0", "--t", "0.5"], None, 2,
      "a value overflows a double"),
-], ids=["near-singular", "truncated", "D1", "bad-k", "missing-file", "overflow"])
+    (["gap", "--k", "2", "--R", "1e60", "--levels", "2", "--tol", "1e-3"], None, 3,
+     "is not finite"),
+], ids=["near-singular", "truncated", "D1", "bad-k", "missing-file", "overflow", "nan-shot"])
 def test_fresh_process_error_paths_exit_on_one_error_line(tmp_path, argv, stdin, code, message):
     src = str(Path(cli.__file__).resolve().parents[1])
     text = None
@@ -947,8 +949,8 @@ def test_fast_subcommands_exit_documented_codes_with_strict_json(command, k, deg
                          if values[flag] is not None]
 
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         argv = argv_for(command)
         if command == "check":
             # The loop comes from random-loop with the same flags; if that is
@@ -962,6 +964,7 @@ def test_fast_subcommands_exit_documented_codes_with_strict_json(command, k, deg
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
+    assert caught == [], (argv, [str(w.message) for w in caught])
     if out.getvalue():
         _strict_json(out.getvalue())
     if code != 0:
@@ -973,14 +976,19 @@ def test_fast_subcommands_exit_documented_codes_with_strict_json(command, k, deg
 @given(k=st.integers(2, manifold.K_MAX),
        radius=st.floats(math.log(0.1), math.log(100.0)).map(math.exp), neigs=st.integers(1, 2))
 @example(k=3, radius=1e-30, neigs=2)  # spectrum: p (w + |q|) underflows on every seed mesh
+@example(k=2, radius=1e60, neigs=2)  # V_eff's derivative overflows; gap: every shot is NaN
 def test_solver_subcommands_exit_documented_codes_with_strict_json(command, k, radius, neigs):
     argv = [command, f"--k={k}", f"--R={radius!r}", "--levels=2", "--tol=1e-3"]
     if command == "spectrum":
         argv.append(f"--neigs={neigs}")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
+    # A failed LSODA leg warns before it raises (gap --k 3 --R 1e-30); no other warning.
+    assert [w for w in caught if w.category is not ODEintWarning] == [], argv
     if out.getvalue():
         _strict_json(out.getvalue())
     else:

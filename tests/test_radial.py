@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,15 +94,32 @@ def test_truncation_rounded_onto_the_deep_cut_shoots():
     assert math.isfinite(radial.prufer_mismatch(prob, a, b, 1.0))
 
 
-def test_failed_fd_seed_warns_and_falls_back(monkeypatch):
+def test_failed_fd_seed_reaches_the_caller_before_any_shot(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("probe")
 
+    shots = []
     monkeypatch.setattr(radial, "solve_truncated_fd", broken)
-    with pytest.warns(RuntimeWarning, match="probe"):
-        vals = radial.solve_truncated(const_problem(), 0.0, 1.0, count=2)
-    expect = np.array([math.pi**2, 4 * math.pi**2])
-    assert np.max(np.abs(vals - expect) / expect) < 1e-8
+    monkeypatch.setattr(radial, "prufer_mismatch", lambda *args, **kwargs: shots.append(args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="probe"):
+            radial.solve_truncated(const_problem(), 0.0, 1.0, count=2)
+    assert (caught, shots) == ([], [])
+
+
+def test_a_non_finite_matching_value_stops_the_search_at_its_shot(monkeypatch):
+    shots = []
+
+    def nan_mismatch(prob, a, b, lam, bc):
+        shots.append(lam)
+        return math.nan
+
+    monkeypatch.setattr(radial, "prufer_mismatch", nan_mismatch)
+    with pytest.raises(RuntimeError, match="not finite") as info:
+        radial.solve_truncated(const_problem(), 0.0, 1.0, count=2)
+    assert len(shots) == 1
+    assert f"lambda={shots[0]}" in str(info.value) and "[0.0, 1.0]" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +837,7 @@ def chained_seed_solve(prob, a, b, count, bc, seeds):
     out = []
     for index in range(count):
         def miss(lam, target=index * math.pi):
-            return radial.prufer_mismatch(prob, a, b, lam, bc=bc, rtol=1e-11) - target
+            return radial.prufer_mismatch(prob, a, b, lam, bc=bc) - target
 
         guess = float(seeds[index])
         delta = 1e-4 * (1.0 + abs(guess))
