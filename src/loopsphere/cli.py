@@ -30,10 +30,10 @@ Exit codes: 0 success, 2 validation error (bad flags, malformed input, or a
 result that a double cannot represent), 3 numeric diagnostic failure.
 The table and record commands write JSON (default) or, with --format csv,
 CSV with floats at 17 significant digits; loop and rotation records
-(random-loop, factorize) are JSON only.  Identical flags and seed give
-byte-identical output.  JSON output is strict
-RFC 8259: a non-finite value is a validation error, never a NaN or Infinity
-token.
+(random-loop, factorize) are one line of compact JSON, which `python -m
+json.tool` pretty-prints.  Identical flags and seed give byte-identical
+output.  JSON output is strict RFC 8259: a non-finite value is a
+validation error, never a NaN or Infinity token.
 """
 
 import argparse
@@ -360,12 +360,11 @@ def _cmd_factorize(args):
     data = json.loads(_read_input(args.input))
     if isinstance(data, dict) and "rotations" in data:
         fact = resolution.rotations_from_dict(data)
-        n = resolution.compose(fact)
-        _write(_dumps(trigpoly.loop_to_dict(n, fact.radius), indent=2) + "\n", args.output)
+        record = trigpoly.loop_to_dict(resolution.compose(fact), fact.radius)
     else:
         n, radius = trigpoly.loop_from_dict(data)
-        fact = resolution.factorize(n, radius)
-        _write(_dumps(resolution.rotations_to_dict(fact), indent=2) + "\n", args.output)
+        record = resolution.rotations_to_dict(resolution.factorize(n, radius))
+    _write(_dumps(record, separators=(",", ":")) + "\n", args.output)
     return EXIT_OK
 
 
@@ -398,7 +397,7 @@ def _cmd_random_loop(args):
     from . import trigpoly
 
     n = random_loop(args.k, args.N, args.R, args.seed)
-    _write(_dumps(trigpoly.loop_to_dict(n, args.R), indent=2) + "\n", args.output)
+    _write(_dumps(trigpoly.loop_to_dict(n, args.R), separators=(",", ":")) + "\n", args.output)
     return EXIT_OK
 
 

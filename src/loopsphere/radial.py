@@ -293,9 +293,9 @@ def expected_endpoint_kinds(k):
 # ---------------------------------------------------------------------------
 
 
-# LSODA's step budget per integration leg; the legs of the truncated problems
-# take far fewer steps, so the budget only stops a runaway integration.
-_MXSTEP = 10**6
+# LSODA's step budget per integration leg, 10x the most steps (10 031) that a
+# default-level `spectrum` or `gap` leg takes over k 2-8, R 0.1-10.
+_MXSTEP = 10**5
 
 # LSODA's relative tolerance on every shot; its absolute tolerance is 1e-2 of it.
 _ODE_RTOL = 1e-11
@@ -901,14 +901,22 @@ def convexity_check(params):
 
     Returns the minimum second difference (scaled by h^2) and a boolean; the
     potential blows up convexly at both ends, so the interior grid decides.
+    A V_eff or scaled second difference that a double cannot hold raises
+    ValueError.
     """
     hi, grid_size = math.pi * params.R / 2.0, 2000
     taus = np.linspace(hi / (grid_size + 1), hi - hi / (grid_size + 1), grid_size)
-    vals = liouville_problem(params).coeffs(taus)[1]
-    second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-    h = taus[1] - taus[0]
+    # V_eff's derivative, unread here, may overflow where V_eff does not.  A
+    # non-finite V_eff leaves a second difference non-finite, and h^2 may underflow.
+    with np.errstate(all="ignore"):
+        vals = liouville_problem(params).coeffs(taus)[1]
+        second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
+        h = taus[1] - taus[0]
+        min_second = float(np.min(second) / h**2)
+    if not (np.all(np.isfinite(second)) and math.isfinite(min_second)):
+        raise ValueError(f"V_eff or its second difference leaves the doubles at k = {params.k}, "
+                         f"R = {params.R!r}")
     scale = max(1.0, float(np.median(np.abs(vals))))
-    min_second = float(np.min(second)) / h**2
     return {
         "min_second_derivative": min_second,
         "convex": bool(np.min(second) >= -1e-8 * scale),

@@ -44,14 +44,15 @@ class PlaneRotation:
         w = np.asarray(self.rotation, dtype=float)
         if p.shape != w.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("projection and rotation must be square matrices of equal shape")
-        tol = 1e-12 * max(1.0, np.linalg.norm(p))
+        norm = trigpoly._euclidean_norm
+        tol = 1e-12 * max(1.0, norm(p))
         checks = {
-            "P symmetric": np.linalg.norm(p - p.T),
-            "P idempotent": np.linalg.norm(p @ p - p),
+            "P symmetric": norm(p - p.T),
+            "P idempotent": norm(p @ p - p),
             "P has rank 2": abs(np.trace(p) - 2.0),
-            "W antisymmetric": np.linalg.norm(w + w.T),
-            "W^2 = -P": np.linalg.norm(w @ w + p),
-            "W preserves the plane": np.linalg.norm(p @ w - w),
+            "W antisymmetric": norm(w + w.T),
+            "W^2 = -P": norm(w @ w + p),
+            "W preserves the plane": norm(p @ w - w),
         }
         for name, err in checks.items():
             if not err <= 100 * tol:  # NaN fails too

@@ -17,6 +17,7 @@ The L2 pairing used throughout is the average over the circle,
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,11 @@ MAX_ENTRY = 2.0**500
 # The smallest radius a serialized loop may hold, so that R^2, the scale of
 # the sphere test and of the harmonic trim, is a normal double.
 MIN_RADIUS = 2.0**-500
+
+
+def _euclidean_norm(x):
+    """np.linalg.norm(x) of a C-ordered real array, bit for bit, in one numpy call."""
+    return math.sqrt(np.vdot(x, x))
 
 
 class LoopFormatError(ValueError):
@@ -56,10 +62,10 @@ class TrigPolyVec:
                 f"harmonic stacks must have shape (N, {d}); got {a.shape} and {b.shape}"
             )
         # Trim trailing harmonics that are negligible relative to the loop norm.
-        norm = np.sqrt(v @ v + 0.5 * (np.sum(a * a) + np.sum(b * b)))
+        norm = math.sqrt(v @ v + 0.5 * ((a * a).sum() + (b * b).sum()))
         cutoff = TRIM_RTOL * max(norm, 1e-300)
         deg = a.shape[0]
-        while deg > 0 and np.linalg.norm(a[deg - 1]) + np.linalg.norm(b[deg - 1]) <= cutoff:
+        while deg > 0 and _euclidean_norm(a[deg - 1]) + _euclidean_norm(b[deg - 1]) <= cutoff:
             deg -= 1
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "a", a[:deg].copy())
@@ -151,18 +157,18 @@ def scalar_mul(n, phi):
 def matrix_mul(m0, m1, m2, n):
     """Exact vector polynomial theta -> (m0 + m1 cos theta + m2 sin theta) n(theta).
 
-    One mat-vec per matrix coefficient and coefficient of n, added in the
-    order constant, e^{i theta}, e^{-i theta}: a matrix product over all
-    coefficients at once rounds differently, and the factorization round
-    trips are sensitive to that.
+    Each matrix coefficient lam acts on all coefficients c[m] of n as one
+    stacked mat-vec, lam @ c[m], which rounds as a lone mat-vec does; slot j
+    adds its terms from c[j-2], c[j-1], c[j] in that order.  A 2-D product
+    c @ lam.T goes through gemm, which rounds differently, and the
+    factorization round trips are sensitive to that.
     """
     lam_minus, lam_zero, lam_plus = _exponential(m0, m1[None], m2[None])
-    c = _exponential(n.v, n.a, n.b)
+    c = _exponential(n.v, n.a, n.b)[:, :, None]
     out = np.zeros((c.shape[0] + 2, n.ambient_dim), dtype=complex)
-    for m in range(c.shape[0]):
-        out[m + 1] += lam_zero @ c[m]
-        out[m + 2] += lam_plus @ c[m]
-        out[m] += lam_minus @ c[m]
+    out[2:] += np.matmul(lam_plus, c)[..., 0]
+    out[1:-1] += np.matmul(lam_zero, c)[..., 0]
+    out[:-2] += np.matmul(lam_minus, c)[..., 0]
     return from_exponential(out)
 
 

@@ -152,6 +152,28 @@ def test_factorize_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+def test_record_files_are_one_line_of_compact_strict_json(tmp_path, capsys):
+    # random-loop and factorize, there and back, write one line of compact
+    # JSON holding the library's floats; identical invocations write the same bytes.
+    loop = cli.random_loop(6, 8, 1.0, 3)
+    rots = resolution.rotations_to_dict(resolution.factorize(loop, 1.0))
+    back = trigpoly.loop_to_dict(resolution.compose(resolution.rotations_from_dict(rots)), 1.0)
+    steps = [
+        ("loop", ["random-loop", "--k", "6", "--N", "8", "--seed", "3"],
+         trigpoly.loop_to_dict(loop, 1.0)),
+        ("rots", ["factorize", "--input", str(tmp_path / "loop-0.json")], rots),
+        ("back", ["factorize", "--input", str(tmp_path / "rots-0.json")], back),
+    ]
+    for name, argv, expect in steps:
+        paths = [tmp_path / f"{name}-{copy}.json" for copy in (0, 1)]
+        for path in paths:
+            assert run(capsys, [*argv, "--output", str(path)]) == (0, "", "")
+        text = paths[0].read_text()
+        assert paths[1].read_text() == text
+        assert text.endswith("\n") and text.count("\n") == 1 and " " not in text
+        assert _strict_json(text) == expect
+
+
 def test_spectrum_csv(capsys):
     code, out, _ = run(capsys, ["spectrum", "--k", "5", "--levels", "6",
                                 "--neigs", "2", "--format", "csv"])

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -770,6 +771,33 @@ def test_leading_veff_coefficient_vanishes_at_k2_and_k4():
 def test_convexity_k5():
     rep = radial.convexity_check(manifold.ModelParams(k=5, R=0.5))
     assert rep["convex"]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 12, 40, 410])
+def test_convexity_check_refuses_a_potential_outside_the_doubles(k):
+    # Each radius the model accepts gets a finite minimum second difference or
+    # a ValueError, and no numpy warning.
+    answered = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent in range(-300, 301, 5):
+            try:
+                params = manifold.ModelParams(k=k, R=10.0**exponent)
+            except ValueError:
+                continue
+            try:
+                rep = radial.convexity_check(params)
+            except ValueError as exc:
+                assert "leaves the doubles" in str(exc)
+                continue
+            assert math.isfinite(rep["min_second_derivative"])
+            answered += 1
+    assert answered
+    if k == 2:
+        for radius in (1e-75, 1e75):
+            with pytest.raises(ValueError, match=re.escape(f"k = 2, R = {radius!r}")):
+                radial.convexity_check(manifold.ModelParams(k=2, R=radius))
+
 
 
 def test_heun_coefficient_map():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,38 @@ def test_rotations_json_roundtrip():
     )
     data["base"] = [1.0]
     with pytest.raises(trigpoly.LoopFormatError, match="base point"):
+        resolution.rotations_from_dict(data)
+
+
+def unit(i, j):
+    m = np.zeros((4, 4))
+    m[i, j] = 1.0
+    return m
+
+
+# A valid pair in R^4: P projects onto the (e0, e1) plane and W turns it.
+PLANE = unit(0, 0) + unit(1, 1)
+TURN = unit(0, 1) - unit(1, 0)
+# A turn of the (e2, e3) plane, the kernel of P: a little of it in W moves
+# W^2 + P only at second order, so "W preserves the plane" fails alone.
+KERNEL_TURN = unit(2, 3) - unit(3, 2)
+
+
+@pytest.mark.parametrize("identity, p, w", [
+    ("P symmetric", PLANE + 1e-6 * unit(0, 2), TURN),
+    ("P idempotent", PLANE + 1e-6 * (unit(0, 0) - unit(1, 1)), TURN),
+    ("P has rank 2", PLANE + unit(2, 2), TURN),
+    ("W antisymmetric", PLANE, TURN + 1e-6 * unit(2, 2)),
+    ("W^2 = -P", PLANE, (1.0 + 1e-6) * TURN),
+    ("W preserves the plane", PLANE, TURN + 1e-6 * KERNEL_TURN),
+])
+def test_rotations_records_refuse_a_pair_that_breaks_an_identity(identity, p, w):
+    data = {"k": 3, "R": 1.0, "base": [1.0, 0.0, 0.0, 0.0],
+            "rotations": [{"P": PLANE.tolist(), "W": TURN.tolist()}]}
+    assert len(resolution.rotations_from_dict(data).rotations) == 1
+    data["rotations"].append({"P": p.tolist(), "W": w.tolist()})
+    with pytest.raises(trigpoly.LoopFormatError,
+                       match=f"invalid plane rotation: {re.escape(identity)} fails"):
         resolution.rotations_from_dict(data)
 
 

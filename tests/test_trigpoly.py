@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -234,20 +236,56 @@ def test_convolve_matches_double_loop_bitwise(shape1, shape2):
 
 def test_matrix_mul_matches_three_tap_loop_bitwise():
     rng = SplitMix64(10)
-    n = random_poly(rng, 3, 5)
-    a = np.array(rng.gauss_vector(5))
-    b = np.array(rng.gauss_vector(5))
-    a /= np.linalg.norm(a)
-    b -= (a @ b) * a
-    b /= np.linalg.norm(b)
-    rot = resolution.rotation_from_basis(a, b)
-    p = rot.projection
-    for inverse, w in ((False, rot.rotation), (True, -rot.rotation)):
-        lam_plus = 0.5 * (p - 1j * w)
-        expect = three_tap_product((np.eye(5) - p).astype(complex), lam_plus,
-                                   np.conj(lam_plus), n)
-        assert_same_poly(resolution.apply_rotation(rot, n, inverse=inverse), expect)
-    phi = resolution.orthogonal_loop_from_pair(a, b)
-    half = 0.5 * (phi.A - 1j * phi.B)
-    expect = three_tap_product(phi.V.astype(complex), half, np.conj(half), n)
-    assert_same_poly(resolution.apply_orthogonal_loop(phi, n), expect)
+    for dim, degree in itertools.product((3, 4, 5, 7), range(9)):
+        n = random_poly(rng, degree, dim)
+        a = np.array(rng.gauss_vector(dim))
+        b = np.array(rng.gauss_vector(dim))
+        a /= np.linalg.norm(a)
+        b -= (a @ b) * a
+        b /= np.linalg.norm(b)
+        rot = resolution.rotation_from_basis(a, b)
+        p = rot.projection
+        for inverse, w in ((False, rot.rotation), (True, -rot.rotation)):
+            lam_plus = 0.5 * (p - 1j * w)
+            expect = three_tap_product((np.eye(dim) - p).astype(complex), lam_plus,
+                                       np.conj(lam_plus), n)
+            assert_same_poly(resolution.apply_rotation(rot, n, inverse=inverse), expect)
+        phi = resolution.orthogonal_loop_from_pair(a, b)
+        half = 0.5 * (phi.A - 1j * phi.B)
+        expect = three_tap_product(phi.V.astype(complex), half, np.conj(half), n)
+        assert_same_poly(resolution.apply_orthogonal_loop(phi, n), expect)
+
+
+def linalg_norm_trimmed_degree(v, a, b):
+    """The harmonic trim of TrigPolyVec with the norms np.linalg.norm forms."""
+    norm = np.sqrt(v @ v + 0.5 * (np.sum(a * a) + np.sum(b * b)))
+    cutoff = trigpoly.TRIM_RTOL * max(norm, 1e-300)
+    deg = a.shape[0]
+    while deg > 0 and np.linalg.norm(a[deg - 1]) + np.linalg.norm(b[deg - 1]) <= cutoff:
+        deg -= 1
+    return deg
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 7])
+def test_trim_cutoff_matches_the_linalg_norm_formula_at_the_boundary(dim):
+    # Top harmonics in general directions whose norms sum to the cutoff, and
+    # to a few ulps below and above it, trim as np.linalg.norm's norms do.
+    rng = SplitMix64(40 + dim)
+    kept = set()
+    for degree in range(1, 5):
+        v = np.array(rng.gauss_vector(dim))
+        a = np.array([rng.gauss_vector(dim) for _ in range(degree)])
+        b = np.array([rng.gauss_vector(dim) for _ in range(degree)])
+        a[-1] /= np.linalg.norm(a[-1])
+        b[-1] /= np.linalg.norm(b[-1])
+        body = np.sqrt(v @ v + 0.5 * (np.sum(a[:-1] ** 2) + np.sum(b[:-1] ** 2)))
+        at_cutoff = 0.5 * trigpoly.TRIM_RTOL * body
+        for ulps in range(-4, 5):
+            top = at_cutoff * (1.0 + ulps * np.finfo(float).eps)
+            a_top, b_top = a.copy(), b.copy()
+            a_top[-1] *= top
+            b_top[-1] *= top
+            expect = linalg_norm_trimmed_degree(v, a_top, b_top)
+            assert trigpoly.TrigPolyVec(v=v, a=a_top, b=b_top).degree == expect
+            kept.add(expect == degree)
+    assert kept == {True, False}  # the ulps straddle the cutoff
