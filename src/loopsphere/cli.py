@@ -27,7 +27,9 @@ other library module, a command compiles only its own modules, and only
 `spectrum` and `gap`, which shoot and run FD solves, load scipy.
 
 Exit codes: 0 success, 2 validation error (bad flags, malformed input, or a
-result that a double cannot represent), 3 numeric diagnostic failure.
+result that a double cannot represent), 3 numeric diagnostic failure.  Each
+warning a command raises is one `warning: <Category>: <message>` line on
+standard error, and a failure adds one `error:` line after them.
 The table and record commands write JSON (default) or, with --format csv,
 CSV with floats at 17 significant digits; loop and rotation records
 (random-loop, factorize) are one line of compact JSON, which `python -m
@@ -40,6 +42,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -477,15 +480,12 @@ def build_parser(command=None):
     return parser
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _NAMES else None
-    args = build_parser(command).parse_args(argv)
+def _run(handler, args):
+    """(exit code, error line or None) of one handler call."""
     try:
-        return args.handler(args)
+        return handler(args), None
     except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_NUMERIC, f"error: {exc}"
     except ValueError as exc:
         # Malformed input, or one of the library's numeric diagnostics, which
         # all derive from ValueError.
@@ -493,15 +493,28 @@ def main(argv=None):
         from .manifold import StratumError
         from .resolution import PeelError
 
-        print(f"error: {exc}", file=sys.stderr)
         numeric = (NearSingularStratumError, PeelError, StratumError)
-        return EXIT_NUMERIC if isinstance(exc, numeric) else EXIT_VALIDATION
+        return EXIT_NUMERIC if isinstance(exc, numeric) else EXIT_VALIDATION, f"error: {exc}"
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, f"error: {exc}"
     except OverflowError as exc:
-        print(f"error: a value overflows a double: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, f"error: a value overflows a double: {exc}"
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _NAMES else None
+    args = build_parser(command).parse_args(argv)
+    # Each warning becomes one line, without the source line that
+    # warnings.showwarning adds; the caller's filters still decide which show.
+    with warnings.catch_warnings(record=True) as caught:
+        code, error = _run(args.handler, args)
+    for warning in caught:
+        message = " ".join(str(warning.message).split())
+        print(f"warning: {warning.category.__name__}: {message}", file=sys.stderr)
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -42,9 +42,8 @@ benchmark reference holds the roundoff-dominated D2 Ricci values.  After it,
 u_i = T^T H_i T is one batched matmul and the Ricci sums are tensordots.
 
 The module also provides the homogeneous-space (Lie bracket) Ricci engine for
-the Stiefel fibers, the closed forms of the degree-one variety, the mixed
-second fundamental form of the radial fibration, the tube-boundary form near
-the top-degree stratum, and the Leung / Chen / Meyer eigenvalue bounds.
+the Stiefel fibers, the closed forms of the degree-one variety, and the Leung
+Ricci-minimum bound that the curvature report carries.
 """
 
 import math
@@ -54,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold, numerics, trigpoly
-from .trigpoly import TrigPolyVec
 
 
 class NearSingularStratumError(ValueError):
@@ -86,17 +84,6 @@ def flatten_vec(n, degree):
     out[1 : 2 * n.degree : 2] = n.a / math.sqrt(2.0)
     out[2 : 2 * n.degree + 1 : 2] = n.b / math.sqrt(2.0)
     return out.ravel()
-
-
-def unflatten_vec(x, degree, ambient_dim):
-    blocks = np.reshape(x, (2 * degree + 1, ambient_dim))
-    a, b = blocks[1::2] * math.sqrt(2.0), blocks[2::2] * math.sqrt(2.0)
-    return TrigPolyVec(v=blocks[0], a=a, b=b)
-
-
-def scalar_basis_element(i, order):
-    """The i-th orthonormal scalar basis polynomial, a loop in R^1: 1, sqrt2 cos s, sqrt2 sin s."""
-    return unflatten_vec(np.eye(scalar_dim(order))[i], order, 1)
 
 
 def infer_radius(n):
@@ -219,24 +206,6 @@ def _connection_sum(s, a):
 
 
 @dataclass(frozen=True)
-class KernelOperator:
-    """Symmetric operator on degree <= 2N scalars, in the orthonormal basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", numerics.check_symmetric(self.matrix, rtol=1e-12))
-
-
-@dataclass(frozen=True)
-class TangentBasis:
-    """Orthonormal basis of the tangent space at a loop."""
-
-    vectors: tuple
-    gram: np.ndarray
-
-
-@dataclass(frozen=True)
 class CurvatureReport:
     scalar: float
     mean_sq: float
@@ -283,20 +252,6 @@ class CurvatureContext:
         self._tangent = None
 
     # -- kernels -----------------------------------------------------------
-
-    def gram_operator(self):
-        """Constraint metric g(phi, psi) = <grad f_phi, grad f_psi> / 4."""
-        return KernelOperator(matrix=self.s_full / 4.0)
-
-    def green_operator(self):
-        """Inverse of the constraint metric as an operator on scalars.
-
-        With grads^T = Q R, s = R^T R and s^{-1} = R^{-1} R^{-T}, a product
-        of a matrix with its own transpose: symmetric by construction, where
-        the inverse of s is not to 1e-12 once cond(s) reaches about 1e7.
-        """
-        r_inv = np.linalg.inv(np.linalg.qr(self.grads.T, mode="r"))
-        return KernelOperator(matrix=4.0 * (r_inv @ r_inv.T))
 
     def pair_coords(self, x, y):
         """u(X,Y)_i = <X, H_i Y> -- coordinates of the scalar 2 X.Y."""
@@ -380,30 +335,6 @@ class CurvatureContext:
 # ---------------------------------------------------------------------------
 # Spec-level operations
 # ---------------------------------------------------------------------------
-
-
-def grad_f(n, phi):
-    """Gradient of the constraint component f_phi at n: 2 Pr_N(n phi)."""
-    if phi.degree > 2 * n.degree:
-        raise ValueError(f"scalar degree {phi.degree} exceeds 2N = {2 * n.degree}")
-    return trigpoly.scale(trigpoly.project(trigpoly.scalar_mul(n, phi), n.degree), 2.0)
-
-
-def gram_kernel(n, radius=None):
-    return CurvatureContext(n, radius).gram_operator()
-
-
-def green_kernel(n, radius=None):
-    return CurvatureContext(n, radius).green_operator()
-
-
-def tangent_basis(n, radius=None):
-    """Orthonormal tangent basis as loop-space vectors."""
-    ctx = CurvatureContext(n, radius)
-    cols = ctx.tangent_matrix()
-    vecs = tuple(unflatten_vec(col, ctx.degree, ctx.ambient_dim) for col in cols.T)
-    gram = np.array([[trigpoly.l2_inner(x, y) for y in vecs] for x in vecs])
-    return TangentBasis(vectors=vecs, gram=gram)
 
 
 def scalar_and_mean(n, radius=None):
@@ -578,194 +509,3 @@ def besse_ricci(k, t):
     for j, lab in enumerate(labels):
         diagonal.setdefault(lab, full[j, j])
     return {"labels": labels, "matrix": full, "diagonal": diagonal}
-
-
-def vertical_ricci_display(k, t):
-    """Recorded closed-form vertical Ricci components (verification target only).
-
-    These displays use an unstated normalization of the vertical coframe;
-    compare_vertical_ricci records per-direction ratios against the bracket
-    engine rather than asserting equality.
-    """
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    return {
-        "ai": -((8 * k - 7) * t**2 + (5 * k - 6) * t - 3 * k + 5) / (t + 1.0),
-        "bi": -((8 * k - 7) * t**2 + (5 * k - 6) * t - 3 * k + 5) / (t + 1.0),
-        "vi": (16 * k * t**2 + 13 * k * t - 3 * k - 14 * t**2 - 19 * t + 3.0) / (t + 1.0),
-        "ab": -2.0
-        * ((8 * k - 7) * t**3 + (13 * k - 15) * t**2 + (2 * k - 1) * t - 3 * k + 3)
-        / (t + 1.0) ** 2,
-        "va": (8 * k - 7) * t - 2.0,
-        "vb": (8 * k - 7) * t - 2.0,
-    }
-
-
-def compare_vertical_ricci(k, t):
-    """Per-direction ratio: recorded vertical display / bracket engine."""
-    disp = vertical_ricci_display(k, t)
-    brk = besse_ricci(k, t)["diagonal"]
-    out = {}
-    for lab, val in brk.items():
-        if lab in disp:
-            out[lab] = disp[lab] / val if abs(val) > 1e-14 else math.nan
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Mixed second fundamental form of the radial fibration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SecondFormReport:
-    """Coefficients of the mixed form T, its trace, and the compensator CT,
-    as coefficients of the squared frame one-forms."""
-
-    T: dict
-    trace: float
-    CT: dict
-
-
-def second_form(k, radius, t):
-    """Mixed second fundamental form of the fibration over the radial coordinate."""
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    if k < 2 or radius <= 0:
-        raise ValueError("requires k >= 2 and positive radius")
-    f = 0.5 * radius * math.sqrt(t * (1.0 - t))
-    tcoef = {"va": f, "vb": f, "ab": -2.0 * f}
-    ct = {
-        "va": t * (1.0 - t) / (1.0 + t),
-        "vb": t * (1.0 - t) / (1.0 + t),
-        "ab": 2.0 * t,
-    }
-    if k >= 3:
-        tcoef.update({"vi": 2.0 * f, "ai": -f, "bi": -f})
-        ct.update({"vi": 2.0 * (1.0 - t), "ai": t, "bi": t})
-        trace = (
-            2.0
-            * ((7 - 4 * k) * t**2 + (7 - 3 * k) * t + k - 2)
-            / (radius * (t + 1.0) * math.sqrt(t * (1.0 - t)))
-        )
-    else:
-        trace = 4.0 * math.sqrt(t * (1.0 - t)) / (radius * (t + 1.0))
-    return SecondFormReport(T=tcoef, trace=trace, CT=ct)
-
-
-# ---------------------------------------------------------------------------
-# Tube boundary form near the top-degree stratum
-# ---------------------------------------------------------------------------
-
-
-def tube_boundary_form(n, x, y):
-    """Second fundamental form of the level sets of the top-harmonic energy.
-
-    With f(n) = |a[N]|^2 + |b[N]|^2 and h = grad f / |grad f|^2 (the L2
-    gradient), alpha(X, Y) = 2 (X_a[N].Y_a[N] + X_b[N].Y_b[N]) h.  Returns
-    (coefficient, h); the coefficient is a positive semidefinite quadratic
-    form in X = Y, which makes the tube boundary convex toward the
-    lower-degree locus.
-    """
-    deg = n.degree
-    if deg < 1:
-        raise ValueError("tube form requires a loop of positive degree")
-
-    def top(z):
-        if z.degree >= deg:
-            return z.a[deg - 1], z.b[deg - 1]
-        return np.zeros(z.ambient_dim), np.zeros(z.ambient_dim)
-
-    xa, xb = top(x)
-    ya, yb = top(y)
-    coeff = 2.0 * float(xa @ ya + xb @ yb)
-    d = n.ambient_dim
-    ga = np.zeros((deg, d))
-    gb = np.zeros((deg, d))
-    ga[deg - 1] = 4.0 * n.a[deg - 1]
-    gb[deg - 1] = 4.0 * n.b[deg - 1]
-    grad = TrigPolyVec(v=np.zeros(d), a=ga, b=gb)
-    gnorm2 = trigpoly.l2_inner(grad, grad)
-    if gnorm2 <= 0.0:
-        raise ValueError("top harmonic pair vanishes; the level-set normal is undefined")
-    h = trigpoly.scale(grad, 1.0 / gnorm2)
-    return coeff, h
-
-
-# ---------------------------------------------------------------------------
-# Eigenvalue lower bounds
-# ---------------------------------------------------------------------------
-
-
-def chen_lower_bound(m, curvature_lower, mean_upper, alpha, rolling_radius, diameter):
-    """First-eigenvalue lower bound from diameter, mean curvature, and rolling.
-
-    Parameters: intrinsic dimension m >= 3; curvature_lower is the constant
-    K >= 0 bounding the sectional curvature below by -K; mean_upper bounds
-    the mean curvature; 0 < alpha < 1 (interior cone aperture) and
-    0 < rolling_radius < 1; diameter > 0.
-    """
-    if m < 3:
-        raise ValueError(f"bound requires dimension >= 3, got {m}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"cone aperture alpha must lie in (0, 1), got {alpha}")
-    if not (0.0 < rolling_radius < 1.0):
-        raise ValueError(f"rolling radius must lie in (0, 1), got {rolling_radius}")
-    if diameter <= 0.0:
-        raise ValueError(f"diameter must be positive, got {diameter}")
-    if curvature_lower < 0.0 or mean_upper < 0.0:
-        raise ValueError("curvature and mean-curvature bounds must be nonnegative")
-    h = mean_upper
-    r = rolling_radius
-    d = diameter
-    b3 = 2.0 * (m - 1) * h * (1.0 + h) * (1.0 + 3.0 * h) / r + h * (1.0 + h) / r**2
-    b2 = (
-        (1.0 + h) * b3
-        + ((2 * m - 3) ** 2 + (4 * m - 5) * alpha**2)
-        * h**2
-        / ((m - 1) * r**2 * alpha**2)
-        + (1.0 + h) ** 2 * curvature_lower
-    )
-    b1 = 1.0 + math.sqrt(1.0 + 4.0 * (m - 1) * d**2 * b2 / (1.0 - alpha**2))
-    return (
-        1.0
-        / (1.0 + h**2)
-        * ((1.0 - alpha**2) / (4.0 * (m - 1) * d**2) * b1**2 - b2)
-        * math.exp(-b1)
-    )
-
-
-def meyer_lower_bound(n, excentricity, inradius, ricci_lower, diameter):
-    """First-eigenvalue lower bound from diameter, inradius, and Ricci bound.
-
-    `ricci_lower` is the constant K with Ricci >= (n-1) K; there is one
-    branch for K >= 0 and one for K < 0.  The K -> 0^- limit of the negative
-    branch is exp(-2 gamma(n) D / a) times the K = 0 value, so the two
-    branches do not join continuously; callers probing continuity should
-    compare against meyer_zero_limit.
-    """
-    if n < 2:
-        raise ValueError(f"bound requires dimension >= 2, got {n}")
-    if inradius <= 0.0 or diameter <= 0.0:
-        raise ValueError("inradius and diameter must be positive")
-    if excentricity < 0.0:
-        raise ValueError("excentricity must be nonnegative")
-    alpha = math.exp(-2.0) / (4.0 * (n - 1))
-    beta = 16.0 * n
-    gamma = 2.0 * (n - 1) ** 1.5
-    base = diameter * max(excentricity, 1.0 / inradius)
-    if ricci_lower >= 0.0:
-        return alpha * math.exp(-beta * base)
-    root = math.sqrt(-ricci_lower)
-    return alpha * math.exp(
-        -beta * base - gamma * diameter * root / math.tanh(inradius * root / 2.0)
-    )
-
-
-def meyer_zero_limit(n, excentricity, inradius, diameter):
-    """Analytic K -> 0^- limit of the negative-curvature branch."""
-    alpha = math.exp(-2.0) / (4.0 * (n - 1))
-    beta = 16.0 * n
-    gamma = 2.0 * (n - 1) ** 1.5
-    base = diameter * max(excentricity, 1.0 / inradius)
-    return alpha * math.exp(-beta * base - 2.0 * gamma * diameter / inradius)

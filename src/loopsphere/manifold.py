@@ -11,9 +11,9 @@ the Stiefel manifold of orthonormal 3-frames (e_v, e_a, e_b) in R^{k+1}:
 
     v = R sqrt(t) e_v,  a = R sqrt(1-t) e_a,  b = R sqrt(1-t) e_b.
 
-This module provides the chart in algebraic (t) and arclength (tau,
-t = sin^2(tau/R)) coordinates, the induced metric on the frame directions,
-the scalar volume weights, and the total Riemannian volume.
+This module provides the chart in the algebraic coordinate t, the arclength
+coordinate tau (t = sin^2(tau/R)), the induced metric on the frame
+directions, the scalar volume weights, and the total Riemannian volume.
 """
 
 import enum
@@ -110,21 +110,13 @@ class FramePoint:
         return self.frame.shape[1] - 1
 
 
-def classify_stratum(n, radius):
-    """Locate a loop on the sphere of the given radius within the degree-one variety.
-
-    A loop off the variety (nonzero constraint residual) is NOT_ON_VARIETY;
-    on the variety, vanishing harmonics mean a point loop, vanishing constant
-    term a great circle, anything else the smooth stratum.  Any ambient
-    dimension is accepted, the circle (k = 1) included.
-    """
-    if n.degree > 1 or not trigpoly.sphere_residual(n, radius)[1]:
-        return Stratum.NOT_ON_VARIETY
-    return _stratum_on_variety(n, radius)
-
-
 def _stratum_on_variety(n, radius):
-    """`classify_stratum` of a degree <= 1 loop already known to lie on the sphere."""
+    """Stratum of a degree <= 1 loop already known to lie on the sphere.
+
+    Vanishing harmonics mean a point loop, a vanishing constant term a great
+    circle, anything else the smooth stratum.  Any ambient dimension is
+    accepted, the circle (k = 1) included.
+    """
     harm = 0.0 if n.degree == 0 else np.linalg.norm(n.a[0]) + np.linalg.norm(n.b[0])
     if harm <= trigpoly.TRIM_RTOL * radius:
         return Stratum.POINT_LOOPS
@@ -145,46 +137,8 @@ def alg_chart(point, params):
     return TrigPolyVec(v=v, a=a[None, :], b=b[None, :])
 
 
-def trig_chart(tau, frame, params):
-    """Degree-one loop in arclength coordinate tau in (0, pi R / 2)."""
-    R = params.R
-    if not (0.0 < tau < math.pi * R / 2.0):
-        raise ValueError(f"arclength coordinate must lie in (0, {math.pi * R / 2.0}), got {tau}")
-    t = math.sin(tau / R) ** 2
-    return alg_chart(FramePoint(t=t, frame=frame), params)
-
-
-def chart_inverse(n, params):
-    """Recover (t, frame) from a smooth-stratum degree-one loop.
-
-    Raises StratumError naming the stratum for singular or off-variety loops.
-    """
-    if n.ambient_dim != params.k + 1:
-        raise ValueError(
-            f"loop lives in R^{n.ambient_dim} but parameters specify R^{params.k + 1}"
-        )
-    stratum = classify_stratum(n, params.R)
-    if stratum is not Stratum.SMOOTH:
-        raise StratumError(
-            f"chart inverse requires a smooth-stratum loop; this one lies on '{stratum.value}'"
-        )
-    R = params.R
-    v = n.v
-    a = n.a[0]
-    b = n.b[0]
-    t = float(v @ v) / R**2
-    e_v = v / np.linalg.norm(v)
-    e_a = a / np.linalg.norm(a)
-    e_b = b / np.linalg.norm(b)
-    return FramePoint(t=t, frame=np.vstack([e_v, e_a, e_b]))
-
-
 def tau_of_t(t, params):
     return params.R * math.asin(math.sqrt(t))
-
-
-def t_of_tau(tau, params):
-    return math.sin(tau / params.R) ** 2
 
 
 def weight_prefactor(params):
@@ -305,13 +259,6 @@ def volume_density_discrepancy(params):
         "ratio_model": predicted,
         "ratio_matches_model": bool(np.allclose(ratio, predicted, rtol=1e-12)),
     }
-
-
-def sphere_volume(k):
-    """Riemannian volume of the unit k-sphere (the 0-sphere counts 2 points)."""
-    if k < 0:
-        raise ValueError("sphere dimension must be >= 0")
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
 def _exp_normal(log_value, what):

@@ -12,7 +12,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 
 
 class SplitMix64:
-    """Deterministic 64-bit PRNG with a uniform/gaussian convenience layer."""
+    """Deterministic 64-bit PRNG with uniform and Gaussian deviates."""
 
     def __init__(self, seed):
         """`seed` is an integer in [0, 2^64); one outside is refused, not wrapped."""
@@ -31,9 +31,6 @@ class SplitMix64:
     def random(self):
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
-    def uniform(self, lo, hi):
-        return lo + (hi - lo) * self.random()
 
     def gauss(self):
         """Standard normal deviate via Box-Muller."""

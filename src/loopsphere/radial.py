@@ -46,10 +46,15 @@ callables), 1.3 us (Liouville form) and 1.8 us (k = 2 harmonic term); the
 rest of a right-hand side adds 0.4 to 0.5 us at a new abscissa, a repeated
 abscissa costs 0.23 us in all, and odeint's own call 0.4 to 1.3 us more; the
 host's speed varies by up to 2x.
-A solve makes about 7 shots (matching evaluations) per eigenvalue, 7.3 over
+A solve makes about 7 shots (matching evaluations) per eigenvalue, 6.8 over
 the benchmark's spectral round: 2 to 3 to bracket the coarse
 finite-difference seed of its own truncation, which lies within 4e-3
-relative of the root, and 4 to 5 for brentq.
+relative of the root, then 3 to 3.5 for brentq on the algebraic spectra and
+about 10 on the Liouville form of `gap --k 5 --R 0.5`.  There brentq chases
+noise: LSODA leaves about 3e-10 of it in D(lambda), where dD/dlambda is
+0.046 at lambda_0 and 0.023 at lambda_1, so those roots are fixed only to
+about 8e-9 and 1.4e-8 absolute (ROADMAP item 5, Finding 4).  On the
+algebraic spectra the noise is 1e-14 to 1e-10.
 Each Prufer integration leg is one LSODA call through scipy's odeint, whose C
 port of ODEPACK writes to no file descriptor: a failed leg comes back in
 `infodict["message"]`, which the integrator raises as a RuntimeError, and
@@ -415,10 +420,15 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet")):
     (the root itself is determined entirely by the shooting function): a
     bracket around the seed widens by 4x, at most 40 times, until D - index*pi
     changes sign across it, and brentq opens on its two ends, getting their
-    values back instead of two more shots.  Each eigenvalue search thus
-    integrates every distinct lambda once.  A failed seed, a shot whose D is
-    not finite and a seed that brackets no root each raise.  Each root is
-    located to 1e-10 absolute in lambda.  `count` may not exceed the seed's
+    values back instead of two more shots.  An end found on the root's far
+    side becomes the other end as the near one moves out, so each eigenvalue
+    search integrates every distinct lambda once.  A failed seed, a shot
+    whose D is not finite and a seed that brackets no root each raise.
+    brentq stops at a bracket of 1e-10 absolute in lambda, but the root is
+    fixed only to the noise of D over its slope: 1e-14 to 5e-10 on the
+    algebraic spectra and about 1e-8 on the Liouville form of `gap --k 5
+    --R 0.5`, whose noise costs brentq about 10 shots per root (the module
+    docstring gives the measurement).  `count` may not exceed the seed's
     unknowns: its 1500 nodes less one per Dirichlet end.
     """
     unknowns = _SEED_NODES - bc.count("dirichlet")
@@ -443,11 +453,17 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet")):
 
         guess = float(seeds[index])
         delta = 1e-4 * (1.0 + abs(guess))
+        lo, hi = guess - delta, guess + delta
         for _ in range(40):
-            lo, hi = guess - delta, guess + delta
             if out and lo <= out[-1]:
                 lo = 0.5 * (out[-1] + guess)
-            if miss(lo) < 0.0 < miss(hi):
+            # D is increasing: an end on the root's far side becomes the
+            # other end, and only the near end moves outward.
+            if miss(lo) > 0.0:
+                lo, hi = guess - 4.0 * delta, lo
+            elif miss(hi) < 0.0:
+                lo, hi = hi, guess + 4.0 * delta
+            else:
                 break
             delta *= 4.0
         else:
@@ -593,22 +609,18 @@ def default_schedule(prob, levels=7):
     ]
 
 
-def default_bc(prob):
-    """Truncation boundary conditions by endpoint type.
+def _endpoint_kinds(prob):
+    return tuple(classify_endpoint(prob, e).kind for e in prob.interval)
+
+
+def _bc_for(kinds):
+    """Truncation boundary conditions by endpoint kind.
 
     Flux (p f' -> 0) toward regular and limit-circle endpoints (matching the
     zero-flux condition singling out the physical extension there); Dirichlet
     toward limit-point endpoints (where the truncated Dirichlet problems
     converge to the unique extension).
     """
-    return _bc_for(_endpoint_kinds(prob))
-
-
-def _endpoint_kinds(prob):
-    return tuple(classify_endpoint(prob, e).kind for e in prob.interval)
-
-
-def _bc_for(kinds):
     return tuple("dirichlet" if kind is EndpointKind.LIMIT_POINT else "flux" for kind in kinds)
 
 
@@ -729,14 +741,14 @@ def hardy_constant_check(params, npoints=2000):
 # ---------------------------------------------------------------------------
 
 
-def _veff_poly_coeffs(k, R, lam=0.0):
+def _veff_poly_coeffs(k, R):
     """Coefficients of A(x) in descending even powers x^10 .. x^0."""
     return [
         k**2 - 6.0 * k + 8.0,
-        -4.0 * k**2 + 12.0 * k + 4.0 * R**4 - 4.0 * lam * R**2 - 6.0,
-        -2.0 * k**2 - 8.0 * k - 4.0 * lam * R**2 + 5.0,
-        12.0 * k**2 - 44.0 * k - 8.0 * R**4 + 4.0 * lam * R**2 + 44.0,
-        9.0 * k**2 - 18.0 * k + 4.0 * lam * R**2 + 9.0,
+        -4.0 * k**2 + 12.0 * k + 4.0 * R**4 - 6.0,
+        -2.0 * k**2 - 8.0 * k + 5.0,
+        12.0 * k**2 - 44.0 * k - 8.0 * R**4 + 44.0,
+        9.0 * k**2 - 18.0 * k + 9.0,
         4.0 * R**4,
     ]
 
@@ -813,42 +825,6 @@ class EffectivePotential:
     def value(self, tau):
         return self.value_and_derivative(tau)[0]
 
-    def generic_transform_value(self, tau):
-        """Independent evaluation: (sqrt w)'' / sqrt w + R^2 cos^2(tau / R).
-
-        The second derivative of sqrt(w_trig) is taken by fourth-order
-        central differences with step 1e-3 min(tau, pi R / 2 - tau, R) and
-        Richardson extrapolation; constants in w drop out.
-        """
-        R = self.params.R
-
-        def s(x):
-            return math.sqrt(manifold.weight_trig(x, self.params))
-
-        h = 1e-3 * min(tau, self.hi - tau, R)
-
-        def second(hh):
-            return (
-                -s(tau - 2 * hh)
-                + 16.0 * s(tau - hh)
-                - 30.0 * s(tau)
-                + 16.0 * s(tau + hh)
-                - s(tau + 2 * hh)
-            ) / (12.0 * hh * hh)
-
-        d2 = (16.0 * second(h / 2.0) - second(h)) / 15.0
-        return d2 / s(tau) + R**2 * math.cos(tau / R) ** 2
-
-    def lambda_shift_residual(self, tau, lam):
-        """A(lam)/B - (A(0)/B - lam): identically zero by the shift identity."""
-        k, R = self.params.k, self.params.R
-        x2 = 1.0 / math.sin(tau / R) ** 2
-        num = 0.0
-        for c in _veff_poly_coeffs(k, R, lam):
-            num = num * x2 + c
-        den = 4.0 * R**2 * x2 * (x2 - 1.0) * (x2 + 1.0) ** 2
-        return num / den - (self.value(tau) - lam)
-
 
 def liouville_problem(params):
     """The Liouville normal form as an SLProblem with p = w = 1.
@@ -921,29 +897,6 @@ def convexity_check(params):
         "min_second_derivative": min_second,
         "convex": bool(np.min(second) >= -1e-8 * scale),
         "grid_size": grid_size,
-    }
-
-
-def heun_coefficient_map(params, lam):
-    """Parameters of the confluent-Heun substitution for the radial equation.
-
-    The algebraic-coordinate equation maps onto a confluent Heun shape with
-    singular points {0, 1, -1}; only the coefficient dictionary is provided
-    (no Heun solver is used anywhere).  eta = R^2; the local exponents
-    mu0, mu1 agree with the Frobenius exponents at t = 0 and t = 1, and the
-    accessory parameters satisfy beta1 = beta0 + beta2 identically in lam.
-    """
-    k = params.k
-    eta = params.R**2
-    return {
-        "a": -1.0,
-        "alpha": 0.0,
-        "mu0": (3.0 - k) / 2.0,
-        "mu1": 2.0 - k,
-        "mu2": 0.0,
-        "beta0": 0.25 * eta * (1.0 - lam),
-        "beta1": -0.25 * eta * lam,
-        "beta2": -0.25 * eta,
     }
 
 

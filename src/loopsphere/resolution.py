@@ -214,17 +214,6 @@ class DegreeOneOrthogonalLoop:
     def matrix(self, theta):
         return self.V + self.A * np.cos(theta) + self.B * np.sin(theta)
 
-    def residuals(self):
-        """Norms of the five quadratic identities forcing orthogonality for all theta."""
-        a, b, v = self.A, self.B, self.V
-        return {
-            "AB^t + BA^t": np.linalg.norm(a @ b.T + b @ a.T),
-            "AA^t - BB^t": np.linalg.norm(a @ a.T - b @ b.T),
-            "VB^t + BV^t": np.linalg.norm(v @ b.T + b @ v.T),
-            "VA^t + AV^t": np.linalg.norm(v @ a.T + a @ v.T),
-            "AA^t + VV^t - I": np.linalg.norm(a @ a.T + v @ v.T - np.eye(a.shape[0])),
-        }
-
 
 def orthogonal_loop_from_pair(a, b):
     """The explicit degree-lowering orthogonal loop for an orthonormal pair (a, b).

@@ -293,11 +293,6 @@ def loop_from_dict(data):
     return TrigPolyVec(v=v, a=a, b=b), radius
 
 
-def loop_to_json(n, radius, **kwargs):
-    """Strict JSON text of the loop; a NaN or infinite value raises ValueError."""
-    return json.dumps(loop_to_dict(n, radius), allow_nan=False, **kwargs)
-
-
 def loop_from_json(text):
     try:
         data = json.loads(text)

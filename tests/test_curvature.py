@@ -11,6 +11,25 @@ from loopsphere.prng import SplitMix64
 from test_manifold import random_frame
 
 
+def unflatten_vec(x, degree, ambient_dim):
+    """The loop of flat coordinates x: the inverse of curvature.flatten_vec."""
+    blocks = np.reshape(x, (2 * degree + 1, ambient_dim))
+    a, b = blocks[1::2] * math.sqrt(2.0), blocks[2::2] * math.sqrt(2.0)
+    return trigpoly.TrigPolyVec(v=blocks[0], a=a, b=b)
+
+
+def scalar_basis_element(i, order):
+    """The i-th orthonormal scalar basis polynomial, a loop in R^1: 1, sqrt2 cos s, sqrt2 sin s."""
+    return unflatten_vec(np.eye(curvature.scalar_dim(order))[i], order, 1)
+
+
+def grad_f(n, phi):
+    """Gradient of the constraint component f_phi at n: 2 Pr_N(n phi)."""
+    if phi.degree > 2 * n.degree:
+        raise ValueError(f"scalar degree {phi.degree} exceeds 2N = {2 * n.degree}")
+    return trigpoly.scale(trigpoly.project(trigpoly.scalar_mul(n, phi), n.degree), 2.0)
+
+
 def test_round_sphere_constant_loops():
     # Degree-0 loops form the round sphere: Ric = (k-1)/R^2 times the metric.
     for k in (2, 4):
@@ -51,7 +70,7 @@ def test_flat_coordinates_match_per_harmonic_loops_bitwise():
                 expected[d * 2 * s : d * (2 * s + 1)] = n.b[s - 1] / math.sqrt(2.0)
             flat = curvature.flatten_vec(n, deg)
             assert np.array_equal(flat, expected)
-            back = curvature.unflatten_vec(flat, deg, d)
+            back = unflatten_vec(flat, deg, d)
             for s in range(1, n.degree + 1):
                 a_s, b_s = flat[d * (2 * s - 1) : d * 2 * s], flat[d * 2 * s : d * (2 * s + 1)]
                 assert np.array_equal(back.a[s - 1], a_s * math.sqrt(2.0))
@@ -65,11 +84,11 @@ def _per_direction_hessians(degree, ambient_dim):
     nn = curvature.flat_dim(degree, ambient_dim)
     hess = np.zeros((m, nn, nn))
     for i in range(m):
-        phi = curvature.scalar_basis_element(i, 2 * degree)
+        phi = scalar_basis_element(i, 2 * degree)
         for col in range(nn):
             e = np.zeros(nn)
             e[col] = 1.0
-            x = curvature.unflatten_vec(e, degree, ambient_dim)
+            x = unflatten_vec(e, degree, ambient_dim)
             image = trigpoly.project(trigpoly.scalar_mul(x, phi), degree)
             hess[i, :, col] = 2.0 * curvature.flatten_vec(image, degree)
     return hess
@@ -131,8 +150,8 @@ def test_ricci_and_tangent_trace_match_einsum_contractions():
 
 def test_grad_f_is_constraint_gradient():
     n = random_loop(2, 2, 1.0, seed=41)
-    phi = curvature.scalar_basis_element(3, 2 * n.degree)
-    grad = curvature.grad_f(n, phi)
+    phi = scalar_basis_element(3, 2 * n.degree)
+    grad = grad_f(n, phi)
     rng = SplitMix64(32)
     for _ in range(4):
         x = trigpoly.TrigPolyVec(
@@ -148,37 +167,19 @@ def test_grad_f_is_constraint_gradient():
         directional = (f_plus - f_minus) / (2.0 * eps)
         assert directional == pytest.approx(trigpoly.l2_inner(grad, x), abs=1e-8)
     with pytest.raises(ValueError, match="exceeds 2N"):
-        curvature.grad_f(n, curvature.scalar_basis_element(2 * (2 * n.degree) + 1, 8))
-
-
-def test_gram_green_inverse_pair():
-    # An inverse of s is not symmetric to 1e-12 on 8 of these loops, among
-    # them (2, 3, 8) at cond 4.4e7 and (3, 5, 8) at 2.1e11.
-    admitted = 0
-    for k in (2, 3, 4):
-        for degree in range(1, 6):
-            for seed in range(10):
-                n = random_loop(k, degree, 1.0, seed)
-                try:
-                    ctx = curvature.CurvatureContext(n)
-                except curvature.NearSingularStratumError:
-                    continue
-                gram = curvature.gram_kernel(n).matrix
-                green = curvature.green_kernel(n).matrix
-                resid = np.linalg.norm(gram @ green - np.eye(gram.shape[0]), 2)
-                assert resid <= 1e-14 * ctx.condition, (k, degree, seed)
-                admitted += 1
-    assert admitted == 138
+        grad_f(n, scalar_basis_element(2 * (2 * n.degree) + 1, 8))
 
 
 def test_tangent_basis_orthonormal_and_tangential():
     n = random_loop(2, 1, 1.0, seed=13)
-    basis = curvature.tangent_basis(n)
-    m = len(basis.vectors)
+    cols = curvature.CurvatureContext(n).tangent_matrix()
+    vectors = [unflatten_vec(col, n.degree, n.ambient_dim) for col in cols.T]
+    m = len(vectors)
     assert m == curvature.flat_dim(1, 3) - curvature.scalar_dim(2)
-    assert np.allclose(basis.gram, np.eye(m), atol=1e-10)
+    gram = np.array([[trigpoly.l2_inner(x, y) for y in vectors] for x in vectors])
+    assert np.allclose(gram, np.eye(m), atol=1e-10)
     # Tangency: <n x, phi> = 0 for every tangent x and constraint phi.
-    for x in basis.vectors[:3]:
+    for x in vectors[:3]:
         prod = trigpoly.pointwise_dot(n, x)
         assert prod.norm() < 1e-8
 
@@ -306,7 +307,7 @@ def _normal_kernel_diagonal(n):
     blocks = curvature.flatten_vec(n, degree).reshape(-1, d)
     grads = (_scalar_hessians(degree) @ blocks).reshape(4 * degree + 1, -1)
     q, _ = np.linalg.qr(grads.T)
-    basis = curvature.unflatten_vec(q.ravel(), degree, q.size // (2 * degree + 1))
+    basis = unflatten_vec(q.ravel(), degree, q.size // (2 * degree + 1))
     thetas = np.linspace(0.0, 2 * np.pi, 4 * degree + 5, endpoint=False)
     return np.sum(basis.eval(thetas) ** 2, axis=1)
 
@@ -432,70 +433,9 @@ def test_fiber_ricci_nonnegative_k3():
         assert all(v >= 0.0 for v in vals.values())
 
 
-def test_vertical_ricci_comparison_is_a_record():
-    ratios = curvature.compare_vertical_ricci(3, 0.5)
-    assert set(ratios) <= {"va", "vb", "ab", "vi", "ai", "bi"}
-    # Ratios are finite where the reference Ricci is nonzero; the extra
-    # directions at k = 3 have zero reference value, so no ratio is defined.
-    for label in ("va", "vb", "ab"):
-        assert np.isfinite(ratios[label]), label
-    # The ratios differ across directions: the display is not Einstein.
-    assert abs(ratios["va"] - ratios["ab"]) > 1e-6
-
-
-def test_second_form_values():
-    k, radius, t = 2, 1.0, 0.36
-    rep = curvature.second_form(k, radius, t)
-    f = 0.5 * radius * math.sqrt(t * (1 - t))
-    assert rep.T["va"] == pytest.approx(f)
-    assert rep.T["ab"] == pytest.approx(-2.0 * f)
-    assert rep.trace == pytest.approx(4.0 * math.sqrt(t * (1 - t)) / (radius * (t + 1)))
-    # CT = T g^{-1} T componentwise on the diagonal metric.
-    block = manifold.metric_omega(t, manifold.ModelParams(k=k, R=radius))
-    for label, tval in rep.T.items():
-        g = block.scale * block.coefficients[label]
-        assert rep.CT[label] == pytest.approx(tval**2 / g, rel=1e-12)
-
-
-def test_tube_boundary_form_positive():
-    n = random_loop(2, 2, 1.0, seed=29)
-    x = trigpoly.TrigPolyVec(
-        v=np.zeros(3),
-        a=np.vstack([np.zeros((1, 3)), [[1.0, 2.0, 0.0]]]),
-        b=np.vstack([np.zeros((1, 3)), [[0.0, 1.0, -1.0]]]),
-    )
-    coeff, h = curvature.tube_boundary_form(n, x, x)
-    assert coeff > 0.0
-    assert h.degree == n.degree
-
-
 def test_leung_bound_branches():
     assert curvature.leung_bound(scalar=10.0, mean_sq=1.0, dim=4) is None
     val = curvature.leung_bound(scalar=1.0, mean_sq=10.0, dim=4)
     assert val is not None and np.isfinite(val)
     with pytest.raises(ValueError, match="dimension"):
         curvature.leung_bound(1.0, 1.0, 1)
-
-
-def test_chen_bound_validation_and_positivity():
-    val = curvature.chen_lower_bound(
-        m=4, curvature_lower=1.0, mean_upper=0.5, alpha=0.5, rolling_radius=0.5,
-        diameter=2.0,
-    )
-    assert val > 0.0
-    with pytest.raises(ValueError, match="alpha"):
-        curvature.chen_lower_bound(4, 1.0, 0.5, 1.5, 0.5, 2.0)
-    with pytest.raises(ValueError, match="dimension"):
-        curvature.chen_lower_bound(2, 1.0, 0.5, 0.5, 0.5, 2.0)
-
-
-def test_meyer_bound_and_zero_limit():
-    args = dict(n=4, excentricity=1.0, inradius=0.5, diameter=2.0)
-    pos = curvature.meyer_lower_bound(ricci_lower=1.0, **args)
-    assert pos > 0.0
-    # The K -> 0^- limit of the negative branch equals the documented limit,
-    # which is strictly below the K = 0 value (discontinuous join).
-    limit = curvature.meyer_zero_limit(**args)
-    near = curvature.meyer_lower_bound(ricci_lower=-1e-12, **args)
-    assert near == pytest.approx(limit, rel=1e-5)
-    assert limit < pos

@@ -20,12 +20,6 @@ def test_determinism_and_range():
     assert all(0.0 <= x < 1.0 for x in xs)
 
 
-def test_uniform_bounds():
-    rng = SplitMix64(7)
-    vals = [rng.uniform(-2.0, 3.0) for _ in range(500)]
-    assert all(-2.0 <= v < 3.0 for v in vals)
-
-
 def test_gauss_moments():
     rng = SplitMix64(42)
     n = 20000

