@@ -127,7 +127,7 @@ def random_loop(k, degree, radius, seed):
     which generically raises the harmonic degree by exactly one while
     preserving the constraint identically.
     """
-    from . import manifold, resolution, trigpoly
+    from . import manifold, resolution
     from .prng import SplitMix64
 
     params = manifold.ModelParams(k=k, R=radius)
@@ -137,16 +137,17 @@ def random_loop(k, degree, radius, seed):
     d = params.k + 1
     base = np.array(rng.gauss_vector(d))
     base *= params.R / np.linalg.norm(base)
-    n = trigpoly.trig_poly(base)
+    rotations = []
     for _ in range(degree):
         a = np.array(rng.gauss_vector(d))
         b = np.array(rng.gauss_vector(d))
         a /= np.linalg.norm(a)
         b -= (a @ b) * a
         b /= np.linalg.norm(b)
-        rot = resolution.rotation_from_basis(a, b)
-        n = resolution.apply_rotation(rot, n)
-    return n
+        rotations.append(resolution.rotation_from_basis(a, b))
+    # The first rotation drawn acts first, so it is the last factor.
+    return resolution.compose(resolution.Factorization(
+        rotations=tuple(reversed(rotations)), base=base, radius=params.R))
 
 
 # ---------------------------------------------------------------------------

@@ -29,23 +29,24 @@ constants for the weight envelope, the Rayleigh upper bound for the ground
 state, and the spectral-gap report.
 
 Engine.  Every coefficient evaluation goes through `SLProblem.coeffs`, which
-returns (p, q, w, p', q', w') at a float or an ndarray t.  The shooting
-integrator calls it with one float per LSODA abscissa (about half of the
-right-hand sides repeat the last abscissa, and reuse its coefficients); the
-finite-difference oracle, the convexity probe and the Hardy check call it
-once on a whole mesh.  For the algebraic-coordinate problems the array and
-float evaluations agree bit for bit.  The float calls dominate the cost of a
-solve (83 000 of them, for 160 000 right-hand sides, in `gap --k 5 --R 0.5
---levels 3`), so every constant factor of a formula is computed once per
-problem, when it is built (`ModelParams.prefactor`, the V_eff numerator and
-4 R^2, the scales of p, q and of the harmonic term), each evaluation
-chooses its float or array operations once, and the right-hand side keeps
-the last abscissa's factors in closure cells.  On a shared 2-core x86-64 VM
-with Python 3.11 a float evaluation costs 0.7 us (algebraic), 0.8 us (bare
-callables), 1.3 us (Liouville form) and 1.8 us (k = 2 harmonic term); the
-rest of a right-hand side adds 0.4 to 0.5 us at a new abscissa, a repeated
-abscissa costs 0.23 us in all, and odeint's own call 0.4 to 1.3 us more; the
-host's speed varies by up to 2x.
+returns (p, q, w, p', q', w') at a float or an ndarray t; the Liouville form's
+is `EffectivePotential.coeffs`.  The shooting integrator calls it with one
+float per LSODA abscissa (about half of the right-hand sides repeat the last
+abscissa, and reuse its coefficients); the finite-difference oracle, the
+convexity probe and the Hardy check call it once on a whole mesh.  For the
+algebraic-coordinate problems the array and float evaluations agree bit for
+bit.  The float calls dominate the cost of a solve (87 000 of them, for
+168 000 right-hand sides, in `gap --k 5 --R 0.5 --levels 3`), so every
+constant factor of a formula is computed once per problem, when it is built
+(`ModelParams.prefactor`, the V_eff numerator, R and 4 R^2, the scales of p, q
+and of the harmonic term), each evaluation chooses its float or array
+operations once, and the right-hand side keeps the last abscissa's factors in
+closure cells.  On a shared 2-core x86-64 VM with Python 3.11 a float
+evaluation costs 0.7 us (algebraic), 1.0 us (bare callables), 1.3 us
+(Liouville form) and 1.9 us (k = 2 harmonic term); the rest of a right-hand
+side adds 0.4 to 0.5 us at a new abscissa, a repeated abscissa costs 0.23 us
+in all, and odeint's own call 0.4 to 1.3 us more; the host's speed varies by
+up to 2x.
 A solve makes about 7 shots (matching evaluations) per eigenvalue, 6.8 over
 the benchmark's spectral round: 2 to 3 to bracket the coarse
 finite-difference seed of its own truncation, which lies within 4e-3
@@ -642,6 +643,9 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
     seeds lie 2e-6 to 4e-3 relative off the roots, where the previous
     level's eigenvalues lie up to 0.36 off (lambda_0 of the Liouville form
     at k = 5, R = 0.5, level 1) and cost the bracket search more widenings.
+
+    At k = 2 flux at the regular end t = 0 of `coefficients` selects the sector
+    even in sigma = +-sqrt(t), lambda_0 = 0.583210 at R = 1 (`gap`: the odd one).
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"convergence tolerance must be finite and > 0, got {tol}")
@@ -763,34 +767,38 @@ _ARRAY_OPS = (np.sin, np.tan, np.float_power)
 class EffectivePotential:
     """V_eff(tau) of the Liouville normal form on (0, pi R / 2).
 
-    `value` and `value_and_derivative` take a float or an ndarray tau.  The
-    coefficients of the numerator polynomial A, the interval end pi R / 2 and
-    the factor 4 R^2 of both denominators are computed once, at construction.
+    `coeffs` (the `coeffs` of `liouville_problem`) and `value` take a float or
+    an ndarray tau.  R, the numerator polynomial A's coefficients, pi R / 2
+    and 4 R^2, the factor of both denominators, are computed at construction.
     """
 
     params: ModelParams
+    R: float = field(init=False, repr=False, compare=False)
     poly: tuple = field(init=False, repr=False, compare=False)
     hi: float = field(init=False, repr=False, compare=False)
     four_r2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R = self.params.R
+        object.__setattr__(self, "R", R)
         object.__setattr__(self, "poly", tuple(_veff_poly_coeffs(self.params.k, R)))
         object.__setattr__(self, "hi", math.pi * R / 2.0)
         object.__setattr__(self, "four_r2", 4.0 * R**2)
 
-    def value_and_derivative(self, tau):
-        """V_eff and dV_eff/dtau, sharing one validation and one sine.
+    def coeffs(self, tau):
+        """(1, V_eff, 1, 0, dV_eff/dtau, 0), sharing one validation and one sine.
 
-        The value is the rational form in x^2 = (1 / sin(tau / R))^2, the
-        exact derivative the rational form in y = 1 / sin(tau / R)^2; the two
+        For an ndarray tau the ones and zeros are arrays of its shape.  The
+        value is the rational form in x^2 = (1 / sin(tau / R))^2, the exact
+        derivative the rational form in y = 1 / sin(tau / R)^2; the two
         squares differ in rounding, and each form keeps its own.
         """
-        R, hi, four_r2 = self.params.R, self.hi, self.four_r2
+        R, hi, four_r2 = self.R, self.hi, self.four_r2
         array = isinstance(tau, np.ndarray)
         if not (numerics._inside(tau, 0.0, hi) if array else 0.0 < tau < hi):
             raise ValueError(f"tau must lie in (0, {hi}), got {tau}")
         sin, tan, pw = _ARRAY_OPS if array else _FLOAT_OPS
+        one, zero = (np.ones_like(tau), np.zeros_like(tau)) if array else (1.0, 0.0)
         z = tau / R
         s = sin(z)
         try:
@@ -820,10 +828,10 @@ class EffectivePotential:
         ydden = four_r2 * ((4.0 * y + 3.0) * y - 2.0) * y - four_r2
         dv_dy = (ydnum * yden - ynum * ydden) / pw(yden, 2)
         dy_dtau = -2.0 * y / (R * tan(z))
-        return num / den, dv_dy * dy_dtau
+        return one, num / den, one, zero, dv_dy * dy_dtau, zero
 
     def value(self, tau):
-        return self.value_and_derivative(tau)[0]
+        return self.coeffs(tau)[1]
 
 
 def liouville_problem(params):
@@ -834,21 +842,13 @@ def liouville_problem(params):
     """
     veff = EffectivePotential(params)
 
-    def coeffs(tau):
-        if isinstance(tau, np.ndarray):
-            one, zero = np.ones_like(tau), np.zeros_like(tau)
-        else:
-            one, zero = 1.0, 0.0
-        value, slope = veff.value_and_derivative(tau)
-        return one, value, one, zero, slope, zero
-
     def report(endpoint):
         c = veff_inverse_square(params, endpoint)
         kind = (EndpointKind.REGULAR if c == 0.0
                 else EndpointKind.LIMIT_CIRCLE if c < 0.75 else EndpointKind.LIMIT_POINT)
         return _report(kind, *veff_exponents(params, endpoint))
 
-    return SLProblem(coeffs=coeffs, interval=(0.0, veff.hi),
+    return SLProblem(coeffs=veff.coeffs, interval=(0.0, veff.hi),
                      endpoints=(report(0.0), report(veff.hi)))
 
 
@@ -915,6 +915,9 @@ def gap_analysis(params, tol=1e-6, levels=7):
     recorded in the source derivation, and the dimension-free 12 / R^2 claim
     (valid for k >= 5 under a radius restriction).  The Rayleigh upper bound
     applies to the raw ground eigenvalue.
+
+    At k = 2 Dirichlet at the regular end tau = 0 selects the sector odd in
+    sigma = +-sqrt(t), lambda_0 = 1.853884 at R = 1 (`spectrum`: the even one).
     """
     prob = liouville_problem(params)
     res = spectrum(prob, tol=tol, levels=levels, bc=("dirichlet", "dirichlet"))

@@ -242,11 +242,6 @@ def orthogonal_loop_from_pair(a, b):
     return DegreeOneOrthogonalLoop(V=vmat, A=amat, B=bmat)
 
 
-def apply_orthogonal_loop(phi, n):
-    """Pointwise product theta -> phi(theta) n(theta)."""
-    return trigpoly.matrix_mul(phi.V, phi.A, phi.B, n)
-
-
 def compare_peel_mechanisms(n):
     """Run both degree-lowering mechanisms on one loop and report the outcome.
 
@@ -257,7 +252,7 @@ def compare_peel_mechanisms(n):
     a, b = top_harmonic_basis(n)
     factor, lowered = peel(n)
     phi = orthogonal_loop_from_pair(a / np.linalg.norm(a), b / np.linalg.norm(b))
-    moved = apply_orthogonal_loop(phi, n)
+    moved = trigpoly.matrix_mul(phi.V, phi.A, phi.B, n)
     return {
         "input_degree": n.degree,
         "peel_degree": lowered.degree,

@@ -266,11 +266,16 @@ def reference_liouville(params):
     k, R = params.k, params.R
 
     def coeffs(tau):
-        s = math.sin(tau / R)
+        # numpy's sin, tan and pow for an ndarray tau, the C library's for a float.
+        if isinstance(tau, np.ndarray):
+            sin, tan, pw = np.sin, np.tan, np.float_power
+        else:
+            sin, tan, pw = math.sin, math.tan, pow
+        s = sin(tau / R)
         x = 1.0 / s
         x2 = x * x
-        den = 4.0 * R**2 * x2 * (x2 - 1.0) * (x2 + 1.0) ** 2
-        y = 1.0 / s**2
+        den = 4.0 * R**2 * x2 * (x2 - 1.0) * pw(x2 + 1.0, 2)
+        y = 1.0 / pw(s, 2)
         num = ynum = ydnum = 0.0
         for c in radial._veff_poly_coeffs(k, R):
             num = num * x2 + c
@@ -278,8 +283,8 @@ def reference_liouville(params):
             ynum = ynum * y + c
         yden = 4.0 * R**2 * (((y + 1.0) * y - 1.0) * y - 1.0) * y
         ydden = 4.0 * R**2 * ((4.0 * y + 3.0) * y - 2.0) * y - 4.0 * R**2
-        dv_dy = (ydnum * yden - ynum * ydden) / yden**2
-        dy_dtau = -2.0 * y / (R * math.tan(tau / R))
+        dv_dy = (ydnum * yden - ynum * ydden) / pw(yden, 2)
+        dy_dtau = -2.0 * y / (R * tan(tau / R))
         return 1.0, num / den, 1.0, 0.0, dv_dy * dy_dtau, 0.0
 
     return coeffs
@@ -327,6 +332,23 @@ def test_float_coefficients_equal_reference_arithmetic_bitwise():
             xs += [lo, hi]
         for x in xs:
             assert bits(prob.coeffs(x)) == bits(reference(x)), (label, x)
+
+
+def test_liouville_coefficients_are_the_effective_potential_bitwise():
+    # The problem's entry point is the potential's own method, and at an
+    # ndarray tau its constant entries are arrays of tau's shape.  The float
+    # path is checked by the float oracle test above.
+    for k, R in ((2, 0.75), (3, 1.25), (5, 0.6), (7, 0.9)):
+        params = manifold.ModelParams(k=k, R=R)
+        coeffs = radial.liouville_problem(params).coeffs
+        assert coeffs.__func__ is radial.EffectivePotential.coeffs
+        assert coeffs.__self__ == radial.EffectivePotential(params)
+        reference = reference_liouville(params)
+        xs = graded_points(0.0, coeffs.__self__.hi)
+        for taus in (xs, xs[:400].reshape(20, 20)):
+            for got, want in zip(coeffs(taus), reference(taus)):
+                assert isinstance(got, np.ndarray) and got.shape == taus.shape, k
+                assert got.tobytes() == np.broadcast_to(want, taus.shape).tobytes(), k
 
 
 def test_matching_function_equals_reference_arithmetic_bitwise():
