@@ -33,9 +33,10 @@ standard error, and a failure adds one `error:` line after them.
 The table and record commands write JSON (default) or, with --format csv,
 CSV with floats at 17 significant digits; loop and rotation records
 (random-loop, factorize) are one line of compact JSON, which `python -m
-json.tool` pretty-prints.  Identical flags and seed give byte-identical
-output.  JSON output is strict RFC 8259: a non-finite value is a
-validation error, never a NaN or Infinity token.
+json.tool` pretty-prints; a rotations record stores each rotation as the
+frame {"u": [...], "v": [...]} of its plane.  Identical flags and seed give
+byte-identical output.  JSON output is strict RFC 8259: a non-finite value
+is a validation error, never a NaN or Infinity token.
 """
 
 import argparse
@@ -125,18 +126,22 @@ def random_loop(k, degree, radius, seed):
     The base point is a uniformly random direction scaled to the sphere;
     each step applies a plane rotation through a random orthonormal pair,
     which generically raises the harmonic degree by exactly one while
-    preserving the constraint identically.
+    preserving the constraint identically.  The radius obeys a loop record's
+    rule: finite, at least 2^-500, and no entry of the loop above 2^500, so
+    that `check` reads every loop this draws.
     """
-    from . import manifold, resolution
+    from . import manifold, resolution, trigpoly
     from .prng import SplitMix64
 
-    params = manifold.ModelParams(k=k, R=radius)
+    d = manifold.ModelParams(k=k).k + 1  # the model's bounds on k
+    if not trigpoly.MIN_RADIUS <= radius <= trigpoly.MAX_ENTRY:
+        raise ValueError(f"radius R = {radius!r} is out of range: a loop record's radius "
+                         f"must lie in [2^-500, 2^500]")
     if not 0 <= degree <= manifold.N_MAX:
         raise ValueError(f"loop degree must lie in [0, {manifold.N_MAX}], got {degree}")
     rng = SplitMix64(seed)
-    d = params.k + 1
     base = np.array(rng.gauss_vector(d))
-    base *= params.R / np.linalg.norm(base)
+    base *= radius / np.linalg.norm(base)
     rotations = []
     for _ in range(degree):
         a = np.array(rng.gauss_vector(d))
@@ -146,8 +151,14 @@ def random_loop(k, degree, radius, seed):
         b /= np.linalg.norm(b)
         rotations.append(resolution.rotation_from_basis(a, b))
     # The first rotation drawn acts first, so it is the last factor.
-    return resolution.compose(resolution.Factorization(
-        rotations=tuple(reversed(rotations)), base=base, radius=params.R))
+    n = resolution.compose(resolution.Factorization(
+        rotations=tuple(reversed(rotations)), base=base, radius=float(radius)))
+    # An entry of a harmonic may exceed R, by a factor of up to 4/pi.
+    peak = max(np.abs(n.v).max(), np.abs(n.a).max(initial=0.0), np.abs(n.b).max(initial=0.0))
+    if peak > trigpoly.MAX_ENTRY:
+        raise ValueError(f"radius R = {radius!r} is out of range: the loop drawn has an "
+                         f"entry {float(peak)!r} above 2^500")
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,11 @@ algebraic spectra the noise is 1e-14 to 1e-10.
 Each Prufer integration leg is one LSODA call through scipy's odeint, whose C
 port of ODEPACK writes to no file descriptor: a failed leg comes back in
 `infodict["message"]`, which the integrator raises as a RuntimeError, and
-odeint's ODEintWarning reaches the caller's warning filters untouched.
+odeint's ODEintWarning reaches the caller's warning filters untouched.  A
+leg may take 10^5 steps (`_MXSTEP`), and all legs of one `solve_truncated`
+call together 10^7 (`_NST_BUDGET`), past which the solve raises a
+RuntimeError: both are about 10x the most that default-level `spectrum` and
+`gap` take over k 2-8 and R 0.1-10.
 
 scipy is loaded by the shooting and FD engines alone.  `odeint`, `brentq`
 and `eigh_tridiagonal` are module attributes that import scipy.integrate,
@@ -303,6 +307,11 @@ def expected_endpoint_kinds(k):
 # default-level `spectrum` or `gap` leg takes over k 2-8, R 0.1-10.
 _MXSTEP = 10**5
 
+# LSODA's step budget over all legs of one `solve_truncated` call, 13.6x the
+# most steps (734 507, gap --k 2 --R 10) that one call of a default-level
+# `spectrum` or `gap` takes over k 2-8, R 0.1-10.
+_NST_BUDGET = 10**7
+
 # LSODA's relative tolerance on every shot; its absolute tolerance is 1e-2 of it.
 _ODE_RTOL = 1e-11
 
@@ -310,7 +319,7 @@ _ODE_RTOL = 1e-11
 _SEED_NODES = 1500
 
 
-def _prufer_integrate(prob, t_from, t_to, lam, phi0):
+def _prufer_integrate(prob, t_from, t_to, lam, phi0, steps=None):
     """Integrate the scaled Prufer angle phi from t_from to t_to.
 
     Scaled transformation f = rho sin(phi), p f' = sigma rho cos(phi) with the
@@ -332,7 +341,9 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0):
     LSODA call (ODEPACK through scipy's odeint) that stops exactly at the
     leg's end (tcrit) instead of interpolating past it.  The right-hand side
     evaluates the coefficients once per LSODA abscissa: a call at the last
-    abscissa reuses its phi-free factors, with the same arithmetic.
+    abscissa reuses its phi-free factors, with the same arithmetic.  A
+    one-element list `steps` adds up the LSODA steps of each leg; past
+    _NST_BUDGET the integration raises RuntimeError.
     """
     rtol, atol = _ODE_RTOL, 1e-2 * _ODE_RTOL
     lo_int, hi_int = prob.interval
@@ -389,11 +400,17 @@ def _prufer_integrate(prob, t_from, t_to, lam, phi0):
             raise RuntimeError(
                 f"Prufer integration failed on ({t_from}, {t_to}): {info['message']}"
             )
+        if steps is not None:
+            steps[0] += int(info["nst"][-1])
+            if steps[0] > _NST_BUDGET:
+                raise RuntimeError(f"Prufer shooting passed its budget of {_NST_BUDGET} LSODA "
+                                   f"steps per truncated solve, on ({t_from}, {t_to}) at "
+                                   f"lambda={lam}")
         phi = float(y[-1, 0])
     return phi
 
 
-def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet")):
+def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet"), steps=None):
     """Two-sided Prufer matching function D(lam) = phi_L(m) - phi_R(m).
 
     phi_L is integrated forward from a with the left boundary angle (0 for
@@ -401,14 +418,15 @@ def prufer_mismatch(prob, a, b, lam, bc=("dirichlet", "dirichlet")):
     (Dirichlet) or pi/2 (flux).  D is strictly increasing in lam and the
     n-th eigenvalue satisfies D = n pi.  Matching in the interior keeps the
     eigenvalue condition well-scaled when a singular endpoint layer flattens
-    the one-sided angle onto its pi/2 plateaus.
+    the one-sided angle onto its pi/2 plateaus.  `steps` is passed to both
+    integrations.
     """
     match = 0.5 * (a + b)
     bc_left, bc_right = bc
     phi_a = 0.0 if bc_left == "dirichlet" else 0.5 * math.pi
     phi_b = math.pi if bc_right == "dirichlet" else 0.5 * math.pi
-    left = _prufer_integrate(prob, a, match, lam, phi_a)
-    right = _prufer_integrate(prob, b, match, lam, phi_b)
+    left = _prufer_integrate(prob, a, match, lam, phi_a, steps)
+    right = _prufer_integrate(prob, b, match, lam, phi_b, steps)
     return left - right
 
 
@@ -424,7 +442,8 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet")):
     values back instead of two more shots.  An end found on the root's far
     side becomes the other end as the near one moves out, so each eigenvalue
     search integrates every distinct lambda once.  A failed seed, a shot
-    whose D is not finite and a seed that brackets no root each raise.
+    whose D is not finite, a seed that brackets no root and shots that take
+    more than _NST_BUDGET LSODA steps in all each raise.
     brentq stops at a bracket of 1e-10 absolute in lambda, but the root is
     fixed only to the noise of D over its slope: 1e-14 to 5e-10 on the
     algebraic spectra and about 1e-8 on the Liouville form of `gap --k 5
@@ -439,13 +458,14 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet")):
     seeds = solve_truncated_fd(prob, a, b, count=count, bc=bc, npoints=_SEED_NODES,
                                richardson=False)
     out = []
+    steps = [0]
     for index in range(count):
         target = index * math.pi
         shots = {}
 
         def miss(lam):
             if lam not in shots:
-                shot = prufer_mismatch(prob, a, b, lam, bc=bc)
+                shot = prufer_mismatch(prob, a, b, lam, bc=bc, steps=steps)
                 if not math.isfinite(shot):
                     raise RuntimeError(f"Prufer matching value {shot} at lambda={lam} "
                                        f"on [{a}, {b}] is not finite")

@@ -5,9 +5,11 @@ A plane rotation loop is
     lambda(theta) = P cos(theta) + W sin(theta) + (I - P),
 
 where P is the orthogonal projection onto a 2-plane and W is a rotation by
-ninety degrees inside that plane (W^2 = -P, W P = P W = W, W^T = -W).  Acting
-pointwise on a degree-N loop, a suitably chosen plane rotation lowers the
-degree by one; iterating yields
+ninety degrees inside that plane (W^2 = -P, W P = P W = W, W^T = -W), both
+fixed by an oriented orthonormal frame (u, v) of the plane: P = u u^T + v v^T,
+and W = u v^T - v u^T sends v to u.  `PlaneRotation` and rotations records hold
+the frame.  Acting pointwise on a degree-N loop, a suitably chosen plane
+rotation lowers the degree by one; iterating yields
 
     n = lambda_N lambda_{N-1} ... lambda_1 n_0
 
@@ -21,7 +23,7 @@ pair, and tests whether a given rotation is degree-lowering ("singular") for
 a given loop.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,35 +36,37 @@ class PeelError(ValueError):
 
 @dataclass(frozen=True)
 class PlaneRotation:
-    """Rotation loop determined by a projection P and plane rotation W."""
+    """Rotation loop of the plane with oriented orthonormal frame (u, v).
 
-    projection: np.ndarray
-    rotation: np.ndarray
+    P = u u^T + v v^T and W = u v^T - v u^T, which sends v to u and u to -v,
+    are computed at construction.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    projection: np.ndarray = field(init=False, repr=False, compare=False)
+    rotation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.projection, dtype=float)
-        w = np.asarray(self.rotation, dtype=float)
-        if p.shape != w.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("projection and rotation must be square matrices of equal shape")
-        norm = trigpoly._euclidean_norm
-        tol = 1e-12 * max(1.0, norm(p))
-        checks = {
-            "P symmetric": norm(p - p.T),
-            "P idempotent": norm(p @ p - p),
-            "P has rank 2": abs(np.trace(p) - 2.0),
-            "W antisymmetric": norm(w + w.T),
-            "W^2 = -P": norm(w @ w + p),
-            "W preserves the plane": norm(p @ w - w),
-        }
+        u = np.asarray(self.u, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        if u.ndim != 1 or u.shape != v.shape:
+            raise ValueError(f"invalid plane rotation: frame shapes {u.shape}, {v.shape} "
+                             f"unequal or not 1-D")
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ValueError("invalid plane rotation: frame entries must be finite")
+        checks = {"|u|^2 = 1": u @ u - 1.0, "|v|^2 = 1": v @ v - 1.0, "u.v = 0": u @ v}
         for name, err in checks.items():
-            if not err <= 100 * tol:  # NaN fails too
+            if not abs(err) <= 1e-10:
                 raise ValueError(f"invalid plane rotation: {name} fails with error {err:.3e}")
-        object.__setattr__(self, "projection", p)
-        object.__setattr__(self, "rotation", w)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "projection", np.outer(u, u) + np.outer(v, v))
+        object.__setattr__(self, "rotation", np.outer(u, v) - np.outer(v, u))
 
     @property
     def ambient_dim(self):
-        return self.projection.shape[0]
+        return self.u.shape[0]
 
     def matrix(self, theta):
         """The orthogonal matrix lambda(theta)."""
@@ -71,7 +75,8 @@ class PlaneRotation:
         return p * np.cos(theta) + w * np.sin(theta) + (eye - p)
 
     def inverse(self):
-        return PlaneRotation(projection=self.projection, rotation=-self.rotation)
+        """The rotation of the reversed frame: the same P and W negated."""
+        return PlaneRotation(u=self.v, v=self.u)
 
 
 def rotation_from_basis(a, b):
@@ -97,9 +102,7 @@ def rotation_from_basis(a, b):
     u = a / np.linalg.norm(a)
     v = b - (u @ b) * u
     v /= np.linalg.norm(v)
-    p = np.outer(u, u) + np.outer(v, v)
-    w = np.outer(u, v) - np.outer(v, u)  # w @ x = (v.x) u - (u.x) v
-    return PlaneRotation(projection=p, rotation=w)
+    return PlaneRotation(u=u, v=v)
 
 
 def apply_rotation(rot, n, inverse=False):
@@ -187,19 +190,15 @@ def compose(factorization):
 def is_singular_rotation(rot, n):
     """Whether the rotation lowers (rather than raises) the degree of the loop.
 
-    With an orthonormal basis (u, w) of the rotation plane oriented so that
-    the ninety-degree turn sends u to -w, the criterion is the vanishing of
-    the complex pairing (a[N] + i b[N]) . (u + i w), which encodes the two
-    real degeneracy conditions u.a[N] = w.b[N] and w.a[N] = -u.b[N].
+    With the rotation's frame (u, v), whose ninety-degree turn sends u to -v,
+    the criterion is the vanishing of the complex pairing
+    (a[N] + i b[N]) . (u + i v), which encodes the two real degeneracy
+    conditions u.a[N] = v.b[N] and v.a[N] = -u.b[N].
     """
     a_top, b_top = top_harmonic_basis(n)
-    p = rot.projection
-    cols = np.linalg.norm(p, axis=0)
-    u = p[:, int(np.argmax(cols))]
-    u = u / np.linalg.norm(u)
-    w = -rot.rotation @ u
-    val = np.hypot(u @ a_top - w @ b_top, w @ a_top + u @ b_top)
-    scale = np.sqrt((a_top @ a_top + b_top @ b_top) * (u @ u + w @ w))
+    u, v = rot.u, rot.v
+    val = np.hypot(u @ a_top - v @ b_top, v @ a_top + u @ b_top)
+    scale = np.sqrt((a_top @ a_top + b_top @ b_top) * (u @ u + v @ v))
     return val <= 1e-10 * scale
 
 
@@ -264,15 +263,13 @@ def compare_peel_mechanisms(n):
 
 
 def rotations_to_dict(factorization):
-    """Serialize a factorization: base point, radius, and rotation list."""
+    """Serialize a factorization: base point, radius, and each rotation's frame."""
     return {
         "k": factorization.base.shape[0] - 1,
         "R": factorization.radius,
         "base": factorization.base.tolist(),
-        "rotations": [
-            {"P": rot.projection.tolist(), "W": rot.rotation.tolist()}
-            for rot in factorization.rotations
-        ],
+        "rotations": [{"u": rot.u.tolist(), "v": rot.v.tolist()}
+                      for rot in factorization.rotations],
     }
 
 
@@ -281,19 +278,21 @@ def rotations_from_dict(data):
         k = trigpoly.nonnegative_int("k", data["k"])
         radius = float(data["R"])
         base = np.asarray(data["base"], dtype=float)
-        pairs = [(np.asarray(item["P"], dtype=float), np.asarray(item["W"], dtype=float))
-                 for item in data["rotations"]]
+        frames = [(np.asarray(item["u"], dtype=float), np.asarray(item["v"], dtype=float))
+                  for item in data["rotations"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise trigpoly.LoopFormatError(f"malformed rotations record: {exc}") from exc
-    trigpoly.check_entries("rotations", radius, base, *(m for pair in pairs for m in pair))
+    trigpoly.check_entries("rotations", radius, base, *(x for frame in frames for x in frame))
     trigpoly.check_radius("rotations", radius)
-    try:
-        rots = [PlaneRotation(projection=p, rotation=w) for p, w in pairs]
-    except ValueError as exc:
-        raise trigpoly.LoopFormatError(f"malformed rotations record: {exc}") from exc
     if base.shape != (k + 1,):
         raise trigpoly.LoopFormatError(
             f"base point has shape {base.shape}, expected ({k + 1},)"
         )
+    if any(u.shape != (k + 1,) or v.shape != (k + 1,) for u, v in frames):
+        raise trigpoly.LoopFormatError(f"rotation frames must be vectors of length k + 1 = {k + 1}")
+    try:
+        rots = [PlaneRotation(u=u, v=v) for u, v in frames]
+    except ValueError as exc:
+        raise trigpoly.LoopFormatError(f"malformed rotations record: {exc}") from exc
     trigpoly.require_on_sphere(trigpoly.trig_poly(base), radius)
     return Factorization(rotations=tuple(rots), base=base, radius=radius)

@@ -810,7 +810,7 @@ def test_non_finite_or_huge_loop_entries_exit_2_naming_the_value(tmp_path, capsy
     records = {"loop": trigpoly.loop_to_dict(loop, 1.0),
                "rotations": resolution.rotations_to_dict(resolution.factorize(loop, 1.0))}
     records["loop"]["a"][0][1] = value
-    records["rotations"]["rotations"][0]["P"][1][1] = value
+    records["rotations"]["rotations"][0]["u"][1] = value
     for name, record in records.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(record))
@@ -870,6 +870,15 @@ def test_failed_integration_leg_exits_3(monkeypatch, capfd):
     assert error.startswith("error: Prufer integration failed")
 
 
+def test_lsoda_step_budget_exits_3_on_one_line(monkeypatch, capfd):
+    monkeypatch.setattr(radial, "_NST_BUDGET", 1000)
+    code = cli.main(["spectrum", "--k", "3", "--levels", "2"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: Prufer shooting passed its budget of 1000 LSODA steps")
+    assert len(err.splitlines()) == 1
+
+
 def test_shooting_writes_nothing_to_fd_1_or_2_beyond_cli_output(monkeypatch, capfd):
     # Truncation level 2 starts 1e-4 from each endpoint, so the shooting runs
     # the deep log-distance legs; nothing silences the solver's output.
@@ -920,6 +929,30 @@ def test_unrepresentable_radius_power_exits_2_naming_the_value(capsys, argv):
     assert code == 2 and out == ""
     assert f"radius R = {float(argv[argv.index('--R') + 1])!r}" in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_random_loop_takes_every_radius_a_loop_record_holds(tmp_path, capsys):
+    # R^16 of k = 6 overflows the radial model, but the loop is an ordinary record.
+    loop, rots, back = (tmp_path / f"{name}.json" for name in ("loop", "rots", "back"))
+    argv = ["random-loop", "--k", "6", "--N", "2", "--seed", "1", "--R", "1e30"]
+    assert run(capsys, argv + ["--output", str(loop)]) == (0, "", "")
+    code, out, err = run(capsys, ["check", "--input", str(loop)])
+    assert (code, err) == (0, "") and json.loads(out)["on_sphere"]
+    assert run(capsys, ["factorize", "--input", str(loop), "--output", str(rots)]) == (0, "", "")
+    assert run(capsys, ["factorize", "--input", str(rots), "--output", str(back)]) == (0, "", "")
+    n, radius = trigpoly.loop_from_json(loop.read_text())
+    m, _ = trigpoly.loop_from_json(back.read_text())
+    thetas = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
+    assert radius == 1e30 and np.max(np.abs(m.eval(thetas) - n.eval(thetas))) < 1e-11 * radius
+    # Out of the record's range, or a loop with an entry above 2^500 (a harmonic
+    # of k2-N3-s198 at R = 2^500 reaches 1.06 R).
+    for k, degree, seed, value in [(6, 2, 1, 0.0), (6, 2, 1, 2.0**-501), (6, 2, 1, 2.0**501),
+                                   (6, 2, 1, math.inf), (6, 2, 1, math.nan),
+                                   (2, 3, 198, 2.0**500)]:
+        code, out, err = run(capsys, ["random-loop", "--k", str(k), "--N", str(degree),
+                                      "--seed", str(seed), f"--R={value!r}"])
+        assert (code, out, len(err.splitlines())) == (2, "", 1), (value, err)
+        assert err.startswith(f"error: radius R = {value!r} is out of range"), err
 
 
 def test_remaining_overflow_exits_2_on_one_line(monkeypatch, capsys):

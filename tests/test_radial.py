@@ -100,6 +100,33 @@ def test_truncation_rounded_onto_the_deep_cut_shoots():
     assert math.isfinite(radial.prufer_mismatch(prob, a, b, 1.0))
 
 
+def test_lsoda_steps_of_one_solve_are_bounded_by_the_budget(monkeypatch):
+    legs = []
+
+    def spy(*args, **kwargs):
+        y, info = odeint(*args, **kwargs)
+        legs.append(int(info["nst"][-1]))
+        return y, info
+
+    monkeypatch.setattr(radial, "odeint", spy)
+    want = radial.solve_truncated(const_problem(), 0.0, 1.0, count=2)
+    total = sum(legs)
+    assert 0 < total < radial._NST_BUDGET
+    # A budget of exactly the solve's steps lets it finish with the same values;
+    # one step less stops it at the leg that passes the budget.
+    monkeypatch.setattr(radial, "_NST_BUDGET", total)
+    assert np.array_equal(radial.solve_truncated(const_problem(), 0.0, 1.0, count=2), want)
+    monkeypatch.setattr(radial, "_NST_BUDGET", total - 1)
+    legs.clear()
+    with pytest.raises(RuntimeError, match=f"budget of {total - 1} LSODA steps"):
+        radial.solve_truncated(const_problem(), 0.0, 1.0, count=2)
+    assert sum(legs) == total
+    # The budget counts one solve: each call starts from zero.
+    monkeypatch.setattr(radial, "_NST_BUDGET", total)
+    radial.solve_truncated(const_problem(), 0.0, 1.0, count=2)
+    radial.solve_truncated(const_problem(), 0.0, 1.0, count=2)
+
+
 def test_failed_fd_seed_reaches_the_caller_before_any_shot(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("probe")
@@ -117,7 +144,7 @@ def test_failed_fd_seed_reaches_the_caller_before_any_shot(monkeypatch):
 def test_a_non_finite_matching_value_stops_the_search_at_its_shot(monkeypatch):
     shots = []
 
-    def nan_mismatch(prob, a, b, lam, bc):
+    def nan_mismatch(prob, a, b, lam, bc, steps):
         shots.append(lam)
         return math.nan
 

@@ -139,36 +139,80 @@ def test_rotations_json_roundtrip():
         resolution.rotations_from_dict(data)
 
 
-def unit(i, j):
-    m = np.zeros((4, 4))
-    m[i, j] = 1.0
-    return m
+def reference_plane(a, b):
+    """P and W of the pair (a, b) by the outer-product formulas of the matrix form."""
+    u = a / np.linalg.norm(a)
+    v = b - (u @ b) * u
+    v /= np.linalg.norm(v)
+    return np.outer(u, u) + np.outer(v, v), np.outer(u, v) - np.outer(v, u)
 
 
-# A valid pair in R^4: P projects onto the (e0, e1) plane and W turns it.
-PLANE = unit(0, 0) + unit(1, 1)
-TURN = unit(0, 1) - unit(1, 0)
-# A turn of the (e2, e3) plane, the kernel of P: a little of it in W moves
-# W^2 + P only at second order, so "W preserves the plane" fails alone.
-KERNEL_TURN = unit(2, 3) - unit(3, 2)
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("identity, p, w", [
-    ("P symmetric", PLANE + 1e-6 * unit(0, 2), TURN),
-    ("P idempotent", PLANE + 1e-6 * (unit(0, 0) - unit(1, 1)), TURN),
-    ("P has rank 2", PLANE + unit(2, 2), TURN),
-    ("W antisymmetric", PLANE, TURN + 1e-6 * unit(2, 2)),
-    ("W^2 = -P", PLANE, (1.0 + 1e-6) * TURN),
-    ("W preserves the plane", PLANE, TURN + 1e-6 * KERNEL_TURN),
-])
-def test_rotations_records_refuse_a_pair_that_breaks_an_identity(identity, p, w):
-    data = {"k": 3, "R": 1.0, "base": [1.0, 0.0, 0.0, 0.0],
-            "rotations": [{"P": PLANE.tolist(), "W": TURN.tolist()}]}
+def test_frame_rotations_equal_the_matrix_formulas_bitwise():
+    for k in (2, 3, 4, 6):
+        for degree in range(9):
+            for seed in range(12):
+                n = random_loop(k, degree, 1.0, seed)
+                current, factors = n, []
+                try:
+                    while current.degree >= 1:
+                        a, b = resolution.top_harmonic_basis(current)
+                        factor, current = resolution.peel(current)
+                        p, w = reference_plane(b, a)
+                        assert same_bits(factor.projection, p), (k, degree, seed)
+                        assert same_bits(factor.rotation, w), (k, degree, seed)
+                        inverse = factor.inverse()
+                        assert same_bits(inverse.projection, p)
+                        # Equal as numbers: a zero of W is +0.0 on both sides.
+                        assert np.array_equal(inverse.rotation, -w)
+                        factors.append(factor)
+                except ValueError:
+                    continue  # a top pair past rotation_from_basis's gate (k3-N6-s9)
+                fact = resolution.Factorization(rotations=tuple(factors), base=current.v,
+                                                radius=1.0)
+                data = json.loads(json.dumps(resolution.rotations_to_dict(fact)))
+                assert [sorted(rot) for rot in data["rotations"]] == [["u", "v"]] * n.degree
+                assert all(len(rot["u"]) == len(rot["v"]) == k + 1 for rot in data["rotations"])
+                back = resolution.compose(resolution.rotations_from_dict(data))
+                direct = resolution.compose(fact)
+                for x, y in ((back.v, direct.v), (back.a, direct.a), (back.b, direct.b)):
+                    assert same_bits(x, y), (k, degree, seed)
+
+
+E0, E1 = [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("frame, message", [
+    ({"u": [1.0 + 1e-8, 0.0, 0.0, 0.0], "v": E1}, "invalid plane rotation: |u|^2 = 1 fails"),
+    ({"u": E0, "v": [0.0, 1.0 - 1e-8, 0.0, 0.0]}, "invalid plane rotation: |v|^2 = 1 fails"),
+    ({"u": E0, "v": [1e-8, 1.0, 0.0, 0.0]}, "invalid plane rotation: u.v = 0 fails"),
+    ({"u": E0, "v": E1[:3]}, "rotation frames must be vectors of length k + 1 = 4"),
+    ({"u": E0[:3], "v": E1[:3]}, "rotation frames must be vectors of length k + 1 = 4"),
+    ({"P": np.eye(4).tolist(), "W": np.zeros((4, 4)).tolist()},
+     "malformed rotations record: 'u'"),
+], ids=["|u|", "|v|", "u.v", "unequal lengths", "length not k+1", "P/W record"])
+def test_rotations_records_refuse_a_frame_by_name(frame, message):
+    data = {"k": 3, "R": 1.0, "base": E0, "rotations": [{"u": E0, "v": E1}]}
     assert len(resolution.rotations_from_dict(data).rotations) == 1
-    data["rotations"].append({"P": p.tolist(), "W": w.tolist()})
-    with pytest.raises(trigpoly.LoopFormatError,
-                       match=f"invalid plane rotation: {re.escape(identity)} fails"):
+    data["rotations"].append(frame)
+    with pytest.raises(trigpoly.LoopFormatError, match=re.escape(message)):
         resolution.rotations_from_dict(data)
+
+
+def test_plane_rotation_refuses_a_frame_by_name():
+    e0, e1 = np.array(E0), np.array(E1)
+    for u, v, message in ((e0, e1[:3], "frame shapes (4,), (3,) unequal or not 1-D"),
+                          (np.eye(4), np.eye(4), "frame shapes (4, 4), (4, 4) unequal or not 1-D"),
+                          (np.array([np.nan, 0.0, 0.0, 0.0]), e1, "entries must be finite"),
+                          (e0, np.array([0.0, np.inf, 0.0, 0.0]), "entries must be finite"),
+                          (e0, e0, "u.v = 0 fails with error 1.000e+00")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resolution.PlaneRotation(u=u, v=v)
+    rot = resolution.PlaneRotation(u=e0, v=e1)
+    assert np.array_equal(rot.rotation @ e1, e0) and np.array_equal(rot.rotation @ e0, -e1)
 
 
 def test_peel_frames_do_not_build_up_roundoff():
