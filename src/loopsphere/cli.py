@@ -33,10 +33,11 @@ standard error, and a failure adds one `error:` line after them.
 The table and record commands write JSON (default) or, with --format csv,
 CSV with floats at 17 significant digits; loop and rotation records
 (random-loop, factorize) are one line of compact JSON, which `python -m
-json.tool` pretty-prints; a rotations record stores each rotation as the
-frame {"u": [...], "v": [...]} of its plane.  Identical flags and seed give
-byte-identical output.  JSON output is strict RFC 8259: a non-finite value
-is a validation error, never a NaN or Infinity token.
+json.tool` pretty-prints; a rotations record stores each rotation as the frame
+{"u": [...], "v": [...]} of its plane, and `factorize` refuses one whose
+composed loop is off the sphere.  Identical flags and seed give byte-identical
+output.  JSON output is strict RFC 8259: a non-finite value is a validation
+error, never a NaN or Infinity token.
 """
 
 import argparse
@@ -375,7 +376,9 @@ def _cmd_factorize(args):
     data = json.loads(_read_input(args.input))
     if isinstance(data, dict) and "rotations" in data:
         fact = resolution.rotations_from_dict(data)
-        record = trigpoly.loop_to_dict(resolution.compose(fact), fact.radius)
+        n = resolution.compose(fact)
+        trigpoly.require_on_sphere(n, fact.radius)  # each frame's 1e-10 slack adds up
+        record = trigpoly.loop_to_dict(n, fact.radius)
     else:
         n, radius = trigpoly.loop_from_dict(data)
         record = resolution.rotations_to_dict(resolution.factorize(n, radius))

@@ -8,8 +8,10 @@ where P is the orthogonal projection onto a 2-plane and W is a rotation by
 ninety degrees inside that plane (W^2 = -P, W P = P W = W, W^T = -W), both
 fixed by an oriented orthonormal frame (u, v) of the plane: P = u u^T + v v^T,
 and W = u v^T - v u^T sends v to u.  `PlaneRotation` and rotations records hold
-the frame.  Acting pointwise on a degree-N loop, a suitably chosen plane
-rotation lowers the degree by one; iterating yields
+the frame.  lambda(theta) turns zeta = (u - i v) . n by e^{i theta} and fixes
+the rest of n, so on exponential coefficients it is a one-slot shift of
+zeta's, with no P or W.  Acting pointwise on a degree-N loop, a suitably
+chosen plane rotation lowers the degree by one; iterating yields
 
     n = lambda_N lambda_{N-1} ... lambda_1 n_0
 
@@ -23,7 +25,7 @@ pair, and tests whether a given rotation is degree-lowering ("singular") for
 a given loop.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +41,11 @@ class PlaneRotation:
     """Rotation loop of the plane with oriented orthonormal frame (u, v).
 
     P = u u^T + v v^T and W = u v^T - v u^T, which sends v to u and u to -v,
-    are computed at construction.
+    are formed from the frame when read, for the matrix form.
     """
 
     u: np.ndarray
     v: np.ndarray
-    projection: np.ndarray = field(init=False, repr=False, compare=False)
-    rotation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -61,17 +61,19 @@ class PlaneRotation:
                 raise ValueError(f"invalid plane rotation: {name} fails with error {err:.3e}")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "projection", np.outer(u, u) + np.outer(v, v))
-        object.__setattr__(self, "rotation", np.outer(u, v) - np.outer(v, u))
 
     @property
-    def ambient_dim(self):
-        return self.u.shape[0]
+    def projection(self):
+        return np.outer(self.u, self.u) + np.outer(self.v, self.v)
+
+    @property
+    def rotation(self):
+        return np.outer(self.u, self.v) - np.outer(self.v, self.u)
 
     def matrix(self, theta):
         """The orthogonal matrix lambda(theta)."""
         p, w = self.projection, self.rotation
-        eye = np.eye(self.ambient_dim)
+        eye = np.eye(self.u.shape[0])
         return p * np.cos(theta) + w * np.sin(theta) + (eye - p)
 
     def inverse(self):
@@ -105,13 +107,24 @@ def rotation_from_basis(a, b):
     return PlaneRotation(u=u, v=v)
 
 
+def _turn(c, rot, inverse=False):
+    """Coefficients (2M+3, d) of lambda n, or lambda^{-1} n if inverse, from those c of n.
+
+    lambda n = n + Re[(e^{+-i theta} - 1) zeta (u + i v)] with zeta = (u - i v) . n.
+    """
+    z = c @ (rot.u - 1j * rot.v)
+    zero = np.zeros(2, dtype=complex)
+    delta = np.concatenate((z, zero) if inverse else (zero, z))  # z one slot down or up
+    delta[1:-1] -= z
+    y = np.multiply.outer(delta, rot.u + 1j * rot.v)
+    out = 0.5 * (y + np.conj(y[::-1]))
+    out[1:-1] += c
+    return out
+
+
 def apply_rotation(rot, n, inverse=False):
     """Pointwise product theta -> lambda(theta) n(theta), computed exactly."""
-    if rot.ambient_dim != n.ambient_dim:
-        raise ValueError("rotation and loop ambient dimensions differ")
-    p = rot.projection
-    w = -rot.rotation if inverse else rot.rotation
-    return trigpoly.matrix_mul(np.eye(rot.ambient_dim) - p, p, w, n)
+    return trigpoly.from_exponential(_turn(trigpoly._exponential(n.v, n.a, n.b), rot, inverse))
 
 
 def top_harmonic_basis(n):
@@ -181,10 +194,10 @@ def factorize(n, radius):
 
 def compose(factorization):
     """Rebuild the loop from its factorization (rightmost rotation acts first)."""
-    n = trigpoly.trig_poly(factorization.base)
+    c = np.asarray(factorization.base, dtype=complex)[None]
     for rot in reversed(factorization.rotations):
-        n = apply_rotation(rot, n)
-    return n
+        c = _turn(c, rot)
+    return trigpoly.from_exponential(c)
 
 
 def is_singular_rotation(rot, n):
@@ -294,5 +307,4 @@ def rotations_from_dict(data):
         rots = [PlaneRotation(u=u, v=v) for u, v in frames]
     except ValueError as exc:
         raise trigpoly.LoopFormatError(f"malformed rotations record: {exc}") from exc
-    trigpoly.require_on_sphere(trigpoly.trig_poly(base), radius)
     return Factorization(rotations=tuple(rots), base=base, radius=radius)

@@ -159,9 +159,8 @@ def matrix_mul(m0, m1, m2, n):
 
     Each matrix coefficient lam acts on all coefficients c[m] of n as one
     stacked mat-vec, lam @ c[m], which rounds as a lone mat-vec does; slot j
-    adds its terms from c[j-2], c[j-1], c[j] in that order.  A 2-D product
-    c @ lam.T goes through gemm, which rounds differently, and the
-    factorization round trips are sensitive to that.
+    adds its terms from c[j-2], c[j-1], c[j] in that order.  Plane rotations
+    take the frame shift of `resolution._turn` instead, with no matrices.
     """
     lam_minus, lam_zero, lam_plus = _exponential(m0, m1[None], m2[None])
     c = _exponential(n.v, n.a, n.b)[:, :, None]

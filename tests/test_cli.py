@@ -387,6 +387,26 @@ def test_compose_refuses_an_off_sphere_base_point(tmp_path, capsys):
                    "constraint-residual coefficient is 2.400e+01\n")
 
 
+def test_factorize_refuses_frames_that_compose_off_the_sphere(tmp_path, capsys):
+    # Each of the 40 frames has |u|^2 - 1 = |v|^2 - 1 = 9.8e-11, inside the 1e-10
+    # gate of a frame, but the loop they compose has a residual of 3.8e-9.
+    gen = np.random.default_rng(1)
+    frames = [np.linalg.qr(gen.standard_normal((4, 2)))[0].T for _ in range(40)]
+    for scale, expect in ((1.0, 0), (1.0 + 4.9e-11, 2)):
+        path = tmp_path / "rotations.json"
+        path.write_text(json.dumps({"k": 3, "R": 1.0, "base": [1.0, 0.0, 0.0, 0.0], "rotations": [
+            {"u": (scale * u).tolist(), "v": (scale * v).tolist()} for u, v in frames]}))
+        code, out, err = run(capsys, ["factorize", "--input", str(path)])
+        assert code == expect
+        if expect:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: loop does not map into the sphere of radius 1.0: "
+                                  "largest constraint-residual coefficient is 3.8")
+        else:
+            n, radius = trigpoly.loop_from_json(out)
+            assert trigpoly.sphere_residual(n, radius)[1]
+
+
 @pytest.mark.parametrize("k", [-1, 2.7])
 def test_rotations_records_need_a_nonnegative_integer_k(tmp_path, capsys, k):
     path = tmp_path / "rotations.json"

@@ -182,6 +182,74 @@ def test_frame_rotations_equal_the_matrix_formulas_bitwise():
                     assert same_bits(x, y), (k, degree, seed)
 
 
+# The matrix form that applied and composed rotations before the frame shift:
+# (I - P) + P cos + W sin through trigpoly.matrix_mul, one TrigPolyVec per rotation.
+
+
+def matrix_apply(rot, n, inverse=False):
+    p = rot.projection
+    w = -rot.rotation if inverse else rot.rotation
+    return trigpoly.matrix_mul(np.eye(n.ambient_dim) - p, p, w, n)
+
+
+def matrix_compose(factorization):
+    n = trigpoly.trig_poly(factorization.base)
+    for rot in reversed(factorization.rotations):
+        n = matrix_apply(rot, n)
+    return n
+
+
+def matrix_factorize(n, radius):
+    """resolution.factorize with each peel applied in the matrix form."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "apply_rotation", matrix_apply)
+        return resolution.factorize(n, radius)
+
+
+def matrix_random_loop(k, degree, radius, seed):
+    """random_loop's draws composed in the matrix form, bit for bit the loops it drew so."""
+    rng = SplitMix64(seed)
+    base = np.array(rng.gauss_vector(k + 1))
+    base *= radius / np.linalg.norm(base)
+    rotations = [resolution.rotation_from_basis(*random_pair(rng, k + 1)) for _ in range(degree)]
+    return matrix_compose(resolution.Factorization(
+        rotations=tuple(reversed(rotations)), base=base, radius=float(radius)))
+
+
+def coefficient_distance(m, n):
+    assert m.degree == n.degree
+    return max(np.abs(m.v - n.v).max(), np.abs(m.a - n.a).max(initial=0.0),
+               np.abs(m.b - n.b).max(initial=0.0))
+
+
+def test_frame_shift_matches_the_matrix_form_over_the_sweep():
+    refused, matrix_refused = set(), set()
+    for k in (2, 3, 4, 6):
+        for degree in range(9):
+            for seed in range(12):
+                n = random_loop(k, degree, 1.0, seed)
+                m = matrix_random_loop(k, degree, 1.0, seed)
+                assert coefficient_distance(n, m) <= 1e-14, (k, degree, seed)
+                try:
+                    matrix_factorize(m, 1.0)
+                except ValueError:
+                    matrix_refused.add((k, degree, seed))
+                try:
+                    fact = resolution.factorize(n, 1.0)
+                except ValueError:
+                    refused.add((k, degree, seed))
+                    continue
+                back = resolution.compose(fact)
+                assert coefficient_distance(back, matrix_compose(fact)) <= 1e-14, (k, degree, seed)
+                assert coefficient_distance(back, n) <= 1e-10, (k, degree, seed)
+    # D1: the peel's top-pair error is roundoff amplified by small top
+    # harmonics, so an ulp moves a loop near the 1e-10 gate across it.  The
+    # largest gate ratio of k3-N5-s9 goes from 1.09 to 0.44 and of k3-N8-s8
+    # from 0.08 to 2.6; over the sweep the two peels' ratios agree in the mean.
+    assert len(refused) == 17
+    assert refused ^ matrix_refused == {(3, 5, 9), (3, 8, 8)}
+
+
 E0, E1 = [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -246,15 +247,95 @@ def test_matrix_mul_matches_three_tap_loop_bitwise():
         b /= np.linalg.norm(b)
         rot = resolution.rotation_from_basis(a, b)
         p = rot.projection
-        for inverse, w in ((False, rot.rotation), (True, -rot.rotation)):
+        for w in (rot.rotation, -rot.rotation):
             lam_plus = 0.5 * (p - 1j * w)
             expect = three_tap_product((np.eye(dim) - p).astype(complex), lam_plus,
                                        np.conj(lam_plus), n)
-            assert_same_poly(resolution.apply_rotation(rot, n, inverse=inverse), expect)
+            assert_same_poly(trigpoly.matrix_mul(np.eye(dim) - p, p, w, n), expect)
         phi = resolution.orthogonal_loop_from_pair(a, b)
         half = 0.5 * (phi.A - 1j * phi.B)
         expect = three_tap_product(phi.V.astype(complex), half, np.conj(half), n)
         assert_same_poly(trigpoly.matrix_mul(phi.V, phi.A, phi.B, n), expect)
+
+
+def exact_rotation_product(rot, n, inverse):
+    """lambda n (lambda^{-1} n if inverse) in rational arithmetic from the float frame and loop.
+
+    Returns the cosine and sine stacks {"cos": [v, a_1, ..., a_(N+1)],
+    "sin": [0, b_1, ..., b_(N+1)]} of (I - P) n + cos(theta) P n +- sin(theta) W n.
+    """
+    u, v = ([Fraction(x) for x in w] for w in (rot.u, rot.v))
+    sign = -1 if inverse else 1
+    out = {kind: [[Fraction(0)] * n.ambient_dim for _ in range(n.degree + 2)]
+           for kind in ("cos", "sin")}
+
+    def add(kind, s, coef, vec):
+        if kind == "cos" or s > 0:  # sin(0 theta) = 0
+            out[kind][s] = [o + coef * x for o, x in zip(out[kind][s], vec)]
+
+    rows = ([("cos", 0, n.v)] + [("cos", s, row) for s, row in enumerate(n.a, 1)]
+            + [("sin", s, row) for s, row in enumerate(n.b, 1)])
+    for kind, s, row in rows:
+        x = [Fraction(e) for e in row]
+        xu = sum(p * q for p, q in zip(u, x))
+        xv = sum(p * q for p, q in zip(v, x))
+        pn = [p * xu + q * xv for p, q in zip(u, v)]
+        wn = [sign * (p * xv - q * xu) for p, q in zip(u, v)]
+        add(kind, s, 1, [p - q for p, q in zip(x, pn)])
+        half = Fraction(1, 2) if s else Fraction(1)
+        # cos(theta) times cos(s theta) or sin(s theta): half each at s + 1 and s - 1.
+        add(kind, s + 1, half, pn)
+        if s:
+            add(kind, s - 1, half, pn)
+        # sin(theta) cos(s theta) = (sin((s+1) theta) - sin((s-1) theta)) / 2 and
+        # sin(theta) sin(s theta) = (cos((s-1) theta) - cos((s+1) theta)) / 2.
+        if kind == "cos":
+            add("sin", s + 1, half, wn)
+            if s:
+                add("sin", s - 1, -half, wn)
+        else:
+            add("cos", s - 1, half, wn)
+            add("cos", s + 1, -half, wn)
+    return out
+
+
+def distance_to_exact(got, exact):
+    """Largest |got - exact| over every coefficient, with got's trimmed harmonics as zeros."""
+    worst = Fraction(0)
+    for kind, stack in (("cos", got.a), ("sin", got.b)):
+        for s, row in enumerate(exact[kind]):
+            if s == 0:
+                have = got.v if kind == "cos" else np.zeros(got.ambient_dim)
+            else:
+                have = stack[s - 1] if s <= got.degree else np.zeros(got.ambient_dim)
+            worst = max([worst] + [abs(Fraction(g) - e) for g, e in zip(have, row)])
+    return float(worst)
+
+
+def test_apply_rotation_matches_the_exact_rational_product():
+    # lambda n from the same floats u, v and n, evaluated exactly.  Both the
+    # frame shift and the matrix form measure at most 1.6 ulps of the largest
+    # coefficient of n over these loops; the bar is 4.
+    rng = SplitMix64(10)
+    eps = np.finfo(float).eps
+    for dim, degree in itertools.product((3, 4, 5, 7), range(9)):
+        n = random_poly(rng, degree, dim)
+        a = np.array(rng.gauss_vector(dim))
+        b = np.array(rng.gauss_vector(dim))
+        a /= np.linalg.norm(a)
+        b -= (a @ b) * a
+        b /= np.linalg.norm(b)
+        rot = resolution.rotation_from_basis(a, b)
+        bar = 4 * eps * max(np.abs(n.v).max(), np.abs(n.a).max(initial=0.0),
+                            np.abs(n.b).max(initial=0.0))
+        p = rot.projection
+        for inverse, w in ((False, rot.rotation), (True, -rot.rotation)):
+            exact = exact_rotation_product(rot, n, inverse)
+            got = resolution.apply_rotation(rot, n, inverse=inverse)
+            assert distance_to_exact(got, exact) <= bar, (dim, degree, inverse)
+            # The matrix form, (I - P) + P cos + W sin through matrix_mul, meets the bar too.
+            matrix = trigpoly.matrix_mul(np.eye(dim) - p, p, w, n)
+            assert distance_to_exact(matrix, exact) <= bar, (dim, degree, inverse)
 
 
 def linalg_norm_trimmed_degree(v, a, b):
