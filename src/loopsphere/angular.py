@@ -109,6 +109,8 @@ def leg_rotation_squared(l):
 
 def angular_eigenvalue_k2(l, s, t, radius):
     """Closed-form eigenvalue on W_{2l} at angular weight s; t a float or an ndarray."""
+    if l < 0:  # a comparison, not _check_label: the k = 2 harmonic term calls this per abscissa
+        raise ValueError(f"label l must be a nonnegative integer, got {l}")
     if abs(s) > l:
         raise ValueError(f"weight |s| = {abs(s)} exceeds l = {l}")
     if isinstance(t, np.ndarray):  # the powers go through the C library's pow either way

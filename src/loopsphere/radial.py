@@ -35,8 +35,8 @@ float per LSODA abscissa (about half of the right-hand sides repeat the last
 abscissa, and reuse its coefficients); the finite-difference oracle, the
 convexity probe and the Hardy check call it once on a whole mesh.  For the
 algebraic-coordinate problems the array and float evaluations agree bit for
-bit.  The float calls dominate the cost of a solve (87 000 of them, for
-168 000 right-hand sides, in `gap --k 5 --R 0.5 --levels 3`), so every
+bit.  The float calls dominate the cost of a solve (53 500 of them, for
+103 000 right-hand sides, in `gap --k 5 --R 0.5 --levels 3`), so every
 constant factor of a formula is computed once per problem, when it is built
 (`ModelParams.prefactor`, the V_eff numerator, R and 4 R^2, the scales of p, q
 and of the harmonic term), each evaluation chooses its float or array
@@ -47,23 +47,26 @@ evaluation costs 0.7 us (algebraic), 1.0 us (bare callables), 1.3 us
 side adds 0.4 to 0.5 us at a new abscissa, a repeated abscissa costs 0.23 us
 in all, and odeint's own call 0.4 to 1.3 us more; the host's speed varies by
 up to 2x.
-A solve makes about 7 shots (matching evaluations) per eigenvalue, 6.8 over
+A solve makes about 6 shots (matching evaluations) per eigenvalue, 5.8 over
 the benchmark's spectral round: 2 to 3 to bracket the coarse
 finite-difference seed of its own truncation, which lies within 4e-3
-relative of the root, then 3 to 3.5 for brentq on the algebraic spectra and
-about 10 on the Liouville form of `gap --k 5 --R 0.5`.  There brentq chases
-noise: LSODA leaves about 3e-10 of it in D(lambda), where dD/dlambda is
-0.046 at lambda_0 and 0.023 at lambda_1, so those roots are fixed only to
-about 8e-9 and 1.4e-8 absolute (ROADMAP item 5, Finding 4).  On the
-algebraic spectra the noise is 1e-14 to 1e-10.
+relative of the root, then brentq, which stops at a bracket of
+1e-9 |lambda| + 1e-12: 3 to 3.5 shots on the algebraic spectra, and on the
+Liouville form of `gap --k 5 --R 0.5` 7 to 9 at lambda_0 and 2 to 3 at
+lambda_1.  LSODA leaves about 3e-10 of noise in D(lambda) there, where
+dD/dlambda is 0.046 at lambda_0 and 0.023 at lambda_1, so those roots are
+fixed only to about 8e-9 and 1.4e-8 absolute (ROADMAP item 5, Finding 4):
+5e-8 relative at lambda_0 = 0.16, where brentq still chases the noise below
+it, and 1.5e-10 at lambda_1 = 95, above the stop.  On the algebraic spectra
+the noise is 1e-14 to 1e-10.
 Each Prufer integration leg is one LSODA call through scipy's odeint, whose C
 port of ODEPACK writes to no file descriptor: a failed leg comes back in
 `infodict["message"]`, which the integrator raises as a RuntimeError, and
 odeint's ODEintWarning reaches the caller's warning filters untouched.  A
 leg may take 10^5 steps (`_MXSTEP`), and all legs of one `solve_truncated`
 call together 10^7 (`_NST_BUDGET`), past which the solve raises a
-RuntimeError: both are about 10x the most that default-level `spectrum` and
-`gap` take over k 2-8 and R 0.1-10.
+RuntimeError: they are 10x and 16x the most that default-level `spectrum`
+and `gap` take over k 2-8 and R 0.1-10.
 
 scipy is loaded by the shooting and FD engines alone.  `odeint`, `brentq`
 and `eigh_tridiagonal` are module attributes that import scipy.integrate,
@@ -209,12 +212,13 @@ def coefficients_with_harmonics(params, l, s):
     weight s as an additional multiplicative potential, which adds
     s^2 / (4 (1 - t)^2) to -q/p: the exponents at t = 1 are +-|s|/2.
     """
-    if params.k != 2:
-        raise ValueError("angular-harmonic radial equations are specific to k = 2")
-    if abs(s) > l:
-        raise ValueError(f"weight |s| = {abs(s)} exceeds l = {l}")
     from . import angular
 
+    if params.k != 2:
+        raise ValueError("angular-harmonic radial equations are specific to k = 2")
+    angular._check_label(l)
+    if abs(s) > l:
+        raise ValueError(f"weight |s| = {abs(s)} exceeds l = {l}")
     base_problem = coefficients(params)
     base = base_problem.coeffs
     R = params.R
@@ -307,8 +311,8 @@ def expected_endpoint_kinds(k):
 # default-level `spectrum` or `gap` leg takes over k 2-8, R 0.1-10.
 _MXSTEP = 10**5
 
-# LSODA's step budget over all legs of one `solve_truncated` call, 13.6x the
-# most steps (734 507, gap --k 2 --R 10) that one call of a default-level
+# LSODA's step budget over all legs of one `solve_truncated` call, 15.7x the
+# most steps (635 562, gap --k 2 --R 10) that one call of a default-level
 # `spectrum` or `gap` takes over k 2-8, R 0.1-10.
 _NST_BUDGET = 10**7
 
@@ -317,6 +321,10 @@ _ODE_RTOL = 1e-11
 
 # Nodes of the coarse finite-difference solve that seeds each truncation.
 _SEED_NODES = 1500
+
+# brentq's stop, a bracket of _ROOT_RTOL |lambda| + _ROOT_XTOL (see solve_truncated).
+_ROOT_RTOL = 1e-9
+_ROOT_XTOL = 1e-12
 
 
 def _prufer_integrate(prob, t_from, t_to, lam, phi0, steps=None):
@@ -444,12 +452,15 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet")):
     search integrates every distinct lambda once.  A failed seed, a shot
     whose D is not finite, a seed that brackets no root and shots that take
     more than _NST_BUDGET LSODA steps in all each raise.
-    brentq stops at a bracket of 1e-10 absolute in lambda, but the root is
-    fixed only to the noise of D over its slope: 1e-14 to 5e-10 on the
-    algebraic spectra and about 1e-8 on the Liouville form of `gap --k 5
-    --R 0.5`, whose noise costs brentq about 10 shots per root (the module
-    docstring gives the measurement).  `count` may not exceed the seed's
-    unknowns: its 1500 nodes less one per Dirichlet end.
+    brentq stops at a bracket of 1e-9 |lambda| + 1e-12: a tenth of the 1e-8
+    relative at which eigenvalues are read, at every scale of lambda, with an
+    absolute floor that ends the search at a zero eigenvalue.  The root is
+    fixed only to the noise of D over its slope: 1e-14 to 5e-10 absolute on
+    the algebraic spectra and about 1e-8 on the Liouville form of `gap --k 5
+    --R 0.5`, where brentq still chases that noise for 7 to 9 shots at
+    lambda_0 = 0.16 (the module docstring gives the measurement).  `count`
+    may not exceed the seed's unknowns: its 1500 nodes less one per
+    Dirichlet end.
     """
     unknowns = _SEED_NODES - bc.count("dirichlet")
     if not 1 <= count <= unknowns:
@@ -490,7 +501,7 @@ def solve_truncated(prob, a, b, count=2, bc=("dirichlet", "dirichlet")):
         else:
             raise RuntimeError(f"no bracket of eigenvalue {index} around its "
                                f"finite-difference seed {guess}")
-        lam = float(_module.brentq(miss, lo, hi, xtol=1e-10, rtol=4.0 * np.finfo(float).eps))
+        lam = float(_module.brentq(miss, lo, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL))
         out.append(lam)
     return np.array(out)
 
@@ -587,7 +598,6 @@ class SpectrumResult:
     history: list
     converged: bool
     convergence_proven: bool
-    bc: tuple
 
 
 def _aitken(seq):
@@ -708,7 +718,6 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
         history=history,
         converged=converged,
         convergence_proven=converged and lp_only,
-        bc=bc,
     )
 
 

@@ -70,12 +70,6 @@ class PlaneRotation:
     def rotation(self):
         return np.outer(self.u, self.v) - np.outer(self.v, self.u)
 
-    def matrix(self, theta):
-        """The orthogonal matrix lambda(theta)."""
-        p, w = self.projection, self.rotation
-        eye = np.eye(self.u.shape[0])
-        return p * np.cos(theta) + w * np.sin(theta) + (eye - p)
-
     def inverse(self):
         """The rotation of the reversed frame: the same P and W negated."""
         return PlaneRotation(u=self.v, v=self.u)
@@ -222,9 +216,6 @@ class DegreeOneOrthogonalLoop:
     V: np.ndarray
     A: np.ndarray
     B: np.ndarray
-
-    def matrix(self, theta):
-        return self.V + self.A * np.cos(theta) + self.B * np.sin(theta)
 
 
 def orthogonal_loop_from_pair(a, b):

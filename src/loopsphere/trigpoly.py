@@ -171,18 +171,6 @@ def matrix_mul(m0, m1, m2, n):
     return from_exponential(out)
 
 
-def add(m, n):
-    deg = max(m.degree, n.degree)
-    d = m.ambient_dim
-    a = np.zeros((deg, d))
-    b = np.zeros((deg, d))
-    a[: m.degree] += m.a
-    b[: m.degree] += m.b
-    a[: n.degree] += n.a
-    b[: n.degree] += n.b
-    return TrigPolyVec(v=m.v + n.v, a=a, b=b)
-
-
 def scale(n, factor):
     return TrigPolyVec(v=factor * n.v, a=factor * n.a, b=factor * n.b)
 

@@ -480,12 +480,16 @@ def test_validation_errors(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["classify", "--k", "1"])
     assert code == 2
     assert "k" in err
-    # A negative representation label, and harmonics away from k = 2.
+    # A negative representation label is named as such, with or without a
+    # weight, before the weight is compared with it.
     for argv in (["angular", "--k", "2", "--l", "-1", "--t", "0.5"],
-                 ["spectrum", "--k", "3", "--l", "1"]):
+                 ["angular", "--k", "2", "--l", "-1", "--s", "0", "--t", "0.5"],
+                 ["spectrum", "--k", "2", "--l", "-1"]):
         code, out, err = run(capsys, argv)
-        assert code == 2 and out == ""
-    assert "k = 2" in err
+        assert (code, out) == (2, "") and "label l must be a nonnegative integer" in err, (argv, err)
+    # Harmonics away from k = 2.
+    code, out, err = run(capsys, ["spectrum", "--k", "3", "--l", "1"])
+    assert code == 2 and out == "" and "k = 2" in err
     # A solver flag out of range exits 2 naming the value, with no warning.
     for argv, value in (("spectrum --k 3 --neigs 0 --levels 2 --tol 1e-3", "got 0"),
                         ("spectrum --k 3 --neigs -1 --levels 2 --tol 1e-3", "got -1"),

@@ -931,7 +931,7 @@ def test_spectrum_regular_problem_neumann():
                             interval=(0.0, 1.0), endpoints=(regular, regular))
     res = radial.spectrum(prob, count=2, tol=1e-8)
     # Default boundary conditions at regular endpoints are the flux condition.
-    assert res.bc == ("flux", "flux")
+    assert default_bc(prob) == ("flux", "flux")
     assert res.converged and res.convergence_proven
     assert abs(res.raw[0]) < 1e-6
     assert res.raw[1] == pytest.approx(math.pi**2, rel=1e-6)
@@ -1003,6 +1003,47 @@ def test_spectrum_k3_shoots_at_most_40_times(monkeypatch):
     # 32 shots; seeding levels 1 and 2 from the level before took 54, and
     # widening both bracket ends, not only the near one, took 38.
     assert len(shots) <= 32
+
+
+def test_gap_job_shoots_at_most_43_times(monkeypatch):
+    shots = []
+    real = radial.prufer_mismatch
+
+    def spy(*args, **kwargs):
+        shots.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "prufer_mismatch", spy)
+    radial.gap_analysis(manifold.ModelParams(k=5, R=0.5), tol=1e-3, levels=3)
+    # 43 shots; stopping brentq at a bracket of 1e-10 absolute, below the
+    # noise LSODA leaves in D at lambda_1 ~ 95, took 70.
+    assert len(shots) <= 43
+
+
+def test_roots_lie_within_the_relative_stop_of_the_full_precision_root(monkeypatch):
+    # On matching functions without LSODA noise to speak of, from lambda ~ 1e-3
+    # (the constant problem on (0, 100)) to 1e5 (on (0, 0.01)), each root lies
+    # within the stop's bracket of the root brentq reaches on the same shots
+    # at its finest relative tolerance.
+    pairs = []
+
+    def both(f, lo, hi, **kwargs):
+        root = brentq(f, lo, hi, **kwargs)
+        pairs.append((root, brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)))
+        return root
+
+    monkeypatch.setattr(radial, "brentq", both)
+    for length in (1e-2, 1.0, 1e2):
+        prob = radial.SLProblem(p=lambda t: 1.0, q=lambda t: 0.0, w=lambda t: 1.0,
+                                interval=(0.0, length))
+        radial.solve_truncated(prob, 0.0, length, count=2)
+    for k in (3, 4):
+        prob = radial.coefficients(manifold.ModelParams(k=k))
+        (a, b), = radial.default_schedule(prob, levels=1)
+        radial.solve_truncated(prob, a, b, count=2, bc=default_bc(prob))
+    assert len(pairs) == 10
+    for root, full in pairs:
+        assert abs(root - full) <= 1e-9 * abs(full) + 1e-12, (root, full)
 
 
 def test_oracle_comparison_quick():

@@ -18,6 +18,17 @@ def random_pair(rng, dim):
     return a, b
 
 
+def rotation_matrix(rot, theta):
+    """The orthogonal matrix lambda(theta) = (I - P) + P cos(theta) + W sin(theta)."""
+    p, w = rot.projection, rot.rotation
+    return p * np.cos(theta) + w * np.sin(theta) + (np.eye(rot.u.shape[0]) - p)
+
+
+def orthogonal_loop_matrix(phi, theta):
+    """The matrix V + A cos(theta) + B sin(theta) of a degree-one orthogonal loop."""
+    return phi.V + phi.A * np.cos(theta) + phi.B * np.sin(theta)
+
+
 def test_plane_rotation_validation():
     with pytest.raises(ValueError, match="orthogonal with equal lengths"):
         resolution.rotation_from_basis(np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]))
@@ -34,7 +45,7 @@ def test_plane_rotation_validation():
     assert np.allclose(w @ a, -b, atol=1e-12)
     # lambda(theta) is orthogonal for every theta.
     for theta in (0.0, 0.4, 2.2):
-        m = rot.matrix(theta)
+        m = rotation_matrix(rot, theta)
         assert np.allclose(m @ m.T, np.eye(4), atol=1e-12)
 
 
@@ -45,7 +56,7 @@ def test_apply_rotation_matches_pointwise_product():
     rot = resolution.rotation_from_basis(a, b)
     out = resolution.apply_rotation(rot, n)
     thetas = np.linspace(0.0, 2 * np.pi, 17, endpoint=False)
-    expected = np.array([rot.matrix(th) @ n.eval(th) for th in thetas])
+    expected = np.array([rotation_matrix(rot, th) @ n.eval(th) for th in thetas])
     assert np.allclose(out.eval(thetas), expected, atol=1e-12)
     # Inverse application undoes it.
     back = resolution.apply_rotation(rot, out, inverse=True)
@@ -114,7 +125,7 @@ def test_orthogonal_loop_identities_and_degree_lowering():
     a, b = random_pair(rng, 4)
     phi = resolution.orthogonal_loop_from_pair(a, b)
     for theta in (0.1, 1.0, 3.0):
-        m = phi.matrix(theta)
+        m = orthogonal_loop_matrix(phi, theta)
         assert np.allclose(m @ m.T, np.eye(4), atol=1e-12)
     n = random_loop(3, 2, 1.0, seed=12)
     rep = resolution.compare_peel_mechanisms(n)
