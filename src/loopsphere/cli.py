@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library modules:
+The twelve subcommands:
 
     spectrum     radial eigenvalues by shrinking truncations (--neigs of them)
     gap          spectral-gap report of the lowest two eigenvalues, with
@@ -30,13 +30,12 @@ Exit codes: 0 success, 2 validation error (bad flags, malformed input, or a
 result that a double cannot represent), 3 numeric diagnostic failure.  Each
 warning a command raises is one `warning: <Category>: <message>` line on
 standard error, and a failure adds one `error:` line after them.
-The table and record commands write JSON (default) or, with --format csv,
-CSV with floats at 17 significant digits; loop and rotation records
-(random-loop, factorize) are one line of compact JSON, which `python -m
-json.tool` pretty-prints; a rotations record stores each rotation as the frame
-{"u": [...], "v": [...]} of its plane, and `factorize` refuses one whose
-composed loop is off the sphere.  Identical flags and seed give byte-identical
-output.  JSON output is strict RFC 8259: a non-finite value is a validation
+The table and record commands write indented JSON; loop and rotation records
+(random-loop, factorize) are one line of compact JSON, which
+`python -m json.tool` pretty-prints; a rotations record stores each rotation
+as the frame {"u": [...], "v": [...]} of its plane, and `factorize` refuses
+one whose composed loop is off the sphere.  Identical flags and seed give
+byte-identical output.  JSON output is strict RFC 8259: a non-finite value is a validation
 error, never a NaN or Infinity token.
 """
 
@@ -56,15 +55,6 @@ EXIT_NUMERIC = 3
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
-
-
-def _fmt(value):
-    """One CSV cell: floats at 17 significant digits, everything else as str."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _json_default(obj):
@@ -87,26 +77,14 @@ def _write(text, output):
         sys.stdout.write(text)
 
 
-def _emit_rows(header, rows, fmt, output):
-    """A rectangular table: CSV rows, or JSON list of row objects."""
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-        _write("\n".join(lines) + "\n", output)
-    else:
-        data = [dict(zip(header, row)) for row in rows]
-        _write(_dumps(data, indent=2) + "\n", output)
+def _emit(data, output):
+    """A table or record as indented JSON."""
+    _write(_dumps(data, indent=2) + "\n", output)
 
 
-def _emit_record(record, fmt, output):
-    """A single keyed record: JSON object, or key,value CSV."""
-    if fmt == "csv":
-        lines = ["key,value"]
-        for key, value in record.items():
-            lines.append(f"{key},{_fmt(value) if not isinstance(value, (list, dict)) else _dumps(value)}")
-        _write("\n".join(lines) + "\n", output)
-    else:
-        _write(_dumps(record, indent=2) + "\n", output)
+def _table(header, rows):
+    """A rectangular table as a list of row objects."""
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _read_input(path):
@@ -190,7 +168,7 @@ def _cmd_spectrum(args):
         [i, float(res.raw[i]), float(res.residual[i]), bool(res.converged)]
         for i in range(len(res.raw))
     ]
-    _emit_rows(header, rows, args.format, args.output)
+    _emit(_table(header, rows), args.output)
     return EXIT_OK if res.converged else EXIT_NUMERIC
 
 
@@ -217,26 +195,27 @@ def _cmd_gap(args):
         "converged": rep["converged"],
         "convergence_proven": rep["convergence_proven"],
     }
-    _emit_record(record, args.format, args.output)
+    _emit(record, args.output)
     return EXIT_OK if rep["converged"] else EXIT_NUMERIC
 
 
 def _cmd_classify(args):
-    from . import radial
+    from . import manifold, radial
 
-    reports = sorted(radial.classify_endpoints(_params(args)).items())
+    # The endpoint reports depend on k alone.
+    reports = sorted(radial.classify_endpoints(manifold.ModelParams(k=args.k)).items())
     header = ["endpoint", "kind", "mu1", "mu2", "log_case"]
     rows = [[ep, rep.kind.value, *rep.exponents, rep.log_case] for ep, rep in reports]
-    _emit_rows(header, rows, args.format, args.output)
+    _emit(_table(header, rows), args.output)
     return EXIT_OK
 
 
 def _cmd_frobenius(args):
-    from . import radial
+    from . import manifold, radial
 
-    reports = sorted(radial.classify_endpoints(_params(args)).items())
+    reports = sorted(radial.classify_endpoints(manifold.ModelParams(k=args.k)).items())
     rows = [[ep, *rep.exponents, rep.log_case] for ep, rep in reports]
-    _emit_rows(["endpoint", "mu1", "mu2", "log_case"], rows, args.format, args.output)
+    _emit(_table(["endpoint", "mu1", "mu2", "log_case"], rows), args.output)
     return EXIT_OK
 
 
@@ -245,7 +224,7 @@ def _cmd_veff(args):
 
     params = _params(args)
     veff = radial.EffectivePotential(params)
-    hi = np.pi * params.R / 2.0
+    hi = veff.hi
     record = {
         "k": params.k,
         "R": params.R,
@@ -262,7 +241,7 @@ def _cmd_veff(args):
     if args.tau is not None:
         record["tau"] = args.tau
         record["value"] = veff.value(args.tau)
-    _emit_record(record, args.format, args.output)
+    _emit(record, args.output)
     return EXIT_OK
 
 
@@ -285,7 +264,7 @@ def _cmd_volume(args):
         "total_volume": total,
         "relative_deviation": abs(quad - closed) / closed,
     }
-    _emit_record(record, args.format, args.output)
+    _emit(record, args.output)
     return EXIT_OK
 
 
@@ -308,7 +287,7 @@ def _cmd_curvature(args):
         "scalar_terms": rep.scalar_terms,
         "scalar_trace_residual": rep.scalar_trace_residual,
     }
-    _emit_record(record, args.format, args.output)
+    _emit(record, args.output)
     return EXIT_OK
 
 
@@ -328,7 +307,7 @@ def _cmd_ricci(args):
         rows.append(["variety_ricci_lower_bound", closed["lower_bound"]])
     for label, value in sorted(curvature.fiber_ricci_closed(args.k, args.t).items()):
         rows.append([f"fiber_ricci_{label}", value])
-    _emit_rows(header, rows, args.format, args.output)
+    _emit(_table(header, rows), args.output)
     return EXIT_OK
 
 
@@ -366,7 +345,7 @@ def _cmd_angular(args):
         rows = grouped
     else:
         raise ValueError(f"angular spectra are implemented for k in {{2, 3}}, got {args.k}")
-    _emit_rows(header, rows, args.format, args.output)
+    _emit(_table(header, rows), args.output)
     return EXIT_OK
 
 
@@ -407,7 +386,7 @@ def _cmd_check(args):
         "on_sphere": ok,
         "stratum": stratum,
     }
-    _emit_record(record, args.format, args.output)
+    _emit(record, args.output)
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -426,18 +405,18 @@ def _cmd_random_loop(args):
 
 # name, help, `_add_common` flags, handler
 _COMMANDS = (
-    ("spectrum", "radial eigenvalues by shrinking truncations", "k R ls eigs format neigs",
+    ("spectrum", "radial eigenvalues by shrinking truncations", "k R ls eigs neigs",
      _cmd_spectrum),
-    ("gap", "spectral-gap report", "k R eigs format", _cmd_gap),
-    ("classify", "endpoint classification", "k R format", _cmd_classify),
-    ("frobenius", "indicial exponents at both endpoints", "k R format", _cmd_frobenius),
-    ("veff", "Liouville-form effective potential", "k R tau format", _cmd_veff),
-    ("volume", "Riemannian volume, quadrature vs closed form", "k R format", _cmd_volume),
-    ("curvature", "curvature report at a loop", "input format", _cmd_curvature),
-    ("ricci", "closed-form Ricci tables", "k R t format", _cmd_ricci),
-    ("angular", "angular eigenvalues and multiplicities", "k R t ls format", _cmd_angular),
+    ("gap", "spectral-gap report", "k R eigs", _cmd_gap),
+    ("classify", "endpoint classification", "k", _cmd_classify),
+    ("frobenius", "indicial exponents at both endpoints", "k", _cmd_frobenius),
+    ("veff", "Liouville-form effective potential", "k R tau", _cmd_veff),
+    ("volume", "Riemannian volume, quadrature vs closed form", "k R", _cmd_volume),
+    ("curvature", "curvature report at a loop", "input", _cmd_curvature),
+    ("ricci", "closed-form Ricci tables", "k R t", _cmd_ricci),
+    ("angular", "angular eigenvalues and multiplicities", "k R t ls", _cmd_angular),
     ("factorize", "loop <-> plane-rotation factorization", "input", _cmd_factorize),
-    ("check", "constraint residual and stratum of a loop", "input format", _cmd_check),
+    ("check", "constraint residual and stratum of a loop", "input", _cmd_check),
     ("random-loop", "seeded random sphere-valued loop", "k R seed N", _cmd_random_loop),
 )
 _NAMES = tuple(row[0] for row in _COMMANDS)
@@ -465,9 +444,7 @@ def _add_common(sub, flags):
     if "N" in flags:
         sub.add_argument("--N", type=int, required=True, help="harmonic degree (>= 0)")
     sub.add_argument("--output", default=None, help="output path (default stdout)")
-    if "format" in flags:
-        sub.add_argument("--format", choices=("json", "csv"), default="json")
-    if "neigs" in flags:  # after --format, where spectrum's help has always listed it
+    if "neigs" in flags:  # last, where spectrum's help has always listed it
         sub.add_argument("--neigs", type=int, default=2, help="number of eigenvalues")
 
 

@@ -174,19 +174,6 @@ def test_record_files_are_one_line_of_compact_strict_json(tmp_path, capsys):
         assert _strict_json(text) == expect
 
 
-def test_spectrum_csv(capsys):
-    code, out, _ = run(capsys, ["spectrum", "--k", "5", "--levels", "6",
-                                "--neigs", "2", "--format", "csv"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,lambda,est_error,converged"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert len(first[1]) > 12  # 17 significant digits
-    assert first[3] == "true"
-
-
 @pytest.mark.parametrize("argv, tol", [
     (["--k", "5", "--levels", "6"], 1e-6),
     (["--k", "3", "--levels", "3", "--tol", "1e-3"], 1e-3),
@@ -222,14 +209,14 @@ def test_gap_report_fields(capsys):
 
 
 def test_classify_and_frobenius(capsys):
-    code, out, _ = run(capsys, ["classify", "--k", "4", "--format", "csv"])
+    code, out, _ = run(capsys, ["classify", "--k", "4"])
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "endpoint,kind,mu1,mu2,log_case"
-    assert "limit-circle" in lines[1] and "limit-point" in lines[2]
-    code, out, _ = run(capsys, ["frobenius", "--k", "4", "--format", "csv"])
+    rows = json.loads(out)
+    assert [list(row) for row in rows] == [["endpoint", "kind", "mu1", "mu2", "log_case"]] * 2
+    assert [row["kind"] for row in rows] == ["limit-circle", "limit-point"]
+    code, out, _ = run(capsys, ["frobenius", "--k", "4"])
     assert code == 0
-    assert out.startswith("endpoint,mu1,mu2,log_case")
+    assert [list(row) for row in json.loads(out)] == [["endpoint", "mu1", "mu2", "log_case"]] * 2
 
 
 def test_veff_volume_ricci_angular(capsys):
@@ -243,9 +230,10 @@ def test_veff_volume_ricci_angular(capsys):
     rec = json.loads(out)
     assert rec["relative_deviation"] < 1e-10
 
-    code, out, _ = run(capsys, ["ricci", "--k", "2", "--t", "0.5", "--format", "csv"])
+    code, out, _ = run(capsys, ["ricci", "--k", "2", "--t", "0.5"])
     assert code == 0
-    assert "variety_scalar" in out and "fiber_ricci_ab" in out
+    quantities = [row["quantity"] for row in json.loads(out)]
+    assert "variety_scalar" in quantities and "fiber_ricci_ab" in quantities
 
     code, out, _ = run(capsys, ["angular", "--k", "2", "--l", "2", "--t", "0.25"])
     assert code == 0
@@ -364,18 +352,8 @@ def test_check_computes_the_sphere_residual_once(tmp_path, capsys, monkeypatch, 
     path = tmp_path / "loop.json"
     path.write_text(json.dumps(record))
     got, out, _ = run(capsys, ["check", "--input", str(path)])
-    assert (got, len(calls), json.loads(out)["stratum"]) == (code, 1, stratum)
-    calls.clear()
-    got, out, _ = run(capsys, ["check", "--input", str(path), "--format", "csv"])
-    assert (got, len(calls)) == (code, 1) and out.endswith(f"\nstratum,{stratum}\n")
-
-
-def test_check_csv_spells_the_verdict_as_json_does(tmp_path, capsys):
-    # The largest residual coefficient of this loop is a numpy scalar.
-    path = tmp_path / "loop.json"
-    path.write_text(json.dumps(trigpoly.loop_to_dict(cli.random_loop(3, 4, 1.0, 11), 1.0)))
-    code, out, _ = run(capsys, ["check", "--input", str(path), "--format", "csv"])
-    assert code == 0 and "\non_sphere,true\n" in out
+    assert (got, len(calls)) == (code, 1)
+    assert list(json.loads(out).items())[-1] == ("stratum", stratum)
 
 
 def test_compose_refuses_an_off_sphere_base_point(tmp_path, capsys):
@@ -621,7 +599,7 @@ def test_module_entry_point_runs_a_command():
 
 # One valid argv per subcommand.
 _VALID_ARGV = {
-    "spectrum": ["--k", "3", "--neigs", "3", "--levels", "4", "--format", "csv"],
+    "spectrum": ["--k", "3", "--neigs", "3", "--levels", "4"],
     "gap": ["--k", "5", "--R", "0.5", "--tol", "1e-3"],
     "classify": ["--k", "4"],
     "frobenius": ["--k", "4"],
@@ -631,7 +609,7 @@ _VALID_ARGV = {
     "ricci": ["--k", "2", "--t", "0.5"],
     "angular": ["--k", "2", "--l", "2", "--s", "1", "--t", "0.25"],
     "factorize": ["--input", "-"],
-    "check": ["--input", "-", "--format", "csv"],
+    "check": ["--input", "-"],
     "random-loop": ["--k", "3", "--N", "2", "--seed", "7"],
 }
 
@@ -650,6 +628,7 @@ def _parse(parser, argv):
 def test_every_subcommand_has_a_valid_argv_here():
     assert list(_VALID_ARGV) == list(cli._NAMES)
     assert list(_RUNNABLE_ARGV) == list(cli._NAMES)
+    assert list(_FLAG_EFFECTS) == list(cli._NAMES)
 
 
 @pytest.mark.parametrize("name", list(_VALID_ARGV))
@@ -679,17 +658,17 @@ def test_one_subcommand_parser_parses_as_the_full_parser(name):
 # A runnable argv per subcommand that takes well under a second (gap in
 # _VALID_ARGV solves seven levels); {loop} and {rotations} name files.
 _RUNNABLE_ARGV = {
-    "spectrum": "--k 3 --R 2 --neigs 1 --levels 2 --tol 1e-3 --format csv",
-    "gap": "--k 5 --R 0.5 --levels 2 --tol 1e-3 --format csv",
-    "classify": "--k 4 --R 2 --format csv",
-    "frobenius": "--k 4 --R 2 --format csv",
-    "veff": "--k 3 --R 2 --tau 0.5 --format csv",
-    "volume": "--k 3 --R 2 --format csv",
-    "curvature": "--input {loop} --format csv",
-    "ricci": "--k 2 --R 2 --t 0.5 --format csv",
-    "angular": "--k 2 --R 2 --l 2 --s 1 --t 0.25 --format csv",
+    "spectrum": "--k 3 --R 2 --neigs 1 --levels 2 --tol 1e-3",
+    "gap": "--k 5 --R 0.5 --levels 2 --tol 1e-3",
+    "classify": "--k 4",
+    "frobenius": "--k 4",
+    "veff": "--k 3 --R 2 --tau 0.5",
+    "volume": "--k 3 --R 2",
+    "curvature": "--input {loop}",
+    "ricci": "--k 2 --R 2 --t 0.5",
+    "angular": "--k 2 --R 2 --l 2 --s 1 --t 0.25",
     "factorize": "--input {loop} --output {rotations}",
-    "check": "--input {loop} --format csv",
+    "check": "--input {loop}",
     "random-loop": "--k 3 --R 2 --N 2 --seed 7 --output {loop}",
 }
 
@@ -714,10 +693,66 @@ def test_every_parsed_flag_is_read_by_its_handler(tmp_path, name):
     assert flags - reads == set()
 
 
+# Per subcommand, a runnable argv and, for each optional flag, a value that
+# changes its exit code, stdout or --output file; {loop} and {out} name files.
+_FLAG_EFFECTS = {
+    "spectrum": ("--k 2 --l 1 --levels 2 --tol 0.5",
+                 {"--R": "2", "--l": "2", "--s": "1", "--tol": "1e-3", "--levels": "3",
+                  "--output": "{out}", "--neigs": "1"}),
+    "gap": ("--k 5 --R 0.5 --levels 2 --tol 0.1",
+            {"--R": "1", "--tol": "1e-3", "--levels": "3", "--output": "{out}"}),
+    "classify": ("--k 4", {"--output": "{out}"}),
+    "frobenius": ("--k 4", {"--output": "{out}"}),
+    "veff": ("--k 3", {"--R": "2", "--tau": "0.5", "--output": "{out}"}),
+    "volume": ("--k 3", {"--R": "2", "--output": "{out}"}),
+    "curvature": ("--input {loop}", {"--output": "{out}"}),
+    "ricci": ("--k 2 --t 0.5", {"--R": "2", "--output": "{out}"}),
+    "angular": ("--k 2 --l 2 --t 0.25", {"--R": "2", "--l": "1", "--s": "1", "--output": "{out}"}),
+    "factorize": ("--input {loop}", {"--output": "{out}"}),
+    "check": ("--input {loop}", {"--output": "{out}"}),
+    "random-loop": ("--k 3 --N 2 --seed 7", {"--R": "2", "--output": "{out}"}),
+}
+
+
+def _optional_flags(name):
+    subs = next(action for action in cli.build_parser(name)._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return {action.option_strings[0] for action in subs.choices[name]._actions
+            if action.option_strings and not action.required and action.dest != "help"}
+
+
+@pytest.mark.parametrize("name", list(_FLAG_EFFECTS))
+def test_every_optional_flag_changes_the_result(tmp_path, capsys, name):
+    loop, out = tmp_path / "loop.json", tmp_path / "out.json"
+    loop.write_text(json.dumps(trigpoly.loop_to_dict(cli.random_loop(3, 2, 2.0, 7), 2.0)))
+    base, changes = _FLAG_EFFECTS[name]
+    assert set(changes) == _optional_flags(name)
+
+    def result(argv):
+        out.unlink(missing_ok=True)
+        code, stdout, _ = run(capsys, [name] + [arg.format(loop=loop, out=out) for arg in argv])
+        return code, stdout, out.read_text() if out.exists() else None
+
+    before = result(base.split())
+    for flag, value in changes.items():
+        argv = base.split()
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        assert result(argv) != before, flag
+
+
 _REMOVED_FLAGS = [[name, "--k", "3", "--L", "2"]
                   for name in ("spectrum", "gap", "classify", "frobenius", "veff", "volume")]
 _REMOVED_FLAGS += [["random-loop", "--k", "2", "--N", "1", "--seed", "1", "--format", "csv"],
                    ["factorize", "--input", "-", "--format", "csv"]]
+_REMOVED_FLAGS += [[name, "--k", "3", "--format", "csv"]
+                   for name in ("spectrum", "gap", "classify", "frobenius", "veff", "volume")]
+_REMOVED_FLAGS += [[name, "--input", "-", "--format", "csv"] for name in ("curvature", "check")]
+_REMOVED_FLAGS += [["ricci", "--k", "2", "--t", "0.5", "--format", "csv"],
+                   ["angular", "--k", "2", "--l", "2", "--t", "0.25", "--format", "csv"]]
+_REMOVED_FLAGS += [[name, "--k", "3", "--R", "2"] for name in ("classify", "frobenius")]
 
 
 @pytest.mark.parametrize("argv", _REMOVED_FLAGS, ids=" ".join)
@@ -765,7 +800,7 @@ def test_a_parse_leaves_no_flags_for_the_next():
 
 
 def test_failed_parse_and_help_leave_the_next_output_as_a_fresh_process(capsys):
-    argv = ["angular", "--k", "2", "--l", "2", "--t", "0.25", "--format", "csv"]
+    argv = ["angular", "--k", "2", "--l", "2", "--t", "0.25"]
     src = str(Path(cli.__file__).resolve().parents[1])
     fresh = subprocess.run([sys.executable, "-m", "loopsphere.cli", *argv], capture_output=True,
                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
@@ -860,7 +895,7 @@ def test_non_finite_radius_exits_2_without_output(capsys):
                                       "--R", radius])
         assert code == 2 and out == ""
         assert "radius" in err
-    code, out, err = run(capsys, ["classify", "--k", "3", "--R", "inf"])
+    code, out, err = run(capsys, ["volume", "--k", "3", "--R", "inf"])
     assert code == 2 and out == ""
 
 
@@ -943,7 +978,7 @@ def test_output_file_and_json_roundtrip(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--k", "3", "--R", "1e200"],
-    ["classify", "--k", "3", "--R", "1e200"],
+    ["volume", "--k", "3", "--R", "1e200"],
     ["veff", "--k", "3", "--R", "1e200", "--tau", "1"],
     ["ricci", "--k", "2", "--t", "0.5", "--R", "1e300"],
     ["random-loop", "--k", "3", "--N", "2", "--seed", "1", "--R", "1e300"],
@@ -1018,7 +1053,7 @@ def test_fast_subcommands_exit_documented_codes_with_strict_json(command, k, deg
               "--s": s, "--seed": seed}
     takes = {
         "random-loop": ("--k", "--N", "--R", "--seed"), "check": (),
-        "volume": ("--k", "--R"), "classify": ("--k", "--R"), "frobenius": ("--k", "--R"),
+        "volume": ("--k", "--R"), "classify": ("--k",), "frobenius": ("--k",),
         "veff": ("--k", "--R", "--tau"), "ricci": ("--k", "--R", "--t"),
         "angular": ("--k", "--R", "--t", "--l", "--s"),
     }

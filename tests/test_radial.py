@@ -1046,6 +1046,28 @@ def test_roots_lie_within_the_relative_stop_of_the_full_precision_root(monkeypat
         assert abs(root - full) <= 1e-9 * abs(full) + 1e-12, (root, full)
 
 
+@pytest.mark.parametrize("bc, q", [(("dirichlet", "dirichlet"), -math.pi**2),
+                                   (("dirichlet", "flux"), -math.pi**2 / 4)],
+                         ids=["dirichlet-dirichlet", "dirichlet-flux"])
+def test_absolute_floor_ends_the_search_at_a_zero_eigenvalue(monkeypatch, bc, q):
+    # -f'' + q f = lambda f on (0, 1), with -q the lowest eigenvalue of -f''
+    # under the same conditions, so lambda_0 = 0 exactly.  Unlike the flux-flux constant problem, D never
+    # returns exactly 0.0 near this root: without the absolute floor brentq
+    # halves the bracket down to the doubles around 0 (32 and 38 shots).
+    shots = []
+    real = radial.prufer_mismatch
+
+    def spy(*args, **kwargs):
+        shots.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "prufer_mismatch", spy)
+    prob = radial.SLProblem(p=lambda t: 1.0, q=lambda t: q, w=lambda t: 1.0, interval=(0.0, 1.0))
+    lam = radial.solve_truncated(prob, 0.0, 1.0, count=2, bc=bc)
+    assert abs(lam[0]) <= 1e-8
+    assert len(shots) <= 16  # 11 for each bc
+
+
 def test_oracle_comparison_quick():
     rep = radial.oracle_comparison(manifold.ModelParams(k=3, R=1.0), count=3)
     assert rep["max_rel_deviation"] < 1e-6
