@@ -16,9 +16,11 @@ The twelve subcommands:
     check        constraint residual, degree, and stratum of a loop
     random-loop  seeded random sphere-valued loop of prescribed degree
 
-`main` builds the parser of the invoked subcommand only; help and a missing
-or unknown command get the parser of all twelve.  A process builds each of
-these parsers once and reuses it for every later call of `main`.
+`main` parses the arguments after a command's name with that command's own
+parser, so a bad option, a missing flag or a bad value prints that command's
+usage and one `loopsphere <command>: error: ...` line, and exits 2.  Help and
+a missing or unknown command get the parser of all twelve.  A process builds
+each parser once and reuses it for every later call of `main`.
 
 Only numpy is imported at module level.  Each handler imports the library
 modules it runs, and `main` imports the error classes' modules only when a
@@ -403,26 +405,25 @@ def _cmd_random_loop(args):
 # ---------------------------------------------------------------------------
 
 
-# name, help, `_add_common` flags, handler
-_COMMANDS = (
-    ("spectrum", "radial eigenvalues by shrinking truncations", "k R ls eigs neigs",
-     _cmd_spectrum),
-    ("gap", "spectral-gap report", "k R eigs", _cmd_gap),
-    ("classify", "endpoint classification", "k", _cmd_classify),
-    ("frobenius", "indicial exponents at both endpoints", "k", _cmd_frobenius),
-    ("veff", "Liouville-form effective potential", "k R tau", _cmd_veff),
-    ("volume", "Riemannian volume, quadrature vs closed form", "k R", _cmd_volume),
-    ("curvature", "curvature report at a loop", "input", _cmd_curvature),
-    ("ricci", "closed-form Ricci tables", "k R t", _cmd_ricci),
-    ("angular", "angular eigenvalues and multiplicities", "k R t ls", _cmd_angular),
-    ("factorize", "loop <-> plane-rotation factorization", "input", _cmd_factorize),
-    ("check", "constraint residual and stratum of a loop", "input", _cmd_check),
-    ("random-loop", "seeded random sphere-valued loop", "k R seed N", _cmd_random_loop),
-)
-_NAMES = tuple(row[0] for row in _COMMANDS)
+# name: help, `_add_common` flags, handler
+_COMMANDS = {
+    "spectrum": ("radial eigenvalues by shrinking truncations", "k R ls eigs neigs", _cmd_spectrum),
+    "gap": ("spectral-gap report", "k R eigs", _cmd_gap),
+    "classify": ("endpoint classification", "k", _cmd_classify),
+    "frobenius": ("indicial exponents at both endpoints", "k", _cmd_frobenius),
+    "veff": ("Liouville-form effective potential", "k R tau", _cmd_veff),
+    "volume": ("Riemannian volume, quadrature vs closed form", "k R", _cmd_volume),
+    "curvature": ("curvature report at a loop", "input", _cmd_curvature),
+    "ricci": ("closed-form Ricci tables", "k R t", _cmd_ricci),
+    "angular": ("angular eigenvalues and multiplicities", "k R t ls", _cmd_angular),
+    "factorize": ("loop <-> plane-rotation factorization", "input", _cmd_factorize),
+    "check": ("constraint residual and stratum of a loop", "input", _cmd_check),
+    "random-loop": ("seeded random sphere-valued loop", "k R seed N", _cmd_random_loop),
+}
 
 
-def _add_common(sub, flags):
+def _add_common(sub, flags, handler):
+    flags = flags.split()
     if "k" in flags:
         sub.add_argument("--k", type=int, required=True, help="sphere dimension (>= 2)")
     if "R" in flags:
@@ -446,29 +447,28 @@ def _add_common(sub, flags):
     sub.add_argument("--output", default=None, help="output path (default stdout)")
     if "neigs" in flags:  # last, where spectrum's help has always listed it
         sub.add_argument("--neigs", type=int, default=2, help="number of eigenvalues")
+    sub.set_defaults(handler=handler)
+    return sub
 
 
 @functools.cache
 def build_parser(command=None):
-    """The CLI parser, with every subcommand or only the one named `command`.
+    """The parser of the arguments after `command`, or with no command the full CLI parser.
 
     Built once per `command` and process: the returned parser is shared by
     every later call, so callers must not mutate it (add arguments, change
     defaults).  `parse_args` keeps no state from one parse to the next.
     """
+    if command is not None:
+        _, flags, handler = _COMMANDS[command]
+        return _add_common(argparse.ArgumentParser(prog=f"loopsphere {command}"), flags, handler)
     parser = argparse.ArgumentParser(
         prog="loopsphere",
         description="Finite-dimensional loop spaces of round spheres.",
     )
-    # One command's parser still lists them all in the usage line that an
-    # unrecognized argument prints.
-    metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, flags, handler in _COMMANDS:
-        if command in (None, name):
-            sub = subs.add_parser(name, help=help_text)
-            _add_common(sub, flags.split())
-            sub.set_defaults(handler=handler)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, handler) in _COMMANDS.items():
+        _add_common(subs.add_parser(name, help=help_text), flags, handler)
     return parser
 
 
@@ -495,8 +495,8 @@ def _run(handler, args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _NAMES else None
-    args = build_parser(command).parse_args(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv[1:] if command else argv)
     # Each warning becomes one line, without the source line that
     # warnings.showwarning adds; the caller's filters still decide which show.
     with warnings.catch_warnings(record=True) as caught:

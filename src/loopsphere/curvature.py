@@ -62,6 +62,16 @@ class NearSingularStratumError(ValueError):
 # Largest condition number of the constraint Gram matrix a curvature report
 # accepts; beyond it the inverse Gram matrix amplifies roundoff past use.
 COND_LIMIT = 1e12
+# Largest number m = 4N + 1 of constraints and largest flat dimension
+# (k + 1)(2N + 1) a curvature report takes, with one BLAS thread on one core
+# of a Xeon VM: the m^6 connection sum takes 21-23 s at m = 45 (k = 3, N = 11)
+# and 36 s at 49, and cyclic Jacobi on the flat-dimension-square Gram matrix
+# takes 27-31 s at 720 (k = 239, N = 1), 26-30 s at 753 and 44-57 s at 768.
+# Near both limits at once the closed route's m^3 flat^2 einsums and the
+# Jacobi frame add up: a loop with k = 31, N = 11 (m = 45, flat dimension 736)
+# takes 184 s.
+CONSTRAINTS_MAX = 45
+FLAT_DIM_MAX = 750
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +356,15 @@ def scalar_and_mean(n, radius=None):
     """
     if n.ambient_dim < 2:
         raise ValueError("curvature requires k >= 1: the loops on S^0 are isolated points")
+    m, flat = scalar_dim(2 * n.degree), flat_dim(n.degree, n.ambient_dim)
+    if m > CONSTRAINTS_MAX:
+        raise ValueError(f"a loop of degree N = {n.degree} has 4N + 1 = {m} constraints; a "
+                         f"curvature report takes at most {CONSTRAINTS_MAX} "
+                         f"(N <= {(CONSTRAINTS_MAX - 1) // 4})")
+    if flat > FLAT_DIM_MAX:
+        raise ValueError(f"a loop of degree N = {n.degree} on S^{n.ambient_dim - 1} has flat "
+                         f"dimension (k + 1)(2N + 1) = {flat}; a curvature report takes at "
+                         f"most {FLAT_DIM_MAX}")
     radius = infer_radius(n) if radius is None else float(radius)
     ctx = CurvatureContext(trigpoly.scale(n, 1.0 / radius), 1.0)
     ric = ctx.ricci_matrix()

@@ -286,6 +286,10 @@ def rotations_from_dict(data):
                   for item in data["rotations"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise trigpoly.LoopFormatError(f"malformed rotations record: {exc}") from exc
+    fields = {"R": data["R"], "base": data["base"]}
+    for i, item in enumerate(data["rotations"]):
+        fields.update({f"rotations[{i}].u": item["u"], f"rotations[{i}].v": item["v"]})
+    trigpoly.check_numbers("rotations", fields)
     trigpoly.check_entries("rotations", radius, base, *(x for frame in frames for x in frame))
     trigpoly.check_radius("rotations", radius)
     if base.shape != (k + 1,):

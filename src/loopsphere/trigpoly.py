@@ -236,6 +236,23 @@ def check_entries(record, *values):
             )
 
 
+def check_numbers(record, fields):
+    """Raise LoopFormatError unless every value of fields holds JSON numbers only.
+
+    fields maps a record field's name to its value: a number, or lists of
+    numbers nested to any depth.  A boolean or a numeric string, which
+    float() would take, is refused.
+    """
+    for name, value in fields.items():
+        entries = [value]
+        while (types := set(map(type, entries))) == {list}:
+            entries = [x for row in entries for x in row]
+        if not types <= {int, float}:  # a bool is not an int here
+            bad = next(x for x in entries if type(x) not in (int, float))
+            raise LoopFormatError(f"{record} record field {name} holds {bad!r}; its entries "
+                                  f"must be JSON numbers")
+
+
 def nonnegative_int(name, value):
     """value if it is a nonnegative JSON integer; ValueError otherwise."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -269,6 +286,7 @@ def loop_from_dict(data):
             b = b.reshape(0, k + 1)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise LoopFormatError(f"malformed loop record: {exc}") from exc
+    check_numbers("loop", {name: data[name] for name in ("R", "v", "a", "b")})
     check_entries("loop", radius, v, a, b)
     check_radius("loop", radius)
     if v.shape != (k + 1,):

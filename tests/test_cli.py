@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import odeint
 
-from loopsphere import cli, manifold, numerics, radial, resolution, trigpoly
+from loopsphere import cli, curvature, manifold, numerics, radial, resolution, trigpoly
 
 
 def run(capsys, argv):
@@ -110,6 +110,36 @@ def test_oversized_requests_exit_2_naming_the_limit_before_any_work(capsys, argv
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "") and err.count("\n") == 1 and limit in err, err
+
+
+@pytest.mark.parametrize("k, degree, limit", [
+    (2, 11, None), (2, 12, "4N + 1 = 49 constraints; a curvature report takes at most 45"),
+    (249, 1, None), (250, 1, "(2N + 1) = 753; a curvature report takes at most 750"),
+    (749, 0, None), (750, 0, "(2N + 1) = 751; a curvature report takes at most 750"),
+], ids=["N=11", "N=12", "k=249", "k=250", "k=749 N=0", "k=750 N=0"])
+def test_curvature_refuses_loops_beyond_its_limits_before_any_kernel(tmp_path, capsys, monkeypatch,
+                                                                     k, degree, limit):
+    # A loop at one limit and far inside the other takes about 30 s; one past
+    # either limit is refused before the Hessians are built.
+    def no_kernel(*args):
+        raise AssertionError("a curvature kernel ran")
+
+    monkeypatch.setattr(curvature, "_hessians", no_kernel)
+    # The circle cos(N theta) e0 + sin(N theta) e1, or the point e0 at N = 0.
+    e0, e1 = np.eye(k + 1)[:2]
+    a, b = np.zeros((degree, k + 1)), np.zeros((degree, k + 1))
+    if degree:
+        a[-1], b[-1] = e0, e1
+    loop = trigpoly.TrigPolyVec(e0 * (degree == 0), a, b)
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(trigpoly.loop_to_dict(loop, 1.0)))
+    argv = ["curvature", "--input", str(path)]
+    if limit is None:
+        with pytest.raises(AssertionError, match="kernel ran"):
+            cli.main(argv)
+    else:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1 and limit in err, err
 
 
 def test_check_rejects_off_sphere(tmp_path, capsys):
@@ -395,6 +425,38 @@ def test_rotations_records_need_a_nonnegative_integer_k(tmp_path, capsys, k):
     assert err == f"error: malformed rotations record: k = {k} is not a nonnegative integer\n"
 
 
+_RECORDS = {
+    "loop": {"k": 1, "N": 1, "R": 1.0, "v": [0, 0], "a": [[1, 0]], "b": [[0, 1]]},
+    "rotations": {"k": 1, "R": 1.0, "base": [1, 0], "rotations": [{"u": [1, 0], "v": [0, 1]}]},
+}
+_NON_NUMBERS = [("loop", "R", "1.0"), ("loop", "R", True), ("loop", "v", ["0", "0"]),
+                ("loop", "a", [[1, "0"]]), ("loop", "b", [[0, True]]),
+                ("rotations", "R", "1.0"), ("rotations", "base", ["1", 0]),
+                ("rotations", "rotations[0].u", [True, 0]),
+                ("rotations", "rotations[0].v", [0, "1"])]
+
+
+_NON_NUMBER_CASES = [(command, kind, field, value) for kind, field, value in _NON_NUMBERS
+                     for command in (("check", "curvature", "factorize") if kind == "loop"
+                                     else ("factorize",))]
+
+
+@pytest.mark.parametrize("command, kind, field, value", _NON_NUMBER_CASES,
+                         ids=[f"{c} {k} {f}={json.dumps(v)}" for c, k, f, v in _NON_NUMBER_CASES])
+def test_records_take_only_json_numbers(tmp_path, capsys, command, kind, field, value):
+    # float() takes a numeric string or a boolean; a record entry must be a JSON number.
+    path = tmp_path / "record.json"
+    record = copy.deepcopy(_RECORDS[kind])
+    path.write_text(json.dumps(record))
+    assert run(capsys, [command, "--input", str(path)])[0] == 0
+    target, key = (record["rotations"][0], field[-1]) if "." in field else (record, field)
+    target[key] = value
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, [command, "--input", str(path)])
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith(f"error: {kind} record field {field} holds "), err
+
+
 @pytest.mark.parametrize("k", [2, 3, 5, 8])
 @pytest.mark.parametrize("radius", ["0.5", "1.0", "3.0"])
 def test_veff_inverse_square_coefficients_fix_the_endpoint_exponents(capsys, k, radius):
@@ -626,33 +688,36 @@ def _parse(parser, argv):
 
 
 def test_every_subcommand_has_a_valid_argv_here():
-    assert list(_VALID_ARGV) == list(cli._NAMES)
-    assert list(_RUNNABLE_ARGV) == list(cli._NAMES)
-    assert list(_FLAG_EFFECTS) == list(cli._NAMES)
+    assert list(_VALID_ARGV) == list(cli._COMMANDS)
+    assert list(_RUNNABLE_ARGV) == list(cli._COMMANDS)
+    assert list(_FLAG_EFFECTS) == list(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("name", list(_VALID_ARGV))
-def test_one_subcommand_parser_parses_as_the_full_parser(name):
+def test_one_subcommand_parser_parses_as_the_full_parser(name, capsys):
     one, full = cli.build_parser(name), cli.build_parser()
-    cases = {
-        "help": [name, "--help"],
-        "valid": [name] + _VALID_ARGV[name],
-        "missing required flag": [name],
-        "unrecognized flag": [name] + _VALID_ARGV[name] + ["--bogus", "3"],
-    }
-    for case, argv in cases.items():
-        got = _parse(one, argv)
-        assert got == _parse(full, argv), case
-        if case == "help":
-            assert got[0] == 0 and got[1].startswith(f"usage: loopsphere {name} ")
-        elif case == "valid":
-            assert got[0]["command"] == name and got[2] == ""
+    for case in ("valid", "help"):
+        argv = _VALID_ARGV[name] if case == "valid" else ["--help"]
+        got, want = _parse(one, argv), _parse(full, [name] + argv)
+        if case == "valid":
+            assert want[0].pop("command") == name and got[2] == ""
         else:
-            assert got[0] == 2 and got[1] == "" and "error:" in got[2]
+            assert got[0] == 0 and got[1].startswith(f"usage: loopsphere {name} ")
+        assert got == want, case
+    # An unrecognized option or a missing flag prints this command's usage, not
+    # the usage of all twelve, and then one error line.
+    required = ", ".join(action.option_strings[0] for action in one._actions if action.required)
+    for argv, error in (([name] + _VALID_ARGV[name] + ["--bogus", "3"],
+                         "unrecognized arguments: --bogus 3"),
+                        ([name], f"the following arguments are required: {required}")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        first, *_, last = err.splitlines()
+        assert (exc.value.code, out) == (2, "") and first.startswith(f"usage: loopsphere {name} ")
+        assert err.count("error:") == 1 and last == f"loopsphere {name}: error: {error}"
     # The other subcommands are not built.
-    other = "ricci" if name != "ricci" else "check"
-    code, _, err = _parse(one, [other] + _VALID_ARGV[other])
-    assert code == 2 and f"invalid choice: '{other}'" in err
+    assert not any(isinstance(action, argparse._SubParsersAction) for action in one._actions)
 
 
 # A runnable argv per subcommand that takes well under a second (gap in
@@ -685,8 +750,8 @@ def test_every_parsed_flag_is_read_by_its_handler(tmp_path, name):
             reads.add(attr)
             return super().__getattribute__(attr)
 
-    args = cli.build_parser(name).parse_args(argv, namespace=Recording())
-    flags = set(vars(args)) - {"command", "handler"}
+    args = cli.build_parser(name).parse_args(argv[1:], namespace=Recording())
+    flags = set(vars(args)) - {"handler"}
     reads.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert args.handler(args) in (cli.EXIT_OK, cli.EXIT_NUMERIC)
@@ -715,9 +780,7 @@ _FLAG_EFFECTS = {
 
 
 def _optional_flags(name):
-    subs = next(action for action in cli.build_parser(name)._actions
-                if isinstance(action, argparse._SubParsersAction))
-    return {action.option_strings[0] for action in subs.choices[name]._actions
+    return {action.option_strings[0] for action in cli.build_parser(name)._actions
             if action.option_strings and not action.required and action.dest != "help"}
 
 
@@ -757,8 +820,10 @@ _REMOVED_FLAGS += [[name, "--k", "3", "--R", "2"] for name in ("classify", "frob
 
 @pytest.mark.parametrize("argv", _REMOVED_FLAGS, ids=" ".join)
 def test_removed_flags_are_unrecognized(argv):
-    code, out, err = _parse(cli.build_parser(argv[0]), argv)
-    assert (code, out) == (2, "") and "unrecognized arguments: " + " ".join(argv[-2:]) in err
+    code, out, err = _parse(cli.build_parser(argv[0]), argv[1:])
+    last = err.splitlines()[-1]
+    assert (code, out) == (2, "")
+    assert last == f"loopsphere {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}"
 
 
 def test_main_builds_only_the_invoked_subcommands_parser(monkeypatch, capsys):
@@ -793,9 +858,9 @@ def test_main_builds_each_subcommands_parser_once(capsys):
 def test_a_parse_leaves_no_flags_for_the_next():
     parser = cli.build_parser("spectrum")
     assert cli.build_parser("spectrum") is parser
-    first = parser.parse_args(["spectrum", "--k", "3", "--neigs", "5", "--levels", "4"])
+    first = parser.parse_args(["--k", "3", "--neigs", "5", "--levels", "4"])
     assert (first.neigs, first.levels) == (5, 4)
-    second = parser.parse_args(["spectrum", "--k", "3"])
+    second = parser.parse_args(["--k", "3"])
     assert (second.neigs, second.levels, second.tol, second.l) == (2, 7, 1e-6, None)
 
 
