@@ -59,16 +59,9 @@ EXIT_NUMERIC = 3
 # ---------------------------------------------------------------------------
 
 
-def _json_default(obj):
-    """numpy arrays and scalars, the values json cannot encode itself."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _dumps(obj, **kwargs):
     """Strict JSON text; a NaN or infinite value raises ValueError."""
-    return json.dumps(obj, allow_nan=False, default=_json_default, **kwargs)
+    return json.dumps(obj, allow_nan=False, **kwargs)
 
 
 def _write(text, output):
@@ -354,7 +347,7 @@ def _cmd_angular(args):
 def _cmd_factorize(args):
     from . import resolution, trigpoly
 
-    data = json.loads(_read_input(args.input))
+    data = trigpoly.read_json(_read_input(args.input))
     if isinstance(data, dict) and "rotations" in data:
         fact = resolution.rotations_from_dict(data)
         n = resolution.compose(fact)

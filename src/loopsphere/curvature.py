@@ -69,9 +69,13 @@ COND_LIMIT = 1e12
 # takes 27-31 s at 720 (k = 239, N = 1), 26-30 s at 753 and 44-57 s at 768.
 # Near both limits at once the closed route's m^3 flat^2 einsums and the
 # Jacobi frame add up: a loop with k = 31, N = 11 (m = 45, flat dimension 736)
-# takes 184 s.
+# takes 184 s.  CONTRACTION_MAX bounds those einsums' m^3 flat^2: the
+# largest loop it admits at N = 4, 5, 6, 7, 8, 9, 10, 11 (k = 69, 41, 26, 18,
+# 12, 9, 7, 5) takes 25, 12, 8, 7, 8, 10, 15 and 25 s, and FLAT_DIM_MAX
+# bounds N <= 3 (at most 32 s).
 CONSTRAINTS_MAX = 45
 FLAT_DIM_MAX = 750
+CONTRACTION_MAX = 2 * 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +369,10 @@ def scalar_and_mean(n, radius=None):
         raise ValueError(f"a loop of degree N = {n.degree} on S^{n.ambient_dim - 1} has flat "
                          f"dimension (k + 1)(2N + 1) = {flat}; a curvature report takes at "
                          f"most {FLAT_DIM_MAX}")
+    if m**3 * flat**2 > CONTRACTION_MAX:
+        raise ValueError(f"a loop of degree N = {n.degree} on S^{n.ambient_dim - 1} has "
+                         f"m^3 flat^2 = (4N + 1)^3 ((k + 1)(2N + 1))^2 = {m**3 * flat**2:.3e}; "
+                         f"a curvature report takes at most {CONTRACTION_MAX:.0e}")
     radius = infer_radius(n) if radius is None else float(radius)
     ctx = CurvatureContext(trigpoly.scale(n, 1.0 / radius), 1.0)
     ric = ctx.ricci_matrix()

@@ -23,6 +23,9 @@ The module also builds the explicit degree-one orthogonal-matrix loop
 phi(theta) = V + A cos(theta) + B sin(theta) associated to an orthonormal
 pair, and tests whether a given rotation is degree-lowering ("singular") for
 a given loop.
+
+A rotations record {k, R, base, rotations: [{u, v}, ...]} is read field by
+field by `trigpoly.record_field`, the one reader of loop records too.
 """
 
 from dataclasses import dataclass
@@ -278,26 +281,13 @@ def rotations_to_dict(factorization):
 
 
 def rotations_from_dict(data):
-    try:
-        k = trigpoly.nonnegative_int("k", data["k"])
-        radius = float(data["R"])
-        base = np.asarray(data["base"], dtype=float)
-        frames = [(np.asarray(item["u"], dtype=float), np.asarray(item["v"], dtype=float))
-                  for item in data["rotations"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise trigpoly.LoopFormatError(f"malformed rotations record: {exc}") from exc
-    fields = {"R": data["R"], "base": data["base"]}
-    for i, item in enumerate(data["rotations"]):
-        fields.update({f"rotations[{i}].u": item["u"], f"rotations[{i}].v": item["v"]})
-    trigpoly.check_numbers("rotations", fields)
-    trigpoly.check_entries("rotations", radius, base, *(x for frame in frames for x in frame))
-    trigpoly.check_radius("rotations", radius)
-    if base.shape != (k + 1,):
-        raise trigpoly.LoopFormatError(
-            f"base point has shape {base.shape}, expected ({k + 1},)"
-        )
-    if any(u.shape != (k + 1,) or v.shape != (k + 1,) for u, v in frames):
-        raise trigpoly.LoopFormatError(f"rotation frames must be vectors of length k + 1 = {k + 1}")
+    """Deserialize a rotations record; validates each field's type, range and shape."""
+    k = trigpoly.record_field("rotations", data, "k", int)
+    radius = trigpoly.record_radius("rotations", data)
+    base = trigpoly.record_field("rotations", data, "base", (k + 1,))
+    frames = [[trigpoly.record_field("rotations", item, f"rotations[{i}].{key}", (k + 1,))
+               for key in "uv"]
+              for i, item in enumerate(trigpoly.record_field("rotations", data, "rotations", list))]
     try:
         rots = [PlaneRotation(u=u, v=v) for u, v in frames]
     except ValueError as exc:

@@ -14,6 +14,10 @@ index phi of the constraint, is a loop in R^1.  The one layout,
 The L2 pairing used throughout is the average over the circle,
 
     <m, n> = v_m . v_n + (1/2) sum_s (a_m[s] . a_n[s] + b_m[s] . b_n[s]).
+
+Loop and rotations records are read field by field by one reader,
+`record_field`, which checks a field's type, range and shape in one call and
+names the record and the field in the LoopFormatError it raises.
 """
 
 import json
@@ -146,14 +150,6 @@ def pointwise_dot(m, n):
     return from_exponential(_dot_exponential(m, n)[:, None])
 
 
-def scalar_mul(n, phi):
-    """Exact vector polynomial theta -> phi(theta) n(theta) for a loop phi in R^1."""
-    if phi.ambient_dim != 1:
-        raise ValueError(f"scalar factor must be a loop in R^1, got one in R^{phi.ambient_dim}")
-    cphi = _exponential(phi.v, phi.a, phi.b)
-    return from_exponential(_convolve(cphi, _exponential(n.v, n.a, n.b)))
-
-
 def matrix_mul(m0, m1, m2, n):
     """Exact vector polynomial theta -> (m0 + m1 cos theta + m2 sin theta) n(theta).
 
@@ -225,82 +221,82 @@ def loop_to_dict(n, radius):
     }
 
 
-def check_entries(record, *values):
-    """Raise LoopFormatError unless every value is finite and at most MAX_ENTRY in magnitude."""
-    for value in values:
-        bad = np.asarray(value)[~(np.abs(value) <= MAX_ENTRY)]
-        if bad.size:
-            raise LoopFormatError(
-                f"{record} record holds {float(bad[0])!r}; entries must be finite and at "
-                f"most 2^500 in magnitude"
-            )
+def _shape(value):
+    """The lengths of the levels of nested lists, down to the first that is ragged or not lists."""
+    shape, level = (), [value]
+    while level and all(type(x) is list for x in level) and len({len(x) for x in level}) == 1:
+        shape += (len(level[0]),)
+        level = [x for row in level for x in row]
+    return shape
 
 
-def check_numbers(record, fields):
-    """Raise LoopFormatError unless every value of fields holds JSON numbers only.
+def record_field(record, data, name, shape):
+    """The field `name` of a loop or rotations record, checked; LoopFormatError otherwise.
 
-    fields maps a record field's name to its value: a number, or lists of
-    numbers nested to any depth.  A boolean or a numeric string, which
-    float() would take, is refused.
+    data is the record's JSON object, or the object of one rotation, whose
+    field `u` is named `rotations[i].u`.  shape is int for a nonnegative
+    integer, list for a list, and otherwise the shape of nested lists of JSON
+    numbers (() for one number), each finite and at most MAX_ENTRY in
+    magnitude, returned as a float array.  A boolean or a numeric string,
+    which float() would take, is refused.
     """
-    for name, value in fields.items():
-        entries = [value]
-        while (types := set(map(type, entries))) == {list}:
-            entries = [x for row in entries for x in row]
-        if not types <= {int, float}:  # a bool is not an int here
-            bad = next(x for x in entries if type(x) not in (int, float))
-            raise LoopFormatError(f"{record} record field {name} holds {bad!r}; its entries "
+    key = name.rpartition(".")[2]
+    if type(data) is not dict:
+        raise LoopFormatError(f"malformed {record} record: expected a JSON object holding "
+                              f"field {name}")
+    if key not in data:
+        raise LoopFormatError(f"malformed {record} record: {key!r}")
+    value = data[key]
+    if shape is int or shape is list:
+        if type(value) is not shape or (shape is int and value < 0):
+            kind = "nonnegative integer" if shape is int else "list"
+            raise LoopFormatError(f"malformed {record} record: {name} = {value!r} is not a {kind}")
+        return value
+    entries = [value]
+    for size in shape:
+        if not all(type(x) is list and len(x) == size for x in entries):
+            raise LoopFormatError(f"{record} record field {name} has shape {_shape(value)}, "
+                                  f"expected {shape}")
+        entries = [x for row in entries for x in row]
+    for x in entries:
+        if type(x) not in (int, float):  # a bool is not an int here
+            raise LoopFormatError(f"{record} record field {name} holds {x!r}; its entries "
                                   f"must be JSON numbers")
+        if not abs(x) <= MAX_ENTRY:
+            raise LoopFormatError(f"{record} record holds {x!r}; entries must be finite and at "
+                                  f"most 2^500 in magnitude")
+    return np.array(entries, dtype=float).reshape(shape)
 
 
-def nonnegative_int(name, value):
-    """value if it is a nonnegative JSON integer; ValueError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} = {value!r} is not a nonnegative integer")
-    return value
-
-
-def check_radius(record, radius):
-    """Raise LoopFormatError unless the radius is at least MIN_RADIUS."""
-    if radius <= 0:
-        raise LoopFormatError(f"radius must be positive, got {radius}")
+def record_radius(record, data):
+    """The radius R of a loop or rotations record: a number at least MIN_RADIUS."""
+    radius = float(record_field(record, data, "R", ()))
     if radius < MIN_RADIUS:
         raise LoopFormatError(
             f"{record} record has radius R = {radius!r}; R must be at least 2^-500, so that "
             f"R^2 is a normal double"
         )
+    return radius
 
 
 def loop_from_dict(data):
-    """Deserialize; returns (TrigPolyVec, radius).  Validates shapes and types."""
-    try:
-        k = nonnegative_int("k", data["k"])
-        deg = nonnegative_int("N", data["N"])
-        radius = float(data["R"])
-        v = np.asarray(data["v"], dtype=float)
-        a = np.asarray(data["a"], dtype=float)
-        b = np.asarray(data["b"], dtype=float)
-        if a.size == 0:
-            a = a.reshape(0, k + 1)
-        if b.size == 0:
-            b = b.reshape(0, k + 1)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise LoopFormatError(f"malformed loop record: {exc}") from exc
-    check_numbers("loop", {name: data[name] for name in ("R", "v", "a", "b")})
-    check_entries("loop", radius, v, a, b)
-    check_radius("loop", radius)
-    if v.shape != (k + 1,):
-        raise LoopFormatError(f"constant term has shape {v.shape}, expected ({k + 1},)")
-    if a.shape != (deg, k + 1) or b.shape != (deg, k + 1):
-        raise LoopFormatError(
-            f"harmonic stacks have shapes {a.shape}, {b.shape}; expected ({deg}, {k + 1})"
-        )
+    """Deserialize; returns (TrigPolyVec, radius).  Validates each field's type, range and shape."""
+    k = record_field("loop", data, "k", int)
+    deg = record_field("loop", data, "N", int)
+    radius = record_radius("loop", data)
+    v = record_field("loop", data, "v", (k + 1,))
+    a = record_field("loop", data, "a", (deg, k + 1))
+    b = record_field("loop", data, "b", (deg, k + 1))
     return TrigPolyVec(v=v, a=a, b=b), radius
 
 
-def loop_from_json(text):
+def read_json(text):
+    """The value of a JSON text; LoopFormatError if it is not JSON or nests too deep to parse."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise LoopFormatError(f"invalid JSON: {exc}") from exc
-    return loop_from_dict(data)
+
+
+def loop_from_json(text):
+    return loop_from_dict(read_json(text))

@@ -116,11 +116,15 @@ def test_oversized_requests_exit_2_naming_the_limit_before_any_work(capsys, argv
     (2, 11, None), (2, 12, "4N + 1 = 49 constraints; a curvature report takes at most 45"),
     (249, 1, None), (250, 1, "(2N + 1) = 753; a curvature report takes at most 750"),
     (749, 0, None), (750, 0, "(2N + 1) = 751; a curvature report takes at most 750"),
-], ids=["N=11", "N=12", "k=249", "k=250", "k=749 N=0", "k=750 N=0"])
+    (5, 11, None), (6, 11, "(2N + 1))^2 = 2.362e+09; a curvature report takes at most 2e+09"),
+    (31, 11, "(2N + 1))^2 = 4.936e+10; a curvature report takes at most 2e+09"),
+], ids=["N=11", "N=12", "k=249", "k=250", "k=749 N=0", "k=750 N=0", "k=5 N=11", "k=6 N=11",
+        "k=31 N=11"])
 def test_curvature_refuses_loops_beyond_its_limits_before_any_kernel(tmp_path, capsys, monkeypatch,
                                                                      k, degree, limit):
-    # A loop at one limit and far inside the other takes about 30 s; one past
-    # either limit is refused before the Hessians are built.
+    # A loop at one limit and far inside the others takes about 30 s; one past
+    # any limit is refused before the Hessians are built.  k = 31, N = 11 lies
+    # within the first two and took 184 s.
     def no_kernel(*args):
         raise AssertionError("a curvature kernel ran")
 
@@ -138,7 +142,9 @@ def test_curvature_refuses_loops_beyond_its_limits_before_any_kernel(tmp_path, c
         with pytest.raises(AssertionError, match="kernel ran"):
             cli.main(argv)
     else:
+        start = time.perf_counter()
         code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "") and err.count("\n") == 1 and limit in err, err
 
 
@@ -511,7 +517,7 @@ def test_validation_errors(tmp_path, capsys, monkeypatch):
     path.write_text('{"k": 2, "N": 1, "R": 1.0, "v": [0.0], "a": [], "b": []}')
     code, _, err = run(capsys, ["check", "--input", str(path)])
     assert code == 2
-    assert "constant term" in err
+    assert err == "error: loop record field v has shape (1,), expected (3,)\n"
     # A loop on S^0 is a point of a 0-dimensional variety.
     path.write_text('{"k": 0, "N": 0, "R": 1.0, "v": [1.0], "a": [], "b": []}')
     code, out, err = run(capsys, ["curvature", "--input", str(path)])
@@ -565,6 +571,36 @@ def test_validation_errors(tmp_path, capsys, monkeypatch):
             cli.main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+_REFUSALS = [
+    *[([command, "--input", path], message) for command in ("check", "curvature", "factorize")
+      for path, message in (("missing.json", "No such file or directory"), (".", "Is a directory"))],
+    (["angular", "--k", "3", "--l", "1", "--t", "0.5"], "require both --l and --s"),
+    (["angular", "--k", "3", "--l", "1", "--s", "1", "--t", "1e-300", "--R", "1e-40"],
+     "a value overflows a double: k = 3 angular eigenvalues at t = 1e-300, R = 1e-40"),
+    (["spectrum", "--k", "2", "--l", "1", "--s", "2"], "weight |s| = 2 exceeds l = 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSALS, ids=[" ".join(a) for a, _ in _REFUSALS])
+def test_refused_requests_exit_2_on_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    # An unreadable --input (the OSError branch of `cli._run`), and requests
+    # each handler refuses before any solve.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and err.count("\n") == 1 and err.startswith("error: "), err
+    assert message in err, err
+
+
+@pytest.mark.parametrize("command", ["check", "curvature", "factorize"])
+def test_record_commands_refuse_text_that_is_not_json_alike(command):
+    # JSON nested past the parser's recursion limit is refused as a syntax error is.
+    for text, reason in (("not json\n", "Expecting value: line 1 column 1 (char 0)\n"),
+                         ("[" * 10**5 + "]" * 10**5, "maximum recursion depth exceeded")):
+        code, out, err, caught = _main_on_stdin([command, "--input", "-"], text)
+        assert (code, out, caught) == (2, "", []) and err.count("\n") == 1, err
+        assert err.startswith(f"error: invalid JSON: {reason}"), err
 
 
 def test_cli_start_up_and_non_radial_commands_leave_scipy_unimported():

@@ -10,6 +10,7 @@ from loopsphere.cli import random_loop
 from loopsphere.prng import SplitMix64
 from test_manifold import random_frame
 from test_resolution import matrix_random_loop
+from test_trigpoly import scalar_mul
 
 
 def add_loops(m, n):
@@ -40,7 +41,7 @@ def grad_f(n, phi):
     """Gradient of the constraint component f_phi at n: 2 Pr_N(n phi)."""
     if phi.degree > 2 * n.degree:
         raise ValueError(f"scalar degree {phi.degree} exceeds 2N = {2 * n.degree}")
-    return trigpoly.scale(trigpoly.project(trigpoly.scalar_mul(n, phi), n.degree), 2.0)
+    return trigpoly.scale(trigpoly.project(scalar_mul(n, phi), n.degree), 2.0)
 
 
 def test_round_sphere_constant_loops():
@@ -102,7 +103,7 @@ def _per_direction_hessians(degree, ambient_dim):
             e = np.zeros(nn)
             e[col] = 1.0
             x = unflatten_vec(e, degree, ambient_dim)
-            image = trigpoly.project(trigpoly.scalar_mul(x, phi), degree)
+            image = trigpoly.project(scalar_mul(x, phi), degree)
             hess[i, :, col] = 2.0 * curvature.flatten_vec(image, degree)
     return hess
 
@@ -122,12 +123,19 @@ def test_batched_hessians_match_per_direction_assembly_bitwise():
 
 
 def test_curvature_context_builds_no_trig_polynomial_products(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("scalar_mul called")
+    # One convolution builds all the Hessians, and one each reads the radius
+    # and tests the sphere: none is per direction.
+    calls = []
+    convolve = trigpoly._convolve
 
-    monkeypatch.setattr(trigpoly, "scalar_mul", refuse)
+    def counted(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(trigpoly, "_convolve", counted)
     ctx = curvature.CurvatureContext(random_loop(3, 3, 1.0, 0))
     assert ctx.hessians.shape == (13, 28, 28)
+    assert len(calls) == 3
 
 
 def test_ricci_min_matches_jacobi_oracle():

@@ -146,7 +146,8 @@ def test_rotations_json_roundtrip():
         resolution.compose(back).eval(thetas), n.eval(thetas), atol=1e-11
     )
     data["base"] = [1.0]
-    with pytest.raises(trigpoly.LoopFormatError, match="base point"):
+    with pytest.raises(trigpoly.LoopFormatError,
+                       match=re.escape("rotations record field base has shape (1,), expected (3,)")):
         resolution.rotations_from_dict(data)
 
 
@@ -268,8 +269,9 @@ E0, E1 = [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]
     ({"u": [1.0 + 1e-8, 0.0, 0.0, 0.0], "v": E1}, "invalid plane rotation: |u|^2 = 1 fails"),
     ({"u": E0, "v": [0.0, 1.0 - 1e-8, 0.0, 0.0]}, "invalid plane rotation: |v|^2 = 1 fails"),
     ({"u": E0, "v": [1e-8, 1.0, 0.0, 0.0]}, "invalid plane rotation: u.v = 0 fails"),
-    ({"u": E0, "v": E1[:3]}, "rotation frames must be vectors of length k + 1 = 4"),
-    ({"u": E0[:3], "v": E1[:3]}, "rotation frames must be vectors of length k + 1 = 4"),
+    ({"u": E0, "v": E1[:3]}, "rotations record field rotations[1].v has shape (3,), expected (4,)"),
+    ({"u": E0[:3], "v": E1[:3]},
+     "rotations record field rotations[1].u has shape (3,), expected (4,)"),
     ({"P": np.eye(4).tolist(), "W": np.zeros((4, 4)).tolist()},
      "malformed rotations record: 'u'"),
 ], ids=["|u|", "|v|", "u.v", "unequal lengths", "length not k+1", "P/W record"])

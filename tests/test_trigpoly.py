@@ -16,6 +16,17 @@ def random_poly(rng, degree, dim):
     return trigpoly.TrigPolyVec(v=v, a=a, b=b)
 
 
+def scalar_mul(n, phi):
+    """Exact vector polynomial theta -> phi(theta) n(theta) for a loop phi in R^1.
+
+    The one-product-per-direction oracle of the curvature Hessians.
+    """
+    if phi.ambient_dim != 1:
+        raise ValueError(f"scalar factor must be a loop in R^1, got one in R^{phi.ambient_dim}")
+    cphi = trigpoly._exponential(phi.v, phi.a, phi.b)
+    return trigpoly.from_exponential(trigpoly._convolve(cphi, trigpoly._exponential(n.v, n.a, n.b)))
+
+
 def test_eval_matches_definition():
     rng = SplitMix64(1)
     n = random_poly(rng, 3, 4)
@@ -43,7 +54,7 @@ def test_scalar_mul_exact():
     n = random_poly(rng, 2, 3)
     phi = trigpoly.TrigPolyVec(v=np.array([0.5]), a=np.array([[1.0], [-0.3]]),
                                b=np.array([[0.2], [0.7]]))
-    prod = trigpoly.scalar_mul(n, phi)
+    prod = scalar_mul(n, phi)
     thetas = np.linspace(0.0, 2 * np.pi, 31, endpoint=False)
     assert np.allclose(prod.eval(thetas), phi.eval(thetas) * n.eval(thetas), atol=1e-12)
 
@@ -52,7 +63,7 @@ def test_scalar_mul_refuses_a_factor_outside_r1():
     rng = SplitMix64(3)
     n = random_poly(rng, 2, 3)
     with pytest.raises(ValueError, match="R\\^1"):
-        trigpoly.scalar_mul(n, random_poly(rng, 1, 3))
+        scalar_mul(n, random_poly(rng, 1, 3))
 
 
 def test_exponential_roundtrip():
@@ -157,8 +168,8 @@ def test_json_roundtrip():
     [
         (lambda d: d.pop("v"), "loop record"),
         (lambda d: d.update(R=-1.0), "radius"),
-        (lambda d: d.update(v=[1.0]), "constant term"),
-        (lambda d: d.update(N=7), "harmonic stacks"),
+        (lambda d: d.update(v=[1.0]), "loop record field v has shape"),
+        (lambda d: d.update(N=7), "loop record field a has shape"),
         (lambda d: d.update(k=2.7), "k = 2.7 is not a nonnegative integer"),
         (lambda d: d.update(N=1.5), "N = 1.5 is not a nonnegative integer"),
         (lambda d: d.update(k=-1, N=0, v=[], a=[], b=[]), "k = -1 is not a nonnegative integer"),
@@ -217,10 +228,11 @@ def assert_same_poly(got, expect):
     assert np.array_equal(got.b, expect.b)
 
 
-# Shapes as the library forms them: a scalar series rides on a trailing axis
-# of length one (scalar_mul) against loops in R^(k+1), k >= 2.  A product of
-# two single numbers can take numpy's scalar path, which may round without
-# the fused multiply-add of its array loop on some hosts.
+# Shapes as the Hessians and their scalar_mul oracle form them: a scalar
+# series rides on a trailing axis of length one against loops in R^(k+1),
+# k >= 2.  A product of two single numbers can take numpy's scalar path,
+# which may round without the fused multiply-add of its array loop on some
+# hosts.
 @pytest.mark.parametrize("shape1, shape2", [
     ((1, 1), (1, 3)),
     ((3, 1), (5, 3)),
