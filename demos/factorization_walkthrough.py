@@ -40,13 +40,6 @@ def main():
         print(f"  {label:<20}: singular={singular}, "
               f"degree {n.degree} -> {degree}")
 
-    print()
-    rep = resolution.compare_peel_mechanisms(n)
-    print("peeling via the orthogonal-loop mechanism agrees:")
-    for key, value in rep.items():
-        if np.isscalar(value) or isinstance(value, (bool, int, float)):
-            print(f"  {key}: {value}")
-
 
 if __name__ == "__main__":
     main()

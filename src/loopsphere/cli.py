@@ -36,7 +36,9 @@ The table and record commands write indented JSON; loop and rotation records
 (random-loop, factorize) are one line of compact JSON, which
 `python -m json.tool` pretty-prints; a rotations record stores each rotation
 as the frame {"u": [...], "v": [...]} of its plane, and `factorize` refuses
-one whose composed loop is off the sphere.  Identical flags and seed give
+one whose composed loop is off the sphere.  `factorize` reads a JSON object
+that holds `rotations` or `base` as a rotations record (a loop record holds
+neither) and any other input as a loop record.  Identical flags and seed give
 byte-identical output.  JSON output is strict RFC 8259: a non-finite value is a validation
 error, never a NaN or Infinity token.
 """
@@ -348,7 +350,7 @@ def _cmd_factorize(args):
     from . import resolution, trigpoly
 
     data = trigpoly.read_json(_read_input(args.input))
-    if isinstance(data, dict) and "rotations" in data:
+    if isinstance(data, dict) and {"rotations", "base"} & data.keys():
         fact = resolution.rotations_from_dict(data)
         n = resolution.compose(fact)
         trigpoly.require_on_sphere(n, fact.radius)  # each frame's 1e-10 slack adds up

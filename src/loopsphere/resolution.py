@@ -19,9 +19,12 @@ with n_0 a constant loop on the sphere.  The peeling plane at each step is
 spanned by the top harmonic pair (a[N], b[N]), which for a sphere-valued loop
 is automatically an orthogonal pair of equal length.
 
-The module also builds the explicit degree-one orthogonal-matrix loop
-phi(theta) = V + A cos(theta) + B sin(theta) associated to an orthonormal
-pair, and tests whether a given rotation is degree-lowering ("singular") for
+lambda is the module's one degree-one orthogonal loop.  The loop
+V + A cos(theta) + B sin(theta) of an orthonormal pair (a, b), with rows a, b
+in A, rows b, -a in B and a basis of the complement of the pair in V, is the
+constant orthogonal matrix with those rows times the lambda of the frame
+(u, v) = (a, b), so it lowers a loop's degree exactly when that lambda does.
+The module also tests whether a rotation is degree-lowering ("singular") for
 a given loop.
 
 A rotations record {k, R, base, rotations: [{u, v}, ...]} is read field by
@@ -210,63 +213,6 @@ def is_singular_rotation(rot, n):
     val = np.hypot(u @ a_top - v @ b_top, v @ a_top + u @ b_top)
     scale = np.sqrt((a_top @ a_top + b_top @ b_top) * (u @ u + v @ v))
     return val <= 1e-10 * scale
-
-
-@dataclass(frozen=True)
-class DegreeOneOrthogonalLoop:
-    """Orthogonal-matrix loop phi(theta) = V + A cos(theta) + B sin(theta)."""
-
-    V: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-
-
-def orthogonal_loop_from_pair(a, b):
-    """The explicit degree-lowering orthogonal loop for an orthonormal pair (a, b).
-
-    A has rows a, b in the last two slots; B has rows b, -a there; V carries an
-    orthonormal basis of the orthogonal complement of span(a, b) in the first
-    k-1 slots.  The result satisfies all five quadratic identities exactly and
-    maps a loop with top pair proportional to (a, b) to one of lower degree.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = a.shape[0]
-    if abs(a @ a - 1.0) > 1e-10 or abs(b @ b - 1.0) > 1e-10 or abs(a @ b) > 1e-10:
-        raise ValueError("expected an orthonormal pair")
-    amat = np.zeros((d, d))
-    bmat = np.zeros((d, d))
-    amat[d - 2] = a
-    amat[d - 1] = b
-    bmat[d - 2] = b
-    bmat[d - 1] = -a
-    # Orthonormal complement basis via the QR factorization of [a b | I].
-    q, _ = np.linalg.qr(np.column_stack([a, b, np.eye(d)]))
-    comp = q[:, 2:d].T
-    vmat = np.zeros((d, d))
-    vmat[: d - 2] = comp
-    return DegreeOneOrthogonalLoop(V=vmat, A=amat, B=bmat)
-
-
-def compare_peel_mechanisms(n):
-    """Run both degree-lowering mechanisms on one loop and report the outcome.
-
-    The plane-rotation peel keeps the loop in its original coordinates; the
-    explicit orthogonal loop also moves the peeling plane onto the last two
-    coordinate axes.  Both must lower the degree by exactly one.
-    """
-    a, b = top_harmonic_basis(n)
-    factor, lowered = peel(n)
-    phi = orthogonal_loop_from_pair(a / np.linalg.norm(a), b / np.linalg.norm(b))
-    moved = trigpoly.matrix_mul(phi.V, phi.A, phi.B, n)
-    return {
-        "input_degree": n.degree,
-        "peel_degree": lowered.degree,
-        "orthogonal_loop_degree": moved.degree,
-        "peel_result": lowered,
-        "orthogonal_loop_result": moved,
-        "same_norm": abs(lowered.norm() - moved.norm()) <= 1e-10 * max(n.norm(), 1.0),
-    }
 
 
 def rotations_to_dict(factorization):

@@ -9,7 +9,7 @@ Products are computed exactly through complex exponential coefficients
 c_s = (a_s - i b_s)/2, c_{-s} = conj(c_s), c_0 = v, for which the pointwise
 product is a convolution.  A scalar polynomial, such as n.n or a component
 index phi of the constraint, is a loop in R^1.  The one layout,
-`_exponential`, serves scalar, vector and degree-one matrix loops alike.
+`_exponential`, serves scalar and vector loops alike.
 
 The L2 pairing used throughout is the average over the circle,
 
@@ -111,8 +111,7 @@ def _exponential(v, a, b):
     """Complex coefficients c[m+N], m = -N..N, of v + sum_s a[s] cos + b[s] sin.
 
     c_0 = v and c_{+-s} = (a[s] -+ i b[s])/2; a and b stack the N harmonics on
-    their first axis and have the shape of v after it: (d,) for a loop in R^d
-    and (d, d) for a matrix loop.
+    their first axis and have the shape of v after it, (d,) for a loop in R^d.
     """
     half = 0.5 * (a - 1j * b)
     return np.concatenate([np.conj(half[::-1]), [v], half])
@@ -148,23 +147,6 @@ def _dot_exponential(m, n):
 def pointwise_dot(m, n):
     """Exact loop in R^1 theta -> m(theta) . n(theta), degree at most deg m + deg n."""
     return from_exponential(_dot_exponential(m, n)[:, None])
-
-
-def matrix_mul(m0, m1, m2, n):
-    """Exact vector polynomial theta -> (m0 + m1 cos theta + m2 sin theta) n(theta).
-
-    Each matrix coefficient lam acts on all coefficients c[m] of n as one
-    stacked mat-vec, lam @ c[m], which rounds as a lone mat-vec does; slot j
-    adds its terms from c[j-2], c[j-1], c[j] in that order.  Plane rotations
-    take the frame shift of `resolution._turn` instead, with no matrices.
-    """
-    lam_minus, lam_zero, lam_plus = _exponential(m0, m1[None], m2[None])
-    c = _exponential(n.v, n.a, n.b)[:, :, None]
-    out = np.zeros((c.shape[0] + 2, n.ambient_dim), dtype=complex)
-    out[2:] += np.matmul(lam_plus, c)[..., 0]
-    out[1:-1] += np.matmul(lam_zero, c)[..., 0]
-    out[:-2] += np.matmul(lam_minus, c)[..., 0]
-    return from_exponential(out)
 
 
 def scale(n, factor):

@@ -580,17 +580,22 @@ _REFUSALS = [
     (["angular", "--k", "3", "--l", "1", "--s", "1", "--t", "1e-300", "--R", "1e-40"],
      "a value overflows a double: k = 3 angular eigenvalues at t = 1e-300, R = 1e-40"),
     (["spectrum", "--k", "2", "--l", "1", "--s", "2"], "weight |s| = 2 exceeds l = 1"),
+    # An object holding `base` is read as a rotations record, whose missing field is named.
+    (["factorize", "--input", "base-only.json"],
+     "error: malformed rotations record: 'rotations'\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", _REFUSALS, ids=[" ".join(a) for a, _ in _REFUSALS])
 def test_refused_requests_exit_2_on_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
     # An unreadable --input (the OSError branch of `cli._run`), and requests
-    # each handler refuses before any solve.
+    # each handler refuses before any solve.  A message that starts with
+    # `error: ` is the whole line.
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "base-only.json").write_text('{"k": 2, "R": 1.0, "base": [1, 0, 0]}')
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "") and err.count("\n") == 1 and err.startswith("error: "), err
-    assert message in err, err
+    assert err == message if message.startswith("error: ") else message in err, err
 
 
 @pytest.mark.parametrize("command", ["check", "curvature", "factorize"])

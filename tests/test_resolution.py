@@ -24,11 +24,6 @@ def rotation_matrix(rot, theta):
     return p * np.cos(theta) + w * np.sin(theta) + (np.eye(rot.u.shape[0]) - p)
 
 
-def orthogonal_loop_matrix(phi, theta):
-    """The matrix V + A cos(theta) + B sin(theta) of a degree-one orthogonal loop."""
-    return phi.V + phi.A * np.cos(theta) + phi.B * np.sin(theta)
-
-
 def test_plane_rotation_validation():
     with pytest.raises(ValueError, match="orthogonal with equal lengths"):
         resolution.rotation_from_basis(np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]))
@@ -120,20 +115,6 @@ def test_is_singular_rotation_both_ways():
     assert resolution.apply_rotation(generic, n).degree == n.degree + 1
 
 
-def test_orthogonal_loop_identities_and_degree_lowering():
-    rng = SplitMix64(24)
-    a, b = random_pair(rng, 4)
-    phi = resolution.orthogonal_loop_from_pair(a, b)
-    for theta in (0.1, 1.0, 3.0):
-        m = orthogonal_loop_matrix(phi, theta)
-        assert np.allclose(m @ m.T, np.eye(4), atol=1e-12)
-    n = random_loop(3, 2, 1.0, seed=12)
-    rep = resolution.compare_peel_mechanisms(n)
-    assert rep["peel_degree"] == rep["input_degree"] - 1
-    assert rep["orthogonal_loop_degree"] == rep["input_degree"] - 1
-    assert rep["same_norm"]
-
-
 def test_rotations_json_roundtrip():
     n = random_loop(2, 2, 1.0, seed=3)
     fact = resolution.factorize(n, 1.0)
@@ -195,13 +176,29 @@ def test_frame_rotations_equal_the_matrix_formulas_bitwise():
 
 
 # The matrix form that applied and composed rotations before the frame shift:
-# (I - P) + P cos + W sin through trigpoly.matrix_mul, one TrigPolyVec per rotation.
+# (I - P) + P cos + W sin through matrix_mul, one TrigPolyVec per rotation.
+
+
+def matrix_mul(m0, m1, m2, n):
+    """Exact vector polynomial theta -> (m0 + m1 cos theta + m2 sin theta) n(theta).
+
+    Each matrix coefficient lam acts on all coefficients c[m] of n as one
+    stacked mat-vec, lam @ c[m], which rounds as a lone mat-vec does; slot j
+    adds its terms from c[j-2], c[j-1], c[j] in that order.
+    """
+    lam_minus, lam_zero, lam_plus = trigpoly._exponential(m0, m1[None], m2[None])
+    c = trigpoly._exponential(n.v, n.a, n.b)[:, :, None]
+    out = np.zeros((c.shape[0] + 2, n.ambient_dim), dtype=complex)
+    out[2:] += np.matmul(lam_plus, c)[..., 0]
+    out[1:-1] += np.matmul(lam_zero, c)[..., 0]
+    out[:-2] += np.matmul(lam_minus, c)[..., 0]
+    return trigpoly.from_exponential(out)
 
 
 def matrix_apply(rot, n, inverse=False):
     p = rot.projection
     w = -rot.rotation if inverse else rot.rotation
-    return trigpoly.matrix_mul(np.eye(n.ambient_dim) - p, p, w, n)
+    return matrix_mul(np.eye(n.ambient_dim) - p, p, w, n)
 
 
 def matrix_compose(factorization):

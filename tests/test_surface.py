@@ -12,16 +12,22 @@ from that module, a bare name in the module itself, or a `module.name` string
 in a benchmark file (the tracer's names of the functions it wraps).  So
 `np.add.accumulate` does not read `trigpoly.add`, nor a parameter called
 `matrix` a `matrix` method.
+
+The other way round, every library name a demo reads exists, so a name deleted
+while a demo still calls it fails here, without running the demo.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "loopsphere"
 BENCH = sorted((ROOT / "bench").glob("*.py"))
-READERS = [*sorted((ROOT / "demos").glob("*.py")), *BENCH, ROOT / "tests" / "test_acceptance.py"]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+READERS = [*DEMOS, *BENCH, ROOT / "tests" / "test_acceptance.py"]
 
 
 def _tail(node):
@@ -101,3 +107,40 @@ def test_every_public_name_has_a_reader_outside_the_unit_tests():
                 dotted = ".".join(filter(None, (module, owner, node.name)))
                 unread.append(f"{dotted} (line {node.lineno})")
     assert not unread, "no reader outside the unit tests: " + ", ".join(unread)
+
+
+def _library_reads(tree):
+    """(line, module, name) of each library name the code reads.
+
+    `from loopsphere import m` reads m of loopsphere, and each later `m.name`
+    then reads name of loopsphere.m; `from loopsphere.m import name` reads
+    name of loopsphere.m.
+    """
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "loopsphere":
+            for alias in node.names:
+                yield node.lineno, node.module, alias.name
+                if node.module == "loopsphere":
+                    modules[alias.asname or alias.name] = f"loopsphere.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield node.lineno, modules[node.value.id], node.attr
+
+
+def _resolves(module, name):
+    """Whether `module` has the attribute or submodule `name`."""
+    try:
+        return hasattr(importlib.import_module(module), name) or bool(
+            importlib.util.find_spec(f"{module}.{name}"))
+    except ModuleNotFoundError:
+        return False
+
+
+def test_every_library_name_a_demo_reads_exists():
+    missing = [f"{path.name}:{line}: {module}.{name}"
+               for path in DEMOS
+               for line, module, name in _library_reads(ast.parse(path.read_text()))
+               if not _resolves(module, name)]
+    assert DEMOS and not missing, "demos read names the library lacks: " + ", ".join(missing)

