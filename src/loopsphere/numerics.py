@@ -1,10 +1,15 @@
 """Shared numerical kernels: Gauss-Legendre quadrature (the radial volume),
 the symmetry check and the cyclic-Jacobi eigensolver of the curvature
-reports, and the open-interval test of the formulas' ndarray branches.
+reports, the open-interval test of the formulas' ndarray branches, and
+`fork_map`, which runs `spectrum`'s truncation levels in forked children.
 """
 
 import functools
 import math
+import os
+import pickle
+import threading
+import warnings
 
 import numpy as np
 
@@ -138,3 +143,64 @@ def eig_symmetric(matrix):
     w = a.diagonal().copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+def _outcome(func, item):
+    """(ok, func(item) or its exception, the warnings it showed)."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            ok, value = True, func(item)
+        except Exception as exc:
+            ok, value = False, exc
+    return ok, value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _serve(func, item, pipe):
+    """In a forked child: pickle func(item)'s outcome into the pipe and exit."""
+    try:
+        ok, value, _ = outcome = _outcome(func, item)
+        try:
+            pickle.loads(data := pickle.dumps(outcome))
+        except Exception:  # pickle cannot carry it back: name it instead
+            data = pickle.dumps((False, RuntimeError(f"{type(value).__name__}: {value}"), []))
+        with pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def fork_map(func, items):
+    """[func(item) for item in items], one forked child process per item but the last.
+
+    A child computes on a copy-on-write image of the caller, bit for bit.  Item
+    by item, the warnings that passed the caller's filters are shown and then
+    any exception raised; every child is reaped first.  In-process on one
+    usable CPU, for one item, or while other threads run (a child could hang).
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(cpus) < 2 or len(items) < 2 or threading.active_count() > 1:
+        return [func(item) for item in items]
+    pids, pipes = [], []
+    try:
+        for item in items[:-1]:
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as pipe:  # the caller's copy closes at once
+                if (pid := os.fork()) == 0:
+                    _serve(func, item, pipe)
+            pids.append(pid)
+        last = _outcome(func, items[-1])
+        outcomes = [pickle.loads(data) if (data := pipe.read()) else
+                    (False, RuntimeError("a worker process ended without a result"), [])
+                    for pipe in pipes] + [last]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    for ok, value, shown in outcomes:
+        for args in shown:
+            warnings.showwarning(*args)
+        if not ok:
+            raise value
+    return [value for _, value, _ in outcomes]

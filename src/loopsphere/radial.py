@@ -58,7 +58,8 @@ dD/dlambda is 0.046 at lambda_0 and 0.023 at lambda_1, so those roots are
 fixed only to about 8e-9 and 1.4e-8 absolute (ROADMAP item 5, Finding 4):
 5e-8 relative at lambda_0 = 0.16, where brentq still chases the noise below
 it, and 1.5e-10 at lambda_1 = 95, above the stop.  On the algebraic spectra
-the noise is 1e-14 to 1e-10.
+the noise is 1e-14 to 1e-10.  `spectrum` solves each truncation level but the
+last in a forked child process (`numerics.fork_map`), bit for bit as in-process.
 Each Prufer integration leg is one LSODA call through scipy's odeint, whose C
 port of ODEPACK writes to no file descriptor: a failed leg comes back in
 `infodict["message"]`, which the integrator raises as a RuntimeError, and
@@ -71,7 +72,8 @@ and `gap` take over k 2-8 and R 0.1-10.
 scipy is loaded by the shooting and FD engines alone.  `odeint`, `brentq`
 and `eigh_tridiagonal` are module attributes that import scipy.integrate,
 scipy.optimize and scipy.linalg the first time a shot or an FD solve reads
-them (importing scipy.integrate loads the other two).  Endpoint
+them (importing scipy.integrate loads the other two); `spectrum` reads them
+before its levels fork, so that no child imports scipy again.  Endpoint
 classification, Frobenius exponents, V_eff, the Hardy constants and the
 other tables run without scipy, and a process that never solves never loads
 it.  A solve reads each name through the module at call time, so a
@@ -673,6 +675,8 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
     seeds lie 2e-6 to 4e-3 relative off the roots, where the previous
     level's eigenvalues lie up to 0.36 off (lambda_0 of the Liouville form
     at k = 5, R = 0.5, level 1) and cost the bracket search more widenings.
+    Every level but the last runs in a forked child (`numerics.fork_map`),
+    and `history` is bit for bit the one the levels give in-process.
 
     At k = 2 flux at the regular end t = 0 of `coefficients` selects the sector
     even in sigma = +-sqrt(t), lambda_0 = 0.583210 at R = 1 (`gap`: the odd one).
@@ -706,9 +710,11 @@ def spectrum(prob, count=2, tol=1e-6, levels=7, bc=None):
     kinds = _endpoint_kinds(prob)
     if bc is None:
         bc = _bc_for(kinds)
-    # Every level seeds its brackets from its own coarse finite-difference
-    # solve, far closer to its roots than the previous level's eigenvalues.
-    history = [solve_truncated(prob, a, b, count=count, bc=bc) for a, b in schedule]
+    # Load scipy here, once, and not in every forked child of fork_map.
+    for name in _SCIPY_SOLVERS:
+        getattr(_module, name)
+    history = numerics.fork_map(lambda ab: solve_truncated(prob, *ab, count=count, bc=bc),
+                                schedule)
     final, residual = accelerate(history)
     converged = bool(np.max(residual) <= tol)
     lp_only = EndpointKind.LIMIT_CIRCLE not in kinds

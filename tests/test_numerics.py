@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -172,3 +175,126 @@ def test_bisect_root():
     assert abs(root - math.sqrt(2.0)) < 1e-11
     with pytest.raises(ValueError, match="does not change sign"):
         bisect_root(lambda x: 1.0 + x * x, (0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# fork_map
+# ---------------------------------------------------------------------------
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make `numerics.fork_map` see `cpus` usable CPUs; it forks only for two or more."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def count_forks(monkeypatch):
+    """The list to which each `os.fork` call from now on appends the caller's pid."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def warn_then(item):
+    warnings.warn(f"item {item}", UserWarning)
+    if item == 2:
+        raise ValueError("item 2 failed")
+    return item
+
+
+# Forked: one child for [0, 1] and two for [1, 2, 3], none for a last item.
+@pytest.mark.parametrize("cpus, children", [(1, 0), (2, 3)], ids=["in-process", "forked"])
+def test_fork_map_replays_warnings_and_the_first_failure_in_item_order(monkeypatch, cpus,
+                                                                       children):
+    usable_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert numerics.fork_map(warn_then, [0, 1]) == [0, 1]
+        shown = [str(w.message) for w in caught]
+        caught.clear()
+        # Item 3's warning is never shown: the loop stops at item 2.
+        with pytest.raises(ValueError, match="item 2 failed"):
+            numerics.fork_map(warn_then, [1, 2, 3])
+    assert shown == ["item 0", "item 1"]
+    assert [str(w.message) for w in caught] == ["item 1", "item 2"]
+    assert {w.category for w in caught} == {UserWarning}
+    assert caught[0].filename == __file__
+    assert len(forks) == children
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class NeedsCode(Exception):
+    """Pickles, but cannot be unpickled: its __init__ wants a second argument."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+def raise_unpicklable(item):
+    if item == 0:
+        raise NeedsCode("no code", 7)
+    if item == 1:
+        raise ValueError(lambda: None)
+    return item
+
+
+@pytest.mark.parametrize("item, match", [(0, "NeedsCode: no code"),
+                                         (1, "ValueError: <function")],
+                         ids=["unpicklable", "unpicklable-argument"])
+def test_fork_map_names_an_exception_pickle_cannot_carry_back(monkeypatch, item, match):
+    usable_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=match):
+        numerics.fork_map(raise_unpicklable, [item, 2])
+    # The last item runs in the caller, which raises the exception itself.
+    with pytest.raises(NeedsCode):
+        numerics.fork_map(raise_unpicklable, [2, 0])
+
+
+def test_fork_map_runs_in_process_while_another_thread_runs(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert numerics.fork_map(lambda item: 2 * item, [1, 2, 3]) == [2, 4, 6]
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forks == []
+    assert numerics.fork_map(lambda item: 2 * item, [1, 2, 3]) == [2, 4, 6]
+    assert len(forks) == 2
+
+
+def test_fork_map_reaps_its_children_when_a_fork_fails(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    real_fork = os.fork
+    forks = []
+
+    def second_fork_fails():
+        forks.append(os.getpid())
+        if len(forks) == 2:
+            raise BlockingIOError("fork refused")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    open_fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    with pytest.raises(BlockingIOError, match="fork refused") as info:
+        numerics.fork_map(lambda item: item, [1, 2, 3, 4])
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # Both ends of both pipes are closed, while the traceback still holds
+    # fork_map's frame (a file object that is collected closes anyway).
+    if open_fds is not None:
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    assert info.traceback

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 
@@ -9,6 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from loopsphere import manifold, radial
+from test_numerics import count_forks, usable_cpus
 
 
 def const_problem():
@@ -998,6 +1000,7 @@ def test_spectrum_k3_shoots_at_most_40_times(monkeypatch):
         shots.append(args[3])
         return real(*args, **kwargs)
 
+    usable_cpus(monkeypatch, 1)  # the spy counts the shots of every level in-process
     monkeypatch.setattr(radial, "prufer_mismatch", spy)
     radial.spectrum(radial.coefficients(manifold.ModelParams(k=3)), count=2, tol=1e-3, levels=3)
     # 32 shots; seeding levels 1 and 2 from the level before took 54, and
@@ -1013,11 +1016,53 @@ def test_gap_job_shoots_at_most_43_times(monkeypatch):
         shots.append(args[3])
         return real(*args, **kwargs)
 
+    usable_cpus(monkeypatch, 1)  # the spy counts the shots of every level in-process
     monkeypatch.setattr(radial, "prufer_mismatch", spy)
     radial.gap_analysis(manifold.ModelParams(k=5, R=0.5), tol=1e-3, levels=3)
     # 43 shots; stopping brentq at a bracket of 1e-10 absolute, below the
     # noise LSODA leaves in D at lambda_1 ~ 95, took 70.
     assert len(shots) <= 43
+
+
+def test_forked_levels_equal_the_in_process_levels_bitwise(monkeypatch):
+    forks = count_forks(monkeypatch)
+    harmonic = radial.coefficients_with_harmonics(manifold.ModelParams(k=2), 1, 0)
+    # Bare lambdas: the children compute them on the caller's image, unpickled.
+    regular = radial.EndpointReport(kind=radial.EndpointKind.REGULAR, exponents=(1.0, 0.0),
+                                    log_case=True)
+    bare = radial.SLProblem(p=lambda t: 1.0 + t, q=lambda t: t * t, w=lambda t: 2.0 - t,
+                            interval=(0.0, 1.0), endpoints=(regular, regular))
+
+    def solve_all():
+        gap = radial.gap_analysis(manifold.ModelParams(k=5, R=0.5), tol=1e-3, levels=3)
+        return [gap] + [radial.spectrum(prob, count=2, tol=1e-3, levels=3).history
+                        for prob in (harmonic, bare)]
+
+    usable_cpus(monkeypatch, 2)
+    forked = solve_all()
+    assert len(forks) == 3 * 2  # one child per level but the last, per spectrum
+    usable_cpus(monkeypatch, 1)
+    in_process = solve_all()
+    assert len(forks) == 6
+    assert forked[0] == in_process[0]
+    for got, want in zip(forked[1:], in_process[1:]):
+        assert [row.tolist() for row in got] == [row.tolist() for row in want]
+        assert all(row.dtype == np.float64 for row in got)
+
+
+def test_no_child_outlives_spectrum(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    k3 = radial.coefficients(manifold.ModelParams(k=3))
+    radial.spectrum(k3, count=2, tol=1e-3, levels=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(radial, "_MXSTEP", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeError, match="Prufer integration failed"):
+            radial.spectrum(k3, count=2, tol=1e-3, levels=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_roots_lie_within_the_relative_stop_of_the_full_precision_root(monkeypatch):
